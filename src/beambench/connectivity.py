@@ -78,9 +78,12 @@ def spectral_transform(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate A(f) and H(f) on the grid; both (dim, dim, nfreq).
 
-    Near-singular matrices (relative singular value below 1e-12) fall
-    back to the Moore-Penrose pseudoinverse with a warning instead of
-    failing the whole spectrum.
+    All frequencies are inverted in one batch: a batched SVD flags the
+    near-singular matrices (relative singular value below 1e-12), those
+    fall back to the Moore-Penrose pseudoinverse with one warning
+    instead of failing the whole spectrum, and the rest go through one
+    batched inverse.  Each slice equals what a per-frequency inverse
+    gives, bit for bit.
     """
     if transfer not in _TRANSFERS:
         raise ValueError(f"unknown transfer convention {transfer!r}")
@@ -92,26 +95,24 @@ def spectral_transform(
     )
     coeff_transform -= np.einsum("sij,sf->ijf", model.coeffs, phases)
 
-    transfer_out = np.empty_like(coeff_transform)
-    fell_back = False
-    for k in range(freqs.size):
-        base = coeff_transform[:, :, k]
-        if transfer == TRANSFER_RESIDUAL_INVERSE:
-            base = np.eye(d, dtype=complex) - base
-        sv = np.linalg.svd(base, compute_uv=False)
-        if sv[-1] <= _SINGULAR_RTOL * max(sv[0], 1.0):
-            transfer_out[:, :, k] = np.linalg.pinv(base)
-            fell_back = True
-        else:
-            transfer_out[:, :, k] = np.linalg.inv(base)
-    if fell_back:
+    base = coeff_transform.transpose(2, 0, 1)
+    if transfer == TRANSFER_RESIDUAL_INVERSE:
+        base = np.eye(d, dtype=complex) - base
+    sv = np.linalg.svd(base, compute_uv=False)
+    singular = sv[:, -1] <= _SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)
+    if singular.any():
+        inverse = np.empty_like(base)
+        inverse[singular] = np.linalg.pinv(base[singular])
+        inverse[~singular] = np.linalg.inv(base[~singular])
         warnings.warn(
             f"singular transform under the {transfer!r} convention; "
             "using pseudoinverse at the affected frequencies",
             RuntimeWarning,
             stacklevel=2,
         )
-    return coeff_transform, transfer_out
+    else:
+        inverse = np.linalg.inv(base)
+    return coeff_transform, np.ascontiguousarray(inverse.transpose(1, 2, 0))
 
 
 def pdc(model: MvarModel, freqs: np.ndarray) -> np.ndarray:

@@ -228,9 +228,14 @@ def simulate(
 ) -> np.ndarray:
     """Simulate n_samples steps after a zero-state burn-in.
 
-    Innovations are N(0, noise_cov).  Returns shape (dim, n_samples).
-    Raises UnstableModel when the companion spectral radius is >= 1,
-    since the burn-in would then not converge to stationarity.
+    Innovations are N(0, noise_cov), drawn as one (dim, burn_in +
+    n_samples) block.  The series lives in a time-major buffer whose
+    first `order` rows are the zero initial state, so the p lagged
+    samples of every step are one contiguous slice and each step costs
+    a single product with the lag stack [A_p ... A_1].  Returns shape
+    (dim, n_samples).  Raises UnstableModel when the companion spectral
+    radius is >= 1, since the burn-in would then not converge to
+    stationarity.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -246,15 +251,20 @@ def simulate(
     # innovation covariances are simulated exactly.
     eigval, eigvec = np.linalg.eigh(model.noise_cov)
     factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    innov = factor @ rng.standard_normal((d, total))
-
-    out = np.zeros((d, total))
-    for t in range(total):
-        acc = innov[:, t].copy()
-        for s in range(1, min(p, t) + 1):
-            acc += model.coeffs[s - 1] @ out[:, t - s]
-        out[:, t] = acc
-    return out[:, burn_in:]
+    out = np.zeros((p + total, d))
+    out[p:] = (factor @ rng.standard_normal((d, total))).T
+    # lags[t] = flat[t*d:(t+p)*d] is x[t-p], ..., x[t-1].  Both are
+    # views of out (out.T.reshape(-1) would silently be a copy), so
+    # every step sees the rows written before it.
+    flat = out.reshape(-1)
+    lags = np.lib.stride_tricks.sliding_window_view(flat, p * d)[::d]
+    stack = model.coeffs[::-1].transpose(1, 0, 2).reshape(d, p * d)
+    dot = stack.dot
+    for row, lag in zip(out[p:], lags):
+        row += dot(lag)
+    # Row-major copy, as before: downstream BLAS products round
+    # differently on a transposed layout.
+    return out[p + burn_in :].T.copy()
 
 
 def fit(series: np.ndarray, order: int) -> MvarModel:

@@ -107,7 +107,9 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
 
     Outputs: geometry.csv, results.csv, summary.csv, manifest.json and
     (optionally) the filter matrices of the first realization.
-    Returns the run directory path.
+    A BenchError or ValueError (numpy's LinAlgError included) inside a
+    realization is re-raised as a PipelineError that names the
+    realization and stage.  Returns the run directory path.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -166,7 +168,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
                 )
                 for built in bank
             ]
-        except BenchError as exc:
+        except (BenchError, ValueError) as exc:
             raise PipelineError(f"realization {index}, stage {stage}: {exc}") from exc
 
     indices = range(1, config.n_realizations + 1)

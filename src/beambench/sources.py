@@ -232,8 +232,8 @@ def perturb_geometry(
     radii = np.linalg.norm(positions, axis=1)
     outside = radii >= geom.head_radius
     if np.any(outside):
-        # 1% inside the scalp keeps the spherical-harmonics expansion of
-        # the forward model convergent for the pulled-back dipole.
+        # 1% inside the scalp keeps the pulled-back dipole at relative
+        # eccentricity f < 1, where the sphere potential is finite.
         pullback = 0.99 * geom.head_radius / radii[outside]
         positions[outside] *= pullback[:, None]
 

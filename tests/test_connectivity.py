@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,61 @@ class TestSpectralTransform:
     def test_frequencies_outside_band_rejected(self):
         with pytest.raises(ValueError, match="0, 0.5"):
             spectral_transform(zero_model(2), np.array([0.6]))
+
+
+def loop_transfer(coeff_transform: np.ndarray) -> np.ndarray:
+    """Reference: invert A(f) one frequency at a time."""
+    out = np.empty_like(coeff_transform)
+    for k in range(coeff_transform.shape[2]):
+        out[:, :, k] = np.linalg.inv(coeff_transform[:, :, k])
+    return out
+
+
+def spy_on_pinv(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the shape of every np.linalg.pinv argument."""
+    calls: list[tuple[int, ...]] = []
+    original = np.linalg.pinv
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", spy)
+    return calls
+
+
+class TestBatchedInverse:
+    @pytest.mark.parametrize(
+        "seed, dim, order", [(11, 1, 1), (12, 3, 6), (13, 6, 4), (14, 10, 3)]
+    )
+    def test_equals_per_frequency_loop(self, seed, dim, order):
+        model = random_stable(seed, dim, order)
+        coeff, transfer = spectral_transform(model, default_freqs(129))
+        assert np.array_equal(transfer, loop_transfer(coeff))
+
+    def test_pinv_only_at_singular_frequencies_with_one_warning(self, monkeypatch):
+        # A(f) = I - diag(1, 0.5) exp(-4 pi i f) is singular at f = 0 and 0.5
+        coeffs = np.array([np.zeros((2, 2)), np.diag([1.0, 0.5])])
+        model = MvarModel(2, 2, coeffs, np.eye(2))
+        freqs = np.array([0.0, 0.1, 0.25, 0.4, 0.5])
+        calls = spy_on_pinv(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            coeff, transfer = spectral_transform(model, freqs)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert calls == [(2, 2, 2)]
+        for k in (0, 4):
+            assert np.allclose(transfer[:, :, k], np.diag([0.0, 2.0]), atol=1e-12)
+        regular = [1, 2, 3]
+        expected = loop_transfer(coeff[:, :, regular])
+        assert np.array_equal(transfer[:, :, regular], expected)
+
+    def test_no_pinv_and_no_warning_when_regular(self, monkeypatch):
+        calls = spy_on_pinv(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectral_transform(random_stable(15, 4, 3), default_freqs(33))
+        assert calls == []
 
 
 class TestPdc:

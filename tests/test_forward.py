@@ -53,6 +53,46 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def series_potentials(
+    positions: np.ndarray,
+    orientations: np.ndarray,
+    electrodes: np.ndarray,
+    head_radius: float,
+    sigma: float = DEFAULT_SIGMA,
+) -> np.ndarray:
+    """Reference: the zonal-harmonics series of the forward module
+    docstring, summed term by term with the Legendre recurrences for
+    P_n and P_n' until the terms fall below 1e-17 of the running sum.
+    A dipole within 1e-12 R of the center uses the z axis as radial."""
+    e_hat = electrodes / np.linalg.norm(electrodes, axis=1)[:, None]
+    out = np.empty((e_hat.shape[0], positions.shape[0]))
+    for j, (pos, moment) in enumerate(zip(positions, orientations)):
+        ecc = np.linalg.norm(pos)
+        r_hat = pos / ecc if ecc > 1e-12 * head_radius else np.array([0.0, 0.0, 1.0])
+        f = ecc / head_radius
+        cosg = np.clip(e_hat @ r_hat, -1.0, 1.0)
+        m_r = float(moment @ r_hat)
+        tang = e_hat @ moment - m_r * cosg
+        p_prev, p_curr = np.ones_like(cosg), cosg.copy()
+        dp_prev, dp_curr = np.zeros_like(cosg), np.ones_like(cosg)
+        total = np.zeros_like(cosg)
+        f_pow = 1.0
+        for n in range(1, 20000):
+            term = ((2.0 * n + 1.0) / n) * f_pow * (n * m_r * p_curr + tang * dp_curr)
+            total += term
+            if np.max(np.abs(term)) <= 1e-17 * np.max(np.abs(total)) or f_pow == 0.0:
+                break
+            p_next = ((2.0 * n + 1.0) * cosg * p_curr - n * p_prev) / (n + 1.0)
+            dp_next = dp_prev + (2.0 * n + 1.0) * p_curr
+            p_prev, p_curr = p_curr, p_next
+            dp_prev, dp_curr = dp_curr, dp_next
+            f_pow *= f
+        else:
+            raise AssertionError(f"reference series did not converge at f={f}")
+        out[:, j] = total / (4.0 * np.pi * sigma * head_radius**2)
+    return out
+
+
 def small_setup(seed: int = 0, counts=(2, 1, 2), m: int = 16):
     geom = sample_geometry(counts, SourceSpace(), np.random.default_rng(seed))
     montage = fibonacci_montage(m, HEAD)
@@ -170,6 +210,61 @@ class TestDipolePotentials:
             total += (2.0 * n + 1.0) / n * f ** (n - 1) * (zonal + tangential)
         expected = total / (4.0 * np.pi * DEFAULT_SIGMA * HEAD**2)
         assert np.max(np.abs(got - expected)) <= 1e-8
+
+
+class TestClosedFormAgainstSeries:
+    def test_matches_series_reference(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        unit = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda v: np.linalg.norm(v) > 0.1
+        )
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(
+            f=st.floats(0.0, 0.99),
+            direction=unit,
+            moment=unit,
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(f, direction, moment, seed):
+            electrodes = np.random.default_rng(seed).standard_normal((24, 3))
+            electrodes *= HEAD / np.linalg.norm(electrodes, axis=1)[:, None]
+            pos = f * HEAD * np.asarray(direction) / np.linalg.norm(direction)
+            args = (pos[None], np.asarray(moment)[None], electrodes, HEAD)
+            got = dipole_potentials(*args)
+            expected = series_potentials(*args)
+            assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+        check()
+
+    def test_center_takes_the_central_branch(self):
+        montage = fibonacci_montage(32, HEAD)
+        moment = np.array([[0.3, -0.5, 0.2]])
+        got = dipole_potentials(np.zeros((1, 3)), moment, montage.positions, HEAD)
+        expected = series_potentials(np.zeros((1, 3)), moment, montage.positions, HEAD)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_tiny_eccentricity_is_continuous_with_the_center(self):
+        montage = fibonacci_montage(32, HEAD)
+        moment = np.array([[0.3, -0.5, 0.2]])
+        direction = np.array([0.6, 0.0, 0.8])
+        near = dipole_potentials(
+            1e-9 * HEAD * direction[None], moment, montage.positions, HEAD
+        )
+        center = dipole_potentials(np.zeros((1, 3)), moment, montage.positions, HEAD)
+        expected = series_potentials(
+            1e-9 * HEAD * direction[None], moment, montage.positions, HEAD
+        )
+        scale = np.max(np.abs(center))
+        assert np.max(np.abs(near - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(near - center)) <= 1e-8 * scale
+
+    def test_first_offending_dipole_is_named(self):
+        montage = fibonacci_montage(16, HEAD)
+        positions = np.array([[0.0, 0.0, 0.05], [0.0, HEAD, 0.0], [0.2, 0.0, 0.0]])
+        with pytest.raises(SourceOutsideHead, match="dipole 1 at radius"):
+            dipole_potentials(positions, np.eye(3), montage.positions, HEAD)
 
 
 class TestLeadfieldSphere:

@@ -248,6 +248,85 @@ class TestSimulate:
         assert np.allclose(out[0], out[1], atol=1e-12)
 
 
+def reference_simulate(
+    model: MvarModel, n_samples: int, rng: np.random.Generator, burn_in: int
+) -> np.ndarray:
+    """Reference: x[t] = e[t] + sum_s A_s x[t-s], one lag at a time,
+    with the innovations drawn like simulate draws them."""
+    d, p = model.dim, model.order
+    total = burn_in + n_samples
+    eigval, eigvec = np.linalg.eigh(model.noise_cov)
+    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    innov = factor @ rng.standard_normal((d, total))
+    out = np.zeros((d, total))
+    for t in range(total):
+        acc = innov[:, t].copy()
+        for s in range(1, min(p, t) + 1):
+            acc += model.coeffs[s - 1] @ out[:, t - s]
+        out[:, t] = acc
+    return out[:, burn_in:]
+
+
+def random_model(seed: int, dim: int, order: int, noise: str) -> MvarModel:
+    """Uniform coefficients with lag s scaled by c**s, which scales every
+    companion eigenvalue by c, so the spectral radius is at most 0.95."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-0.6, 0.6, size=(order, dim, dim))
+    _, radius = is_stable(MvarModel(dim, order, coeffs, np.eye(dim)))
+    if radius > 0.95:
+        coeffs *= ((0.95 / radius) ** np.arange(1, order + 1))[:, None, None]
+    root = rng.standard_normal((dim, dim if noise == "full" else 1))
+    noise_cov = np.zeros((dim, dim)) if noise == "zero" else root @ root.T
+    return MvarModel(dim, order, coeffs, noise_cov)
+
+
+def assert_matches_reference(model: MvarModel, n_samples: int, burn_in: int) -> None:
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = simulate(model, n_samples, rng, burn_in=burn_in)
+    expected = reference_simulate(model, n_samples, ref_rng, burn_in)
+    assert got.shape == expected.shape == (model.dim, n_samples)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # the generator stream is left where the reference leaves it
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+class TestSimulateAgainstReference:
+    def test_random_models(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(
+            seed=st.integers(0, 2**32 - 1),
+            dim=st.integers(1, 6),
+            order=st.integers(1, 8),
+            noise=st.sampled_from(["full", "rank1", "zero"]),
+            n_samples=st.integers(1, 60),
+            burn_in=st.integers(0, 40),
+        )
+        def check(seed, dim, order, noise, n_samples, burn_in):
+            model = random_model(seed, dim, order, noise)
+            assert_matches_reference(model, n_samples, burn_in)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "dim, order, noise, n_samples, burn_in",
+        [
+            (3, 4, "full", 200, 0),  # no burn-in
+            (2, 8, "full", 3, 0),  # fewer samples than lags
+            (4, 5, "zero", 50, 20),  # all-zero noise covariance
+            (6, 8, "rank1", 300, 100),  # largest dim and order, singular noise
+        ],
+    )
+    def test_named_cases(self, dim, order, noise, n_samples, burn_in):
+        assert_matches_reference(random_model(5, dim, order, noise), n_samples, burn_in)
+
+    def test_output_is_row_major(self):
+        out = simulate(random_model(6, 3, 2, "full"), 40, np.random.default_rng(0))
+        assert out.flags.c_contiguous
+
+
 class TestFit:
     def test_ar1_coefficient_recovery(self):
         series = simulate(scalar_model(0.5), 20000, np.random.default_rng(21))

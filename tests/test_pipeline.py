@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beambench import __version__
+from beambench import __version__, pipeline
 from beambench.cli import main
 from beambench.config import SetupConfig
 from beambench.errors import MissingRun, ParseError, PipelineError
@@ -183,6 +183,18 @@ class TestFailureModes:
         )
         with pytest.raises(PipelineError, match="realization 1, stage signals"):
             run(hopeless, out_dir=tmp_path / "never")
+
+    @pytest.mark.parametrize(
+        "error", [ValueError("bad covariance"), np.linalg.LinAlgError("Singular matrix")]
+    )
+    def test_value_error_is_wrapped_with_its_stage(self, tmp_path, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(pipeline, "estimate_covariances", broken)
+        with pytest.raises(PipelineError, match="realization 1, stage measurement") as info:
+            run(small_config(), out_dir=tmp_path / "never")
+        assert info.value.__cause__ is error
 
     def test_bad_jobs_count(self, tmp_path):
         with pytest.raises(ValueError, match="jobs"):
