@@ -12,23 +12,13 @@ column-normalized magnitudes of A) and the directed transfer function
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ZeroColumn, ZeroRow
 from .mvar import MvarModel
-
-# Conventions for turning A(f) into a transfer matrix.  "a_inverse" is
-# the conventional H(f) = A(f)^-1; "residual_inverse" keeps the
-# published-listing form H(f) = (I - A(f))^-1, which is singular for an
-# all-zero model and kept only for comparison runs.
-TRANSFER_A_INVERSE = "a_inverse"
-TRANSFER_RESIDUAL_INVERSE = "residual_inverse"
-_TRANSFERS = (TRANSFER_A_INVERSE, TRANSFER_RESIDUAL_INVERSE)
 
 _SINGULAR_RTOL = 1e-12
 DEFAULT_RESOLUTION = 129
@@ -72,21 +62,23 @@ def _check_freqs(freqs: np.ndarray) -> np.ndarray:
 
 
 def spectral_transform(
-    model: MvarModel,
-    freqs: np.ndarray,
-    transfer: str = TRANSFER_A_INVERSE,
+    model: MvarModel, freqs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate A(f) and H(f) on the grid; both (dim, dim, nfreq).
+    """Evaluate A(f) and H(f) = A(f)^-1 on the grid; both (dim, dim, nfreq).
 
-    All frequencies are inverted in one batch: a batched SVD flags the
-    near-singular matrices (relative singular value below 1e-12), those
-    fall back to the Moore-Penrose pseudoinverse with one warning
-    instead of failing the whole spectrum, and the rest go through one
-    batched inverse.  Each slice equals what a per-frequency inverse
+    All frequencies go through one batched inverse.  A matrix counts as
+    singular when its smallest singular value is at most 1e-12 times
+    max(largest, 1); those fall back to the Moore-Penrose pseudoinverse
+    with one warning instead of failing the whole spectrum.  Most
+    matrices are certified regular without an SVD: sigma_max(A) <=
+    |A|_F and sigma_min(A) >= 1 / |A^-1|_F, so any slice with
+    |A^-1|_F * 1e3 * 1e-12 * max(|A|_F, 1) < 1 passes the test, the
+    factor 1e3 absorbing rounding in the computed inverse.  Only the
+    other slices (NaN or inf inverses included), or every slice when
+    the batched inverse meets an exactly singular one, get the exact
+    SVD test.  Each slice of H equals what a per-frequency inverse
     gives, bit for bit.
     """
-    if transfer not in _TRANSFERS:
-        raise ValueError(f"unknown transfer convention {transfer!r}")
     freqs = _check_freqs(freqs)
     d, p = model.dim, model.order
     phases = np.exp(-2j * np.pi * np.outer(np.arange(1, p + 1), freqs))
@@ -94,25 +86,43 @@ def spectral_transform(
         np.eye(d, dtype=complex)[:, :, None], freqs.size, axis=2
     )
     coeff_transform -= np.einsum("sij,sf->ijf", model.coeffs, phases)
-
-    base = coeff_transform.transpose(2, 0, 1)
-    if transfer == TRANSFER_RESIDUAL_INVERSE:
-        base = np.eye(d, dtype=complex) - base
-    sv = np.linalg.svd(base, compute_uv=False)
-    singular = sv[:, -1] <= _SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)
-    if singular.any():
-        inverse = np.empty_like(base)
-        inverse[singular] = np.linalg.pinv(base[singular])
-        inverse[~singular] = np.linalg.inv(base[~singular])
+    inverse, singular = _invert(coeff_transform.transpose(2, 0, 1))
+    if singular:
         warnings.warn(
-            f"singular transform under the {transfer!r} convention; "
+            "singular coefficient transform; "
             "using pseudoinverse at the affected frequencies",
             RuntimeWarning,
             stacklevel=2,
         )
-    else:
-        inverse = np.linalg.inv(base)
     return coeff_transform, np.ascontiguousarray(inverse.transpose(1, 2, 0))
+
+
+def _invert(base: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Invert a (n, d, d) batch under the singular test of
+    spectral_transform; returns the inverse and whether any slice was
+    singular."""
+    try:
+        inverse = np.linalg.inv(base)
+    except np.linalg.LinAlgError:
+        inverse = None
+        unproven = np.ones(base.shape[0], dtype=bool)
+    else:
+        bound = (
+            np.linalg.norm(inverse, axis=(1, 2))
+            * (1e3 * _SINGULAR_RTOL)
+            * np.maximum(np.linalg.norm(base, axis=(1, 2)), 1.0)
+        )
+        unproven = ~(bound < 1.0)
+    singular = np.zeros(base.shape[0], dtype=bool)
+    if unproven.any():
+        sv = np.linalg.svd(base[unproven], compute_uv=False)
+        singular[unproven] = sv[:, -1] <= _SINGULAR_RTOL * np.maximum(sv[:, 0], 1.0)
+    if inverse is None:
+        inverse = np.empty_like(base)
+        inverse[~singular] = np.linalg.inv(base[~singular])
+    if singular.any():
+        inverse[singular] = np.linalg.pinv(base[singular])
+    return inverse, bool(singular.any())
 
 
 def pdc(model: MvarModel, freqs: np.ndarray) -> np.ndarray:
@@ -123,15 +133,11 @@ def pdc(model: MvarModel, freqs: np.ndarray) -> np.ndarray:
     return _column_normalize(np.abs(coeff_transform), freqs)
 
 
-def dtf(
-    model: MvarModel,
-    freqs: np.ndarray,
-    transfer: str = TRANSFER_A_INVERSE,
-) -> np.ndarray:
+def dtf(model: MvarModel, freqs: np.ndarray) -> np.ndarray:
     """Directed transfer function: |H_ji(f)| scaled so every row of the
     (to, from) slice has unit Euclidean norm at each frequency."""
     freqs = _check_freqs(freqs)
-    _, transfer_mat = spectral_transform(model, freqs, transfer=transfer)
+    _, transfer_mat = spectral_transform(model, freqs)
     return _row_normalize(np.abs(transfer_mat), freqs)
 
 
@@ -157,13 +163,11 @@ def _row_normalize(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 def connectivity_spectrum(
-    model: MvarModel,
-    freqs: np.ndarray | None = None,
-    transfer: str = TRANSFER_A_INVERSE,
+    model: MvarModel, freqs: np.ndarray | None = None
 ) -> ConnectivitySpectrum:
     """One-stop evaluation of A(f), H(f), PDC and DTF on a grid."""
     freqs = default_freqs() if freqs is None else _check_freqs(freqs)
-    coeff_transform, transfer_mat = spectral_transform(model, freqs, transfer=transfer)
+    coeff_transform, transfer_mat = spectral_transform(model, freqs)
     return ConnectivitySpectrum(
         freqs=freqs,
         coeff_transform=coeff_transform,
@@ -171,20 +175,3 @@ def connectivity_spectrum(
         pdc=_column_normalize(np.abs(coeff_transform), freqs),
         dtf=_row_normalize(np.abs(transfer_mat), freqs),
     )
-
-
-def write_spectrum_csv(spectrum: ConnectivitySpectrum, path: str | Path) -> None:
-    """Long-format export with columns measure,i,j,lambda,value."""
-    path = Path(path)
-    dim = spectrum.pdc.shape[0]
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["measure", "i", "j", "lambda", "value"])
-        for measure, tensor in (("pdc", spectrum.pdc), ("dtf", spectrum.dtf)):
-            for i in range(dim):
-                for j in range(dim):
-                    for k, freq in enumerate(spectrum.freqs):
-                        writer.writerow(
-                            [measure, i, j, repr(float(freq)),
-                             repr(float(tensor[i, j, k]))]
-                        )

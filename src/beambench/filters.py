@@ -11,7 +11,7 @@ and a random baseline used as the floor in comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -51,15 +51,18 @@ class FilterKind(str, Enum):
     MVP_I_3 = "MVP_I_3"
 
 
-MVP_KINDS = (
-    FilterKind.MVP_F_1,
-    FilterKind.MVP_F_2,
-    FilterKind.MVP_F_3,
-    FilterKind.MVP_I_1,
-    FilterKind.MVP_I_2,
-    FilterKind.MVP_I_3,
-)
 EIG_KINDS = (FilterKind.EIG_LCMV_R, FilterKind.EIG_LCMV_N)
+# The filter each MV-PURE variant projects: the F variants 1 and 2 pair
+# with LCMV_R, variant 3 with LCMV_N, and the I variants with NL.
+MVP_BASE = {
+    FilterKind.MVP_F_1: FilterKind.LCMV_R,
+    FilterKind.MVP_F_2: FilterKind.LCMV_R,
+    FilterKind.MVP_F_3: FilterKind.LCMV_N,
+    FilterKind.MVP_I_1: FilterKind.NL,
+    FilterKind.MVP_I_2: FilterKind.NL,
+    FilterKind.MVP_I_3: FilterKind.NL,
+}
+MVP_KINDS = tuple(MVP_BASE)
 
 
 @dataclass(frozen=True)
@@ -317,15 +320,15 @@ def mv_pure(
         variant 2:  W_R R W_R'
         variant 3:  W_N N W_N'
 
-    F variants project the matching LCMV filter (variants 1 and 2 pair
-    with LCMV_R, variant 3 with LCMV_N); I variants project the
+    Each variant projects the filter that MVP_BASE pairs it with: F
+    variants the matching LCMV filter, I variants the
     interference-nulling filter.  Eigenvalue ties are resolved by the
     ascending output order of the symmetric eigendecomposition, which
     is deterministic for a given input matrix.
     """
     if kind not in MVP_KINDS:
         raise ValueError(f"not an MV-PURE kind: {kind}")
-    family, variant = kind.value.split("_")[1], int(kind.value.split("_")[2])
+    variant = int(kind.value.split("_")[2])
     w_r, w_n = lcmv_r.weights, lcmv_n.weights
     l = w_r.shape[0]
     if not 1 <= rank <= l:
@@ -343,11 +346,8 @@ def mv_pure(
         raise EigenDecompositionFailure(str(exc)) from exc
     low = eigvec[:, :rank]
     projector = low @ low.T
-    if family == "F":
-        base = lcmv_r if variant in (1, 2) else lcmv_n
-    else:
-        base = nl
-    weights = projector @ base.weights
+    bases = {FilterKind.LCMV_R: lcmv_r, FilterKind.LCMV_N: lcmv_n, FilterKind.NL: nl}
+    weights = projector @ bases[MVP_BASE[kind]].weights
     return SpatialFilter(
         weights=weights,
         spec=FilterSpec(kind=kind, rank=rank),
@@ -405,7 +405,11 @@ def build_filter_bank(
     """Construct the requested filters, sharing the LCMV/NL bases.
 
     Specs are built in the order given; the random baseline draws from
-    rng only when requested.
+    rng only when requested.  At full rank (rank == l, the default) an
+    MV-PURE variant equals its MVP_BASE filter by construction
+    (acceptance criterion 4), so its entry shares that filter's weights
+    array and diagnostics instead of recomputing them up to rounding;
+    its spec still carries rank l.
     """
     l = lf.filter_interest.shape[1]
     m = lf.filter_interest.shape[0]
@@ -439,10 +443,12 @@ def build_filter_bank(
             built = zero_forcing(lf.filter_interest)
         elif kind is FilterKind.RANDN:
             built = randn_baseline(l, m, rng)
+        elif (spec.rank or l) == l:
+            built = replace(base(MVP_BASE[kind]), spec=FilterSpec(kind=kind, rank=l))
         else:
             built = mv_pure(
                 kind,
-                spec.rank or l,
+                spec.rank,
                 cov_set,
                 base(FilterKind.LCMV_R),
                 base(FilterKind.LCMV_N),

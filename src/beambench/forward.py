@@ -328,7 +328,6 @@ class Recording:
     components_pst: dict[str, np.ndarray]
     enabled_pre: tuple[str, ...]
     enabled_pst: tuple[str, ...]
-    snr_applied: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         if self.sensors_pre.shape != self.sensors_pst.shape:
@@ -407,7 +406,6 @@ def compose_measurement(
         components_pst=components_pst,
         enabled_pre=enabled_pre,
         enabled_pst=enabled_pst,
-        snr_applied=(cfg.sinr_db, cfg.sbnr_db, cfg.smnr_db),
     )
     selected = select_filter_leadfields(
         lf, cfg.use_interest_pert, cfg.use_interference_pert, cfg.interference_rank

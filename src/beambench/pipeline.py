@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,8 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
 
     Outputs: geometry.csv, results.csv, summary.csv, manifest.json and
     (optionally) the filter matrices of the first realization.
+    Each distinct weights array of the bank is scored once; entries that
+    share it (full-rank MV-PURE and its base filter) copy that row.
     A BenchError or ValueError (numpy's LinAlgError included) inside a
     realization is re-raised as a PipelineError that names the
     realization and stage.  Returns the run directory path.
@@ -156,16 +159,20 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
                         built.weights, filter_dir / f"{built.spec.export_name}.csv"
                     )
             stage = "evaluation"
+            scored: dict[int, EvalRow] = {}
+            for built in bank:
+                if id(built.weights) not in scored:
+                    scored[id(built.weights)] = evaluate(
+                        signals.interest_pst,
+                        reconstruct(built, recording.sensors_pst),
+                        signals.interest_model,
+                        config.order_interest,
+                        freqs,
+                        filter_name=built.spec.name,
+                        realization=index,
+                    )
             return [
-                evaluate(
-                    signals.interest_pst,
-                    reconstruct(built, recording.sensors_pst),
-                    signals.interest_model,
-                    config.order_interest,
-                    freqs,
-                    filter_name=built.spec.name,
-                    realization=index,
-                )
+                replace(scored[id(built.weights)], filter_name=built.spec.name)
                 for built in bank
             ]
         except (BenchError, ValueError) as exc:

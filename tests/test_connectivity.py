@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import warnings
 
 import numpy as np
@@ -10,13 +9,12 @@ import pytest
 
 from beambench.connectivity import (
     DEFAULT_RESOLUTION,
-    TRANSFER_RESIDUAL_INVERSE,
+    _invert,
     connectivity_spectrum,
     default_freqs,
     dtf,
     pdc,
     spectral_transform,
-    write_spectrum_csv,
 )
 from beambench.errors import ZeroColumn, ZeroRow
 from beambench.mvar import MvarModel, make_mask, sample_stable_mvar
@@ -88,18 +86,6 @@ class TestSpectralTransform:
         coeff, _ = spectral_transform(model, np.array([0.0, 0.5]))
         assert np.max(np.abs(coeff.imag)) <= 1e-12
 
-    def test_residual_inverse_singular_fallback_warns(self):
-        # I - A(f) vanishes for the zero model under the printed form
-        with pytest.warns(RuntimeWarning, match="pseudoinverse"):
-            _, transfer = spectral_transform(
-                zero_model(2), np.array([0.1]), transfer=TRANSFER_RESIDUAL_INVERSE
-            )
-        assert np.all(transfer == 0.0)  # pinv of the zero matrix
-
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(ValueError, match="transfer convention"):
-            spectral_transform(zero_model(2), np.array([0.1]), transfer="spectral")
-
     def test_frequencies_outside_band_rejected(self):
         with pytest.raises(ValueError, match="0, 0.5"):
             spectral_transform(zero_model(2), np.array([0.6]))
@@ -115,15 +101,32 @@ def loop_transfer(coeff_transform: np.ndarray) -> np.ndarray:
 
 def spy_on_pinv(monkeypatch) -> list[tuple[int, ...]]:
     """Record the shape of every np.linalg.pinv argument."""
-    calls: list[tuple[int, ...]] = []
-    original = np.linalg.pinv
+    return spy_on(monkeypatch, "pinv", np.shape)
+
+
+def spy_on(monkeypatch, name: str, record) -> list:
+    """Record record(a) for the argument a of every np.linalg.<name> call."""
+    calls: list = []
+    original = getattr(np.linalg, name)
 
     def spy(a, *args, **kwargs):
-        calls.append(np.shape(a))
+        calls.append(record(a))
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "pinv", spy)
+    monkeypatch.setattr(np.linalg, name, spy)
     return calls
+
+
+def svd_flags(batch: np.ndarray) -> np.ndarray:
+    """The singular test of spectral_transform, by full SVD."""
+    sv = np.linalg.svd(batch, compute_uv=False)
+    return sv[:, -1] <= 1e-12 * np.maximum(sv[:, 0], 1.0)
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestBatchedInverse:
@@ -158,6 +161,55 @@ class TestBatchedInverse:
             warnings.simplefilter("error")
             spectral_transform(random_stable(15, 4, 3), default_freqs(33))
         assert calls == []
+
+
+class TestRegularCertificate:
+    def test_regular_slices_skip_the_svd(self, monkeypatch):
+        calls = spy_on(monkeypatch, "svd", np.shape)
+        coeff, transfer = spectral_transform(random_stable(15, 4, 3), default_freqs(33))
+        assert calls == []
+        assert np.array_equal(transfer, loop_transfer(coeff))
+
+    def test_pinv_exactly_where_the_svd_rule_flags(self, monkeypatch):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        pinv_args = spy_on(monkeypatch, "pinv", np.copy)
+
+        @hyp.settings(max_examples=80, deadline=None)
+        @hyp.given(
+            dim=st.integers(2, 6),
+            n_regular=st.integers(0, 6),
+            near=st.lists(
+                st.tuples(st.floats(-15.0, -9.0), st.floats(-3.0, 3.0)), max_size=4
+            ),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(dim, n_regular, near, seed):
+            rng = np.random.default_rng(seed)
+            slices = [
+                rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                for _ in range(n_regular)
+            ]
+            for log_ratio, log_scale in near:
+                # singular values from 10**log_scale down to ratio times that
+                sv = np.logspace(0.0, log_ratio, dim) * 10.0**log_scale
+                u, v = random_unitary(dim, rng), random_unitary(dim, rng)
+                slices.append((u * sv) @ v.conj().T)
+            hyp.assume(slices)
+            batch = np.stack(slices)[rng.permutation(len(slices))]
+            flagged = svd_flags(batch)
+            pinv_args.clear()
+            inverse, singular = _invert(batch)
+            assert singular == flagged.any()
+            if flagged.any():
+                assert len(pinv_args) == 1
+                assert np.array_equal(pinv_args[0], batch[flagged])
+            else:
+                assert pinv_args == []
+            for k in np.flatnonzero(~flagged):
+                assert np.array_equal(inverse[k], np.linalg.inv(batch[k]))
+
+        check()
 
 
 class TestPdc:
@@ -221,9 +273,13 @@ class TestDtf:
         assert np.max(np.abs(sums - 1.0)) <= 1e-10
 
     def test_zero_row_raises_under_printed_form(self):
-        with pytest.warns(RuntimeWarning):
+        # a = 1 makes A(0) = 0 for the scalar model; pinv(0) = 0 leaves H(0)
+        # with a vanishing row, after one singular-transform warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(ZeroRow):
-                dtf(zero_model(2), np.array([0.1]), transfer=TRANSFER_RESIDUAL_INVERSE)
+                dtf(scalar_model(1.0), np.array([0.0]))
+        assert [w.category for w in caught] == [RuntimeWarning]
 
     def test_independent_of_noise_covariance(self):
         model = random_stable(7, 3, 2)
@@ -250,20 +306,3 @@ class TestConnectivitySpectrum:
         assert np.all(spectrum.pdc[1, 0, :] > 0.0)
         assert np.all(spectrum.pdc[0, 1, :] == 0.0)
 
-
-class TestSpectrumCsv:
-    def test_long_format_round_trip(self, tmp_path):
-        model = random_stable(10, 2, 1)
-        freqs = default_freqs(5)
-        spectrum = connectivity_spectrum(model, freqs)
-        path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(spectrum, path)
-        with path.open(newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["measure", "i", "j", "lambda", "value"]
-        assert len(rows) == 1 + 2 * 2 * 2 * 5
-        by_key = {
-            (r[0], int(r[1]), int(r[2]), float(r[3])): float(r[4]) for r in rows[1:]
-        }
-        assert by_key[("pdc", 1, 0, 0.0)] == spectrum.pdc[1, 0, 0]
-        assert by_key[("dtf", 0, 1, 0.5)] == spectrum.dtf[0, 1, -1]

@@ -11,6 +11,8 @@ from beambench.errors import (
     SingularCovariance,
 )
 from beambench.filters import (
+    MVP_BASE,
+    MVP_KINDS,
     CovarianceSet,
     FilterKind,
     FilterSpec,
@@ -519,3 +521,27 @@ class TestBuildFilterBank:
         second = build_filter_bank(specs, covs, view, np.random.default_rng(20))
         for a, b in zip(first, second):
             assert np.array_equal(a.weights, b.weights)
+
+    def test_full_rank_mv_pure_shares_its_base_weights(self, mini_bench):
+        covs, view, _, _ = mini_bench
+        specs = [FilterSpec(kind=kind) for kind in FilterKind]
+        built = build_filter_bank(specs, covs, view, np.random.default_rng(21))
+        bank = {f.spec.kind: f for f in built}
+        for kind, base_kind in MVP_BASE.items():
+            assert bank[kind].weights is bank[base_kind].weights
+            assert bank[kind].spec.export_name == f"{kind.value}_r3"
+
+    def test_reduced_rank_mv_pure_is_projected(self, mini_bench):
+        covs, view, _, _ = mini_bench
+        specs = [
+            FilterSpec(kind=kind, rank=2 if kind in MVP_KINDS else None)
+            for kind in FilterKind
+        ]
+        built = build_filter_bank(specs, covs, view, np.random.default_rng(22))
+        bank = {f.spec.kind: f for f in built}
+        bases = [bank[k] for k in (FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL)]
+        for kind in MVP_KINDS:
+            expected = mv_pure(kind, 2, covs, *bases)
+            assert np.array_equal(bank[kind].weights, expected.weights)
+            assert bank[kind].weights is not bank[MVP_BASE[kind]].weights
+            assert bank[kind].spec.export_name == f"{kind.value}_r2"

@@ -13,6 +13,7 @@ from beambench import __version__, pipeline
 from beambench.cli import main
 from beambench.config import SetupConfig
 from beambench.errors import MissingRun, ParseError, PipelineError
+from beambench.filters import MVP_BASE
 from beambench.forward import load_leadfield
 from beambench.metrics import load_summary_csv
 from beambench.pipeline import export_leadfield, report, run
@@ -118,6 +119,38 @@ class TestDeterminism:
         assert (
             other / "results.csv"
         ).read_bytes() != (run_dir / "results.csv").read_bytes()
+
+
+class TestDistinctFiltersScoredOnce:
+    @staticmethod
+    def count_evaluations(monkeypatch) -> list[str]:
+        names: list[str] = []
+        original = pipeline.evaluate
+
+        def counting(*args, **kwargs):
+            names.append(kwargs["filter_name"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "evaluate", counting)
+        return names
+
+    @pytest.mark.parametrize("mvp_rank, per_realization", [(None, 9), (1, 15)])
+    def test_evaluate_calls_per_realization(
+        self, tmp_path, monkeypatch, mvp_rank, per_realization
+    ):
+        names = self.count_evaluations(monkeypatch)
+        run(small_config(mvp_rank=mvp_rank), out_dir=tmp_path / "run")
+        assert len(names) == per_realization * SMALL["n_realizations"]
+
+    def test_full_rank_mv_pure_rows_equal_their_base_rows(self, run_dir):
+        with (run_dir / "results.csv").open() as handle:
+            rows = (line.rstrip("\n").split(",") for line in handle)
+            values = {(f, r, m): v for f, r, m, v in rows}
+        for kind, base in MVP_BASE.items():
+            keys = [(r, m) for f, r, m in values if f == base.value]
+            assert keys
+            for r, m in keys:
+                assert values[(kind.value, r, m)] == values[(base.value, r, m)]
 
 
 class TestFilterSelectionAndDumps:
