@@ -41,6 +41,7 @@ from .forward import (
     LeadfieldSet,
     MeasurementConfig,
     Recording,
+    SegmentGains,
     adjust_snr,
     compose_measurement,
     dipole_potentials,
@@ -53,10 +54,8 @@ from .forward import (
 )
 from .metrics import EvalRow, SummaryRow, aggregate, evaluate, render_report
 from .mvar import (
-    CompositeMvar,
     MaskMatrix,
     MvarModel,
-    block_diagonal,
     fit,
     is_stable,
     make_mask,

@@ -26,20 +26,18 @@ DEFAULT_RESOLUTION = 129
 
 @dataclass(frozen=True)
 class ConnectivitySpectrum:
-    """PDC/DTF magnitudes and the underlying complex transforms.
+    """PDC/DTF magnitudes on a frequency grid.
 
     Tensor axes are (to_channel, from_channel, frequency).
     """
 
     freqs: np.ndarray
-    coeff_transform: np.ndarray
-    transfer: np.ndarray
     pdc: np.ndarray
     dtf: np.ndarray
 
     def __post_init__(self) -> None:
         nf = self.freqs.shape[0]
-        for name in ("coeff_transform", "transfer", "pdc", "dtf"):
+        for name in ("pdc", "dtf"):
             arr = getattr(self, name)
             if arr.ndim != 3 or arr.shape[2] != nf:
                 raise ValueError(f"{name} must have shape (dim, dim, {nf})")
@@ -165,13 +163,11 @@ def _row_normalize(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 def connectivity_spectrum(
     model: MvarModel, freqs: np.ndarray | None = None
 ) -> ConnectivitySpectrum:
-    """One-stop evaluation of A(f), H(f), PDC and DTF on a grid."""
+    """PDC and DTF on a grid from one evaluation of A(f) and H(f)."""
     freqs = default_freqs() if freqs is None else _check_freqs(freqs)
     coeff_transform, transfer_mat = spectral_transform(model, freqs)
     return ConnectivitySpectrum(
         freqs=freqs,
-        coeff_transform=coeff_transform,
-        transfer=transfer_mat,
         pdc=_column_normalize(np.abs(coeff_transform), freqs),
         dtf=_row_normalize(np.abs(transfer_mat), freqs),
     )

@@ -113,31 +113,27 @@ class SpatialFilter:
 class CovarianceSet:
     """Second-order statistics needed by the bank.
 
-    data_cov and noise_cov come from the sensor segments; source_cov,
-    composite_cov and cross_cov are oracle covariances computed from
-    the ground-truth source signals of the post segment.
+    data_cov and noise_cov come from the sensor segments; source_cov
+    and cross_cov are oracle covariances computed from the ground-truth
+    source signals of the post segment.  cross_cov is E[q q_c'] with
+    q_c the interest sources followed by the interference sources.
     """
 
     data_cov: np.ndarray
     noise_cov: np.ndarray
     source_cov: np.ndarray
-    composite_cov: np.ndarray
     cross_cov: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("data_cov", "noise_cov", "source_cov", "composite_cov"):
+        for name in ("data_cov", "noise_cov", "source_cov"):
             matrix = getattr(self, name)
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
                 raise ValueError(f"{name} must be square")
             if np.max(np.abs(matrix - matrix.T), initial=0.0) > 1e-10:
                 raise ValueError(f"{name} must be symmetric")
         l = self.source_cov.shape[0]
-        if self.composite_cov.shape[0] < l:
-            raise ShapeMismatch("composite_cov cannot be smaller than source_cov")
-        if self.cross_cov.shape != (l, self.composite_cov.shape[0]):
-            raise ShapeMismatch("cross_cov must be l x (l + k)")
-        if np.max(np.abs(self.composite_cov[:l, :l] - self.source_cov)) > 1e-10:
-            raise ValueError("composite_cov must embed source_cov as its top block")
+        if self.cross_cov.ndim != 2 or self.cross_cov.shape[0] != l:
+            raise ShapeMismatch("cross_cov must have one row per source of interest")
 
 
 def estimate_covariances(recording: Recording, signals: SourceSignals) -> CovarianceSet:
@@ -150,13 +146,12 @@ def estimate_covariances(recording: Recording, signals: SourceSignals) -> Covari
     n = recording.sensors_pst.shape[1]
     if n < 2:
         raise ValueError("at least two samples per segment are required")
-    interest = signals.interest_pst
-    composite = np.vstack([interest, signals.interference_pst])
+    interest = signals.interest[:, n:]
+    composite = np.vstack([interest, signals.interference[:, n:]])
     return CovarianceSet(
         data_cov=recording.sensors_pst @ recording.sensors_pst.T / n,
         noise_cov=recording.sensors_pre @ recording.sensors_pre.T / n,
         source_cov=interest @ interest.T / n,
-        composite_cov=composite @ composite.T / n,
         cross_cov=interest @ composite.T / n,
     )
 

@@ -25,14 +25,23 @@ Mosher, Leahy & Lewis 1999, IEEE TBME 46:245):
 At f = 0 the radial term tends to 3 c m_r and the whole potential to
 the central-dipole limit 3 m.e / (4 pi sigma R^2).
 
-Sensor data is composed from per-source-class components rescaled to
-configured SNR levels relative to the interest component.
+Each recording segment is one amplitude-scaled mixing product,
+
+    y = g_q H q + g_i H_i q_i + g_b H_b q_b + g_n n,
+
+over the pre and post halves of the source signals.  The interference,
+background and noise amplitudes are set once over both segments, so
+that their power relative to the interest term meets the configured
+SINR, SBNR and SMNR; each power comes from Gram matrices,
+||H X||_F^2 = sum((H'H) * (X X')).  A gain is 0.0 in a segment whose
+switch is off, and for a component with zero power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +55,6 @@ from .errors import (
 from .sources import PerturbedGeometry, SourceGeometry, SourceSignals
 
 DEFAULT_SIGMA = 0.33
-
-COMPONENT_ORDER = ("interest", "interference", "background", "noise")
 
 
 @dataclass(frozen=True)
@@ -148,13 +155,15 @@ def dipole_potentials(
 
 @dataclass(frozen=True)
 class LeadfieldSet:
-    """Role-split lead-fields, their perturbed twins, and the filter view.
+    """Role-split lead-fields, the perturbed twins, and the filter view.
 
     Data generation always reads the unperturbed `interest`,
-    `interference` and `background` matrices.  `filter_interest` and
-    `filter_interference` are what the spatial filters get to see
-    (possibly perturbed, possibly rank-reduced), and `composite` is
-    their horizontal stack.
+    `interference` and `background` matrices.  `interest_pert` and
+    `interference_pert` come from the jittered geometry; for a plain
+    geometry they are the unperturbed arrays themselves.  The filters
+    see `filter_interest` and `composite`, the stack of
+    `filter_interest` and the filter-side interference matrix (possibly
+    perturbed, possibly rank-reduced).
     """
 
     interest: np.ndarray
@@ -162,30 +171,14 @@ class LeadfieldSet:
     background: np.ndarray
     interest_pert: np.ndarray
     interference_pert: np.ndarray
-    background_pert: np.ndarray
     filter_interest: np.ndarray
-    filter_interference: np.ndarray
     composite: np.ndarray
 
     def __post_init__(self) -> None:
         m = self.interest.shape[0]
-        for name in (
-            "interference",
-            "background",
-            "interest_pert",
-            "interference_pert",
-            "background_pert",
-            "filter_interest",
-            "filter_interference",
-            "composite",
-        ):
-            if getattr(self, name).shape[0] != m:
+        for name, matrix in vars(self).items():
+            if matrix.shape[0] != m:
                 raise ShapeMismatch(f"{name} must have {m} sensor rows")
-        stacked = np.hstack([self.filter_interest, self.filter_interference])
-        if self.composite.shape != stacked.shape or not np.array_equal(
-            self.composite, stacked
-        ):
-            raise ValueError("composite must stack the filter-facing matrices")
 
 
 def _referenced(matrix: np.ndarray) -> np.ndarray:
@@ -205,8 +198,9 @@ def leadfield_sphere(
 
     Passing a PerturbedGeometry fills the perturbed matrices from the
     jittered coordinates while the plain matrices use the original
-    ones; passing a SourceGeometry duplicates the originals.  The
-    filter view starts unperturbed; see select_filter_leadfields.
+    ones; passing a SourceGeometry puts the original arrays in the
+    perturbed slots too.  The filter view starts unperturbed; see
+    select_filter_leadfields.
     """
     base = geom.base if isinstance(geom, PerturbedGeometry) else geom
     radius = base.head_radius if head_radius is None else head_radius
@@ -228,7 +222,7 @@ def leadfield_sphere(
     if isinstance(geom, PerturbedGeometry):
         pert = split(geom.positions, geom.orientations)
     else:
-        pert = {role: matrix.copy() for role, matrix in plain.items()}
+        pert = plain
 
     return LeadfieldSet(
         interest=plain["interest"],
@@ -236,9 +230,7 @@ def leadfield_sphere(
         background=plain["background"],
         interest_pert=pert["interest"],
         interference_pert=pert["interference"],
-        background_pert=pert["background"],
         filter_interest=plain["interest"],
-        filter_interference=plain["interference"],
         composite=np.hstack([plain["interest"], plain["interference"]]),
     )
 
@@ -271,9 +263,18 @@ def select_filter_leadfields(
     return replace(
         lf,
         filter_interest=filter_interest,
-        filter_interference=filter_interference,
         composite=np.hstack([filter_interest, filter_interference]),
     )
+
+
+def _snr_gain(reference_norm: float, target_norm: float, snr_db: float) -> float:
+    """Amplitude that brings a target of Frobenius norm target_norm to
+    snr_db decibels below a reference of norm reference_norm."""
+    if not np.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
+    if target_norm == 0.0:
+        raise ZeroTargetSignal("cannot rescale a signal with zero Frobenius norm")
+    return reference_norm / target_norm / 10.0 ** (snr_db / 20.0)
 
 
 def adjust_snr(reference: np.ndarray, target: np.ndarray, snr_db: float) -> np.ndarray:
@@ -282,13 +283,10 @@ def adjust_snr(reference: np.ndarray, target: np.ndarray, snr_db: float) -> np.n
 
     Returns target * (||reference||_F / ||target||_F) / 10^(snr_db/20).
     """
-    if not np.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db}")
-    target_norm = float(np.linalg.norm(target))
-    if target_norm == 0.0:
-        raise ZeroTargetSignal("cannot rescale a signal with zero Frobenius norm")
-    scale = float(np.linalg.norm(reference)) / target_norm / 10.0 ** (snr_db / 20.0)
-    return target * scale
+    gain = _snr_gain(
+        float(np.linalg.norm(reference)), float(np.linalg.norm(target)), snr_db
+    )
+    return target * gain
 
 
 @dataclass(frozen=True)
@@ -310,31 +308,34 @@ class MeasurementConfig:
     use_interference_pert: bool = False
     interference_rank: int | None = None
 
-    def enabled(self, segment: str) -> tuple[str, ...]:
-        if segment not in ("pre", "pst"):
-            raise ValueError(f"unknown segment {segment!r}")
-        return tuple(
-            name for name in COMPONENT_ORDER if getattr(self, f"{name}_{segment}")
-        )
+
+class SegmentGains(NamedTuple):
+    """Amplitudes one segment applies to each term of the model."""
+
+    interest: float
+    interference: float
+    background: float
+    noise: float
 
 
 @dataclass(frozen=True)
 class Recording:
-    """Sensor-space segments plus the per-class components they sum."""
+    """Sensor-space segments plus the gains each of them applied.
+
+    sensors_pre = [g_q H | g_i H_i | g_b H_b] @ X[:, :n] + g_n noise[:, :n]
+    with g = gains_pre, and likewise for the post segment with
+    gains_pst over X[:, n:].  X stacks the interest, interference and
+    background signals, and noise is one (m, 2n) standard-normal draw.
+    """
 
     sensors_pre: np.ndarray
     sensors_pst: np.ndarray
-    components_pre: dict[str, np.ndarray]
-    components_pst: dict[str, np.ndarray]
-    enabled_pre: tuple[str, ...]
-    enabled_pst: tuple[str, ...]
+    gains_pre: SegmentGains
+    gains_pst: SegmentGains
 
     def __post_init__(self) -> None:
         if self.sensors_pre.shape != self.sensors_pst.shape:
             raise ShapeMismatch("pre and post segments must have equal shapes")
-        for comps in (self.components_pre, self.components_pst):
-            if tuple(comps.keys()) != COMPONENT_ORDER:
-                raise ValueError("components must carry all four source classes")
 
 
 def compose_measurement(
@@ -343,70 +344,51 @@ def compose_measurement(
     cfg: MeasurementConfig,
     rng: np.random.Generator,
 ) -> tuple[Recording, LeadfieldSet]:
-    """Project sources to the sensors, rescale, and sum enabled parts.
+    """Project sources to the sensors at the configured levels.
 
-    Interference, background and measurement-noise components are each
-    rescaled over the concatenated pre+post segments so their power
-    relative to the interest component meets the configured SINR, SBNR
-    and SMNR.  Components absent from the model (zero norm) stay zero.
+    The interference, background and noise gains are set over the
+    concatenated pre+post segments, so that each term's power relative
+    to the interest term meets the configured SINR, SBNR and SMNR.  A
+    term switched off in a segment, or with zero power, gets gain 0.0
+    there.  The noise is one (m, 2n) standard-normal draw from rng.
     The returned LeadfieldSet is the filter view selected by the
     perturbation flags and the optional interference rank.
     """
-    n = signals.interest_pre.shape[1]
-    if lf.interest.shape[1] != signals.interest_pre.shape[0]:
-        raise ShapeMismatch("interest lead-field and signal dimensions disagree")
-    if lf.interference.shape[1] != signals.interference_pre.shape[0]:
-        raise ShapeMismatch("interference lead-field and signal dimensions disagree")
-    if lf.background.shape[1] != signals.background_pre.shape[0]:
-        raise ShapeMismatch("background lead-field and signal dimensions disagree")
-    m = lf.interest.shape[0]
+    roles = SegmentGains._fields[:3]
+    leadfields = [getattr(lf, role) for role in roles]
+    blocks = [getattr(signals, role) for role in roles]
+    for role, leadfield, block in zip(roles, leadfields, blocks):
+        if leadfield.shape[1] != block.shape[0]:
+            raise ShapeMismatch(f"{role} lead-field and signal dimensions disagree")
+    m, n = lf.interest.shape[0], signals.interest.shape[1] // 2
 
-    interest = np.hstack(
-        [lf.interest @ signals.interest_pre, lf.interest @ signals.interest_pst]
-    )
-    raw = {
-        "interference": np.hstack(
-            [
-                lf.interference @ signals.interference_pre,
-                lf.interference @ signals.interference_pst,
-            ]
-        ),
-        "background": np.hstack(
-            [lf.background @ signals.background_pre, lf.background @ signals.background_pst]
-        ),
-        "noise": rng.standard_normal((m, 2 * n)),
-    }
-    levels = {
-        "interference": cfg.sinr_db,
-        "background": cfg.sbnr_db,
-        "noise": cfg.smnr_db,
-    }
-    scaled = {"interest": interest}
-    for name, block in raw.items():
-        if np.linalg.norm(block) == 0.0:
-            scaled[name] = block
-        else:
-            scaled[name] = adjust_snr(interest, block, levels[name])
+    noise = rng.standard_normal((m, 2 * n))
+    # ||H X||_F^2 = sum((H'H) * (X X')), without forming H X.
+    powers = [np.sum((h.T @ h) * (x @ x.T)) for h, x in zip(leadfields, blocks)]
+    powers.append(np.vdot(noise, noise))
+    reference = np.sqrt(powers[0])
+    levels = (cfg.sinr_db, cfg.sbnr_db, cfg.smnr_db)
+    scales = [1.0] + [
+        _snr_gain(reference, np.sqrt(power), level) if power > 0.0 else 0.0
+        for power, level in zip(powers[1:], levels)
+    ]
+    sources = np.vstack(blocks)
 
-    components_pre = {name: scaled[name][:, :n] for name in COMPONENT_ORDER}
-    components_pst = {name: scaled[name][:, n:] for name in COMPONENT_ORDER}
-    enabled_pre = cfg.enabled("pre")
-    enabled_pst = cfg.enabled("pst")
+    def segment(name: str, columns: slice) -> tuple[np.ndarray, SegmentGains]:
+        gains = SegmentGains(
+            *(
+                scale if getattr(cfg, f"{role}_{name}") else 0.0
+                for scale, role in zip(scales, SegmentGains._fields)
+            )
+        )
+        mixing = np.hstack([gain * h for gain, h in zip(gains, leadfields)])
+        sensors = mixing @ sources[:, columns]
+        sensors += gains.noise * noise[:, columns]
+        return sensors, gains
 
-    def total(components: dict[str, np.ndarray], enabled: tuple[str, ...]) -> np.ndarray:
-        acc = np.zeros((m, n))
-        for name in enabled:
-            acc = acc + components[name]
-        return acc
-
-    recording = Recording(
-        sensors_pre=total(components_pre, enabled_pre),
-        sensors_pst=total(components_pst, enabled_pst),
-        components_pre=components_pre,
-        components_pst=components_pst,
-        enabled_pre=enabled_pre,
-        enabled_pst=enabled_pst,
-    )
+    sensors_pre, gains_pre = segment("pre", slice(None, n))
+    sensors_pst, gains_pst = segment("pst", slice(n, None))
+    recording = Recording(sensors_pre, sensors_pst, gains_pre, gains_pst)
     selected = select_filter_leadfields(
         lf, cfg.use_interest_pert, cfg.use_interference_pert, cfg.interference_rank
     )

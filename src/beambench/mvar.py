@@ -12,15 +12,13 @@ least-squares estimation of the coefficients from data.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import RankDeficientRegressor, StabilitySearchExhausted, UnstableModel
 
-# Channel role tags used by composite provenance records.
+# Source role tags, in the order geometries list the roles.
 ROLE_INTEREST = "interest"
 ROLE_INTERFERENCE = "interference"
 ROLE_BACKGROUND = "background"
@@ -83,30 +81,6 @@ class MvarModel:
         """Horizontal stack [A_1 ... A_p], shape (dim, dim*order)."""
         return self.coeffs.transpose(1, 0, 2).reshape(self.dim, self.order * self.dim)
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "order": self.order,
-            "coeffs": self.coeffs.tolist(),
-            "noise_cov": self.noise_cov.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MvarModel":
-        return cls(
-            dim=int(payload["dim"]),
-            order=int(payload["order"]),
-            coeffs=np.asarray(payload["coeffs"], dtype=float),
-            noise_cov=np.asarray(payload["noise_cov"], dtype=float),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "MvarModel":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class MaskMatrix:
@@ -124,29 +98,6 @@ class MaskMatrix:
         if not np.all(np.diag(entries) == 1.0):
             raise ValueError("mask diagonal must be all ones")
         object.__setattr__(self, "entries", entries)
-
-
-@dataclass(frozen=True)
-class CompositeMvar:
-    """Block-diagonal provenance for generated multichannel activity.
-
-    Tags every channel of the joint model with the role it plays in the
-    benchmark so downstream code can recover which rows of a simulated
-    series belong to which source class.
-    """
-
-    blocks: MvarModel
-    channel_roles: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.channel_roles) != self.blocks.dim:
-            raise ValueError("one role tag per channel is required")
-        for role in self.channel_roles:
-            if role not in ROLES:
-                raise ValueError(f"unknown channel role {role!r}")
-
-    def role_count(self, role: str) -> int:
-        return sum(1 for tag in self.channel_roles if tag == role)
 
 
 def make_mask(dim: int, frac_ones: float, rng: np.random.Generator) -> MaskMatrix:
@@ -300,30 +251,3 @@ def fit(series: np.ndarray, order: int) -> MvarModel:
     noise_cov = 0.5 * (noise_cov + noise_cov.T)
     coeffs = stack.reshape(d, order, d).transpose(1, 0, 2)
     return MvarModel(dim=d, order=order, coeffs=coeffs, noise_cov=noise_cov)
-
-
-def block_diagonal(models: Sequence[MvarModel], roles: Sequence[str]) -> CompositeMvar:
-    """Join independent models into one block-diagonal CompositeMvar.
-
-    Shorter-order blocks are padded with zero lag matrices up to the
-    longest order; roles lists one tag per joined model, expanded to
-    its channels.
-    """
-    if len(models) != len(roles):
-        raise ValueError("one role per model is required")
-    if not models:
-        raise ValueError("at least one model is required")
-    order = max(m.order for m in models)
-    dim = sum(m.dim for m in models)
-    coeffs = np.zeros((order, dim, dim))
-    noise_cov = np.zeros((dim, dim))
-    offset = 0
-    tags: list[str] = []
-    for model, role in zip(models, roles):
-        stop = offset + model.dim
-        coeffs[: model.order, offset:stop, offset:stop] = model.coeffs
-        noise_cov[offset:stop, offset:stop] = model.noise_cov
-        tags.extend([role] * model.dim)
-        offset = stop
-    joint = MvarModel(dim=dim, order=order, coeffs=coeffs, noise_cov=noise_cov)
-    return CompositeMvar(blocks=joint, channel_roles=tuple(tags))

@@ -163,7 +163,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
             for built in bank:
                 if id(built.weights) not in scored:
                     scored[id(built.weights)] = evaluate(
-                        signals.interest_pst,
+                        signals.interest[:, params.n_samples :],
                         reconstruct(built, recording.sensors_pst),
                         signals.interest_model,
                         config.order_interest,

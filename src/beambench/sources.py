@@ -23,9 +23,7 @@ from .mvar import (
     ROLE_INTEREST,
     ROLE_INTERFERENCE,
     ROLES,
-    CompositeMvar,
     MvarModel,
-    block_diagonal,
     make_mask,
     sample_stable_mvar,
     simulate,
@@ -297,36 +295,29 @@ class SignalParams:
 
 @dataclass(frozen=True)
 class SourceSignals:
-    """Per-role source time courses for both recording segments.
+    """Per-role source time courses over both recording segments.
 
-    Segment length n is shared by every block; interest rows carry the
-    ERP (when enabled) in the post segment only, with the added
-    waveform kept separately in `erp`.
+    `interest`, `interference` and `background` each hold one row per
+    source of that role and 2n columns: the pre segment is [:, :n] and
+    the post segment [:, n:].  When enabled, the ERP is already added
+    to the post half of `interest`; `erp` keeps the added waveform,
+    shape (l, n).  `interest_model` generated the interest rows.
     """
 
-    interest_pre: np.ndarray
-    interest_pst: np.ndarray
-    interference_pre: np.ndarray
-    interference_pst: np.ndarray
-    background_pre: np.ndarray
-    background_pst: np.ndarray
+    interest: np.ndarray
+    interference: np.ndarray
+    background: np.ndarray
     erp: np.ndarray
-    models: CompositeMvar
     interest_model: MvarModel
-    background_model: MvarModel | None
 
     def __post_init__(self) -> None:
-        n = self.interest_pre.shape[1]
-        pairs = (
-            (self.interest_pre, self.interest_pst),
-            (self.interference_pre, self.interference_pst),
-            (self.background_pre, self.background_pst),
-        )
-        for pre, pst in pairs:
-            if pre.shape != pst.shape or pre.shape[1] != n:
-                raise ShapeMismatch("pre/post segment shapes disagree")
-        if self.erp.shape != self.interest_pst.shape:
-            raise ShapeMismatch("erp must match the interest block shape")
+        total = self.interest.shape[1]
+        if total % 2 or any(
+            block.shape[1] != total for block in (self.interference, self.background)
+        ):
+            raise ShapeMismatch("every role block must span the same 2n samples")
+        if self.erp.shape != (self.interest.shape[0], total // 2):
+            raise ShapeMismatch("erp must match the interest post segment shape")
 
 
 def generate_source_signals(
@@ -360,10 +351,9 @@ def generate_source_signals(
         params.iter_limit,
         rng,
     )
-    interest_full = simulate(interest_model, total, rng, burn_in=params.burn_in)
+    interest = simulate(interest_model, total, rng, burn_in=params.burn_in)
 
-    background_model: MvarModel | None = None
-    background_full = np.zeros((0, total))
+    background = np.zeros((0, total))
     if n_background > 0:
         background_model = sample_stable_mvar(
             n_background,
@@ -374,50 +364,38 @@ def generate_source_signals(
             params.iter_limit,
             rng,
         )
-        background_full = simulate(background_model, total, rng, burn_in=params.burn_in)
+        background = simulate(background_model, total, rng, burn_in=params.burn_in)
 
     noise = rng.standard_normal((k, total))
-    interference_full = np.zeros((k, total))
+    interference = np.zeros((k, total))
     n_mirrored = min(k, l)
     for row in range(n_mirrored):
-        target_power = np.mean(interest_full[row] ** 2)
+        target_power = np.mean(interest[row] ** 2)
         scale = np.sqrt(target_power / np.mean(noise[row] ** 2))
-        interference_full[row] = -interest_full[row] + scale * noise[row]
+        interference[row] = -interest[row] + scale * noise[row]
     if k > n_mirrored:
         pad_power = np.mean(
-            [np.mean(interference_full[row] ** 2) for row in range(n_mirrored)]
+            [np.mean(interference[row] ** 2) for row in range(n_mirrored)]
         )
         for row in range(n_mirrored, k):
             scale = np.sqrt(pad_power / np.mean(noise[row] ** 2))
-            interference_full[row] = scale * noise[row]
+            interference[row] = scale * noise[row]
 
-    interest_pst = interest_full[:, n:].copy()
     erp = np.zeros((l, n))
     if params.erp_enabled:
         center = float(n // 2) if params.erp_center is None else params.erp_center
         width = max(n / 16.0, 1.0) if params.erp_width is None else params.erp_width
         for row in range(l):
-            amplitude = float(np.std(interest_pst[row]))
+            amplitude = float(np.std(interest[row, n:]))
             erp[row] = erp_waveform(n, amplitude, center, width)
-        interest_pst += erp
-
-    joined_models = [interest_model]
-    joined_roles = [ROLE_INTEREST]
-    if background_model is not None:
-        joined_models.append(background_model)
-        joined_roles.append(ROLE_BACKGROUND)
+        interest[:, n:] += erp
 
     return SourceSignals(
-        interest_pre=interest_full[:, :n],
-        interest_pst=interest_pst,
-        interference_pre=interference_full[:, :n],
-        interference_pst=interference_full[:, n:],
-        background_pre=background_full[:, :n],
-        background_pst=background_full[:, n:],
+        interest=interest,
+        interference=interference,
+        background=background,
         erp=erp,
-        models=block_diagonal(joined_models, joined_roles),
         interest_model=interest_model,
-        background_model=background_model,
     )
 
 

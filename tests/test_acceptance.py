@@ -169,7 +169,6 @@ def test_criterion_4_mv_pure_degeneracy():
             data_cov=data_cov,
             noise_cov=noise_cov,
             source_cov=composite_cov[:l, :l],
-            composite_cov=composite_cov,
             cross_cov=composite_cov[:l, :],
         )
         lcmv_r = lcmv(h, data_cov, FilterKind.LCMV_R)

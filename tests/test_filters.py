@@ -58,9 +58,7 @@ def scalar_lf(h: float) -> LeadfieldSet:
         background=empty,
         interest_pert=h_f,
         interference_pert=empty,
-        background_pert=empty,
         filter_interest=h_f,
-        filter_interference=empty,
         composite=h_f.copy(),
     )
 
@@ -70,7 +68,6 @@ def identity_covs(dim: int, data: np.ndarray, noise: np.ndarray, source: np.ndar
         data_cov=data,
         noise_cov=noise,
         source_cov=source,
-        composite_cov=source.copy(),
         cross_cov=source.copy(),
     )
 
@@ -430,23 +427,22 @@ class TestEstimateCovariances:
         assert np.array_equal(
             covs.noise_cov, recording.sensors_pre @ recording.sensors_pre.T / n
         )
-        interest = signals.interest_pst
+        interest = signals.interest[:, n:]
         assert np.array_equal(covs.source_cov, interest @ interest.T / n)
 
     def test_cross_covariance_leads_with_source_block(self, mini_bench):
-        covs, _, _, _ = mini_bench
+        covs, view, _, _ = mini_bench
         l = covs.source_cov.shape[0]
+        assert covs.cross_cov.shape == (l, view.composite.shape[1])
         assert np.allclose(covs.cross_cov[:, :l], covs.source_cov, atol=1e-12)
-        assert np.allclose(covs.composite_cov[:l, :l], covs.source_cov, atol=1e-12)
 
-    def test_top_block_embedding_is_enforced(self):
-        with pytest.raises(ValueError, match="top block"):
+    def test_cross_covariance_needs_one_row_per_source(self):
+        with pytest.raises(ShapeMismatch, match="one row per source"):
             CovarianceSet(
                 data_cov=np.eye(2),
                 noise_cov=np.eye(2),
                 source_cov=np.eye(1),
-                composite_cov=2.0 * np.eye(2),
-                cross_cov=np.ones((1, 2)),
+                cross_cov=np.ones((2, 2)),
             )
 
 

@@ -13,7 +13,6 @@ from beambench.errors import (
     ZeroTargetSignal,
 )
 from beambench.forward import (
-    COMPONENT_ORDER,
     DEFAULT_SIGMA,
     ElectrodeMontage,
     MeasurementConfig,
@@ -100,6 +99,32 @@ def small_setup(seed: int = 0, counts=(2, 1, 2), m: int = 16):
     signals = generate_source_signals(geom, params, np.random.default_rng(seed + 1))
     lf = leadfield_sphere(geom, montage)
     return geom, montage, signals, lf
+
+
+def replayed_noise(seed: int, m: int, n: int) -> np.ndarray:
+    """The (m, 2n) sensor-noise draw compose_measurement makes from seed."""
+    return np.random.default_rng(seed).standard_normal((m, 2 * n))
+
+
+SWITCHES = tuple(
+    f"{role}_{segment}"
+    for segment in ("pre", "pst")
+    for role in ("interest", "interference", "background", "noise")
+)
+
+
+def switched_config(mask: int, **levels) -> MeasurementConfig:
+    """MeasurementConfig whose eight segment switches are the bits of mask."""
+    return MeasurementConfig(
+        **{name: bool(mask >> bit & 1) for bit, name in enumerate(SWITCHES)}, **levels
+    )
+
+
+def tiny_setup(counts, m: int, seed: int):
+    geom = sample_geometry(counts, SourceSpace(), np.random.default_rng(seed))
+    params = SignalParams(n_samples=60, order_interest=2, order_background=2, burn_in=50)
+    signals = generate_source_signals(geom, params, np.random.default_rng(seed + 1))
+    return signals, leadfield_sphere(geom, fibonacci_montage(m, HEAD))
 
 
 class TestMontage:
@@ -279,9 +304,10 @@ class TestLeadfieldSphere:
 
     def test_plain_geometry_duplicates_into_pert_slots(self):
         _, _, _, lf = small_setup()
-        assert np.array_equal(lf.interest, lf.interest_pert)
-        assert np.array_equal(lf.interference, lf.interference_pert)
-        assert np.array_equal(lf.background, lf.background_pert)
+        # the pert slots hold the unperturbed arrays themselves, not copies
+        assert lf.interest_pert is lf.interest
+        assert lf.interference_pert is lf.interference
+        assert lf.filter_interest is lf.interest
         assert np.array_equal(lf.composite, np.hstack([lf.interest, lf.interference]))
 
     def test_perturbed_geometry_fills_pert_slots(self):
@@ -330,7 +356,6 @@ class TestSelectFilterLeadfields:
         lf = leadfield_sphere(pert, montage)
         chosen = select_filter_leadfields(lf, True, False)
         assert np.array_equal(chosen.filter_interest, lf.interest_pert)
-        assert np.array_equal(chosen.filter_interference, lf.interference)
         assert np.array_equal(
             chosen.composite, np.hstack([lf.interest_pert, lf.interference])
         )
@@ -338,7 +363,9 @@ class TestSelectFilterLeadfields:
     def test_interference_rank_reduction(self):
         geom, montage, _, lf = small_setup(seed=9, counts=(2, 3, 0))
         chosen = select_filter_leadfields(lf, False, False, interference_rank=1)
-        assert np.linalg.matrix_rank(chosen.filter_interference, tol=1e-10) == 1
+        filter_interference = chosen.composite[:, lf.interest.shape[1] :]
+        assert filter_interference.shape == lf.interference.shape
+        assert np.linalg.matrix_rank(filter_interference, tol=1e-10) == 1
         # data-facing interference stays full
         assert np.array_equal(chosen.interference, lf.interference)
 
@@ -374,46 +401,44 @@ class TestAdjustSnr:
             adjust_snr(np.ones((2, 2)), np.ones((2, 2)), np.inf)
 
 
-class TestMeasurementConfig:
-    def test_default_enabled_sets(self):
-        cfg = MeasurementConfig()
-        assert cfg.enabled("pre") == ("interference", "background", "noise")
-        assert cfg.enabled("pst") == COMPONENT_ORDER
-
-    def test_unknown_segment_rejected(self):
-        with pytest.raises(ValueError, match="segment"):
-            MeasurementConfig().enabled("mid")
-
-
 class TestComposeMeasurement:
     def test_sensors_sum_enabled_components(self):
         _, _, signals, lf = small_setup(seed=11)
         cfg = MeasurementConfig()
         recording, _ = compose_measurement(signals, lf, cfg, np.random.default_rng(12))
-        pre_sum = sum(recording.components_pre[name] for name in recording.enabled_pre)
-        pst_sum = sum(recording.components_pst[name] for name in recording.enabled_pst)
+        n = recording.sensors_pst.shape[1]
+        noise = replayed_noise(12, lf.interest.shape[0], n)
+        g_pre, g_pst = recording.gains_pre, recording.gains_pst
+        assert g_pre.interest == 0.0
+        assert all(g > 0.0 for g in g_pst)
+        assert g_pre[1:] == g_pst[1:]
+        pre_sum = (
+            g_pre.interference * lf.interference @ signals.interference[:, :n]
+            + g_pre.background * lf.background @ signals.background[:, :n]
+            + g_pre.noise * noise[:, :n]
+        )
+        pst_sum = (
+            lf.interest @ signals.interest[:, n:]
+            + g_pst.interference * lf.interference @ signals.interference[:, n:]
+            + g_pst.background * lf.background @ signals.background[:, n:]
+            + g_pst.noise * noise[:, n:]
+        )
         assert np.allclose(recording.sensors_pre, pre_sum, atol=1e-12)
         assert np.allclose(recording.sensors_pst, pst_sum, atol=1e-12)
-        assert "interest" not in recording.enabled_pre
-        assert recording.enabled_pst == COMPONENT_ORDER
 
     def test_achieved_snr_levels_over_both_segments(self):
         _, _, signals, lf = small_setup(seed=13)
         cfg = MeasurementConfig(sinr_db=5.0, sbnr_db=-3.0, smnr_db=20.0)
         recording, _ = compose_measurement(signals, lf, cfg, np.random.default_rng(14))
-
-        def full(name):
-            return np.hstack(
-                [recording.components_pre[name], recording.components_pst[name]]
-            )
-
-        ref_norm = np.linalg.norm(full("interest"))
-        for name, level in (
-            ("interference", 5.0),
-            ("background", -3.0),
-            ("noise", 20.0),
+        gains = recording.gains_pst
+        noise = replayed_noise(14, lf.interest.shape[0], signals.erp.shape[1])
+        ref_norm = np.linalg.norm(lf.interest @ signals.interest)
+        for scaled, level in (
+            (gains.interference * lf.interference @ signals.interference, 5.0),
+            (gains.background * lf.background @ signals.background, -3.0),
+            (gains.noise * noise, 20.0),
         ):
-            achieved = 20.0 * np.log10(ref_norm / np.linalg.norm(full(name)))
+            achieved = 20.0 * np.log10(ref_norm / np.linalg.norm(scaled))
             assert abs(achieved - level) <= 1e-9
 
     def test_interest_only_post_segment(self):
@@ -428,8 +453,9 @@ class TestComposeMeasurement:
         )
         recording, _ = compose_measurement(signals, lf, cfg, np.random.default_rng(16))
         assert np.all(recording.sensors_pre == 0.0)
+        n = recording.sensors_pst.shape[1]
         assert np.allclose(
-            recording.sensors_pst, lf.interest @ signals.interest_pst, atol=1e-14
+            recording.sensors_pst, lf.interest @ signals.interest[:, n:], atol=1e-14
         )
 
     def test_missing_background_stays_zero(self):
@@ -437,7 +463,17 @@ class TestComposeMeasurement:
         recording, _ = compose_measurement(
             signals, lf, MeasurementConfig(), np.random.default_rng(18)
         )
-        assert np.all(recording.components_pst["background"] == 0.0)
+        assert recording.gains_pre.background == 0.0
+        assert recording.gains_pst.background == 0.0
+        n = recording.sensors_pst.shape[1]
+        noise = replayed_noise(18, lf.interest.shape[0], n)
+        g = recording.gains_pst
+        expected = (
+            lf.interest @ signals.interest[:, n:]
+            + g.interference * lf.interference @ signals.interference[:, n:]
+            + g.noise * noise[:, n:]
+        )
+        assert np.allclose(recording.sensors_pst, expected, atol=1e-12)
 
     def test_filter_view_honors_flags(self):
         geom, montage, _, _ = small_setup(seed=19)
@@ -465,6 +501,95 @@ class TestComposeMeasurement:
         b, _ = compose_measurement(signals, lf, MeasurementConfig(), np.random.default_rng(28))
         assert np.array_equal(a.sensors_pre, b.sensors_pre)
         assert np.array_equal(a.sensors_pst, b.sensors_pst)
+
+
+def check_gain_scaled_product(counts, m: int, seed: int, levels) -> None:
+    """Replay all 256 switch combinations on one small setup: each
+    segment's gains follow the SNR rule and its switches, and its
+    sensors equal the gain-scaled mixing product plus scaled noise."""
+    signals, lf = tiny_setup(counts, m, seed)
+    n = signals.erp.shape[1]
+    noise = replayed_noise(seed + 2, m, n)
+    leadfields = (lf.interest, lf.interference, lf.background)
+    blocks = (signals.interest, signals.interference, signals.background)
+    sources = np.vstack(blocks)
+    norms = [np.linalg.norm(h @ x) for h, x in zip(leadfields, blocks)]
+    norms.append(np.linalg.norm(noise))
+    # the SNR rule over both segments; 0.0 for a term without power
+    scales = [1.0] + [
+        norms[0] / norm / 10.0 ** (level / 20.0) if norm > 0.0 else 0.0
+        for norm, level in zip(norms[1:], levels)
+    ]
+    sinr, sbnr, smnr = levels
+    for mask in range(256):
+        cfg = switched_config(mask, sinr_db=sinr, sbnr_db=sbnr, smnr_db=smnr)
+        recording, _ = compose_measurement(
+            signals, lf, cfg, np.random.default_rng(seed + 2)
+        )
+        for segment, columns in (("pre", slice(None, n)), ("pst", slice(n, None))):
+            gains = getattr(recording, f"gains_{segment}")
+            switches = [getattr(cfg, f"{role}_{segment}") for role in gains._fields]
+            wanted = tuple(scale if on else 0.0 for scale, on in zip(scales, switches))
+            assert gains == pytest.approx(wanted, rel=1e-12)
+            mixing = np.hstack([gain * h for gain, h in zip(gains, leadfields)])
+            expected = mixing @ sources[:, columns] + gains.noise * noise[:, columns]
+            got = getattr(recording, f"sensors_{segment}")
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+class TestMixingProduct:
+    def test_segments_equal_the_gain_scaled_product(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=15, deadline=None)
+        @hyp.given(
+            counts=st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3)),
+            m=st.integers(4, 12),
+            seed=st.integers(0, 2**32 - 1),
+            levels=st.tuples(*[st.floats(-20.0, 30.0)] * 3),
+        )
+        def check(counts, m, seed, levels):
+            check_gain_scaled_product(counts, m, seed, levels)
+
+        check()
+
+    def test_composed_sensors_meet_the_levels(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=25, deadline=None)
+        @hyp.given(
+            counts=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+            m=st.integers(4, 12),
+            seed=st.integers(0, 2**32 - 1),
+            levels=st.tuples(*[st.floats(-20.0, 30.0)] * 3),
+        )
+        def check(counts, m, seed, levels):
+            signals, lf = tiny_setup(counts, m, seed)
+            sinr, sbnr, smnr = levels
+
+            def alone(role: str) -> np.ndarray:
+                """Sensors over both segments with only role switched on."""
+                mask = sum(
+                    1 << bit for bit, name in enumerate(SWITCHES) if name.startswith(role)
+                )
+                cfg = switched_config(mask, sinr_db=sinr, sbnr_db=sbnr, smnr_db=smnr)
+                recording, _ = compose_measurement(
+                    signals, lf, cfg, np.random.default_rng(seed + 2)
+                )
+                return np.hstack([recording.sensors_pre, recording.sensors_pst])
+
+            ref = np.linalg.norm(alone("interest"))
+            for role, level in (
+                ("interference", sinr),
+                ("background", sbnr),
+                ("noise", smnr),
+            ):
+                achieved = 20.0 * np.log10(ref / np.linalg.norm(alone(role)))
+                assert abs(achieved - level) <= 1e-9
+
+        check()
 
 
 class TestLeadfieldCsv:

@@ -11,12 +11,8 @@ from beambench.errors import (
     UnstableModel,
 )
 from beambench.mvar import (
-    ROLE_BACKGROUND,
-    ROLE_INTEREST,
-    CompositeMvar,
     MaskMatrix,
     MvarModel,
-    block_diagonal,
     fit,
     is_stable,
     make_mask,
@@ -76,15 +72,6 @@ class TestMvarModel:
         a2 = np.full((2, 2), 2.0)
         model = MvarModel(2, 2, np.stack([a1, a2]), np.eye(2))
         assert np.array_equal(model.coeff_stack(), np.hstack([a1, a2]))
-
-    def test_json_round_trip_is_exact(self):
-        rng = np.random.default_rng(5)
-        model = sample_stable_mvar(3, 2, make_mask(3, 0.5, rng), 0.95, (-0.4, 0.4), 200, rng)
-        again = MvarModel.from_json(model.to_json())
-        assert again.dim == model.dim
-        assert again.order == model.order
-        assert np.array_equal(again.coeffs, model.coeffs)
-        assert np.array_equal(again.noise_cov, model.noise_cov)
 
 
 class TestMakeMask:
@@ -358,31 +345,3 @@ class TestFit:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="too short"):
             fit(np.random.default_rng(0).standard_normal((3, 12)), 3)
-
-
-class TestComposite:
-    def test_block_diagonal_layout_and_roles(self):
-        rng = np.random.default_rng(30)
-        first = sample_stable_mvar(2, 1, make_mask(2, 0.0, rng), 0.95, (-0.5, 0.5), 200, rng)
-        second = sample_stable_mvar(3, 2, make_mask(3, 0.3, rng), 0.95, (-0.4, 0.4), 500, rng)
-        joint = block_diagonal([first, second], [ROLE_INTEREST, ROLE_BACKGROUND])
-        assert joint.blocks.dim == 5
-        assert joint.blocks.order == 2
-        assert joint.channel_roles == ("interest",) * 2 + ("background",) * 3
-        assert joint.role_count(ROLE_INTEREST) == 2
-        # first block is zero-padded to the joint order
-        assert np.array_equal(joint.blocks.coeffs[0, :2, :2], first.coeffs[0])
-        assert np.all(joint.blocks.coeffs[1, :2, :2] == 0.0)
-        assert np.array_equal(joint.blocks.coeffs[:2, 2:, 2:], second.coeffs)
-        assert np.all(joint.blocks.coeffs[:, :2, 2:] == 0.0)
-        assert np.all(joint.blocks.coeffs[:, 2:, :2] == 0.0)
-
-    def test_role_count_must_match_channels(self):
-        model = scalar_model(0.5)
-        with pytest.raises(ValueError, match="one role tag per channel"):
-            CompositeMvar(blocks=model, channel_roles=("interest", "interest"))
-
-    def test_unknown_role_rejected(self):
-        model = scalar_model(0.5)
-        with pytest.raises(ValueError, match="unknown channel role"):
-            CompositeMvar(blocks=model, channel_roles=("cortex",))

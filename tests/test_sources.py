@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from beambench.errors import ShapeMismatch
 from beambench.sources import (
     SignalParams,
     SourceGeometry,
@@ -190,20 +192,17 @@ class TestGenerateSourceSignals:
         geom = small_geometry(counts=(3, 2, 4))
         params = SignalParams(n_samples=300, order_interest=3, order_background=3)
         signals = generate_source_signals(geom, params, np.random.default_rng(20))
-        assert signals.interest_pre.shape == (3, 300)
-        assert signals.interest_pst.shape == (3, 300)
-        assert signals.interference_pst.shape == (2, 300)
-        assert signals.background_pst.shape == (4, 300)
+        assert signals.interest.shape == (3, 600)
+        assert signals.interference.shape == (2, 600)
+        assert signals.background.shape == (4, 600)
         assert signals.erp.shape == (3, 300)
 
     def test_interference_mirrors_interest_negated(self):
         geom = small_geometry(seed=21, counts=(3, 2, 0))
         params = SignalParams(n_samples=2000)
         signals = generate_source_signals(geom, params, np.random.default_rng(22))
-        full_q = np.hstack([signals.interest_pre, signals.interest_pst])
-        full_qi = np.hstack([signals.interference_pre, signals.interference_pst])
         for row in range(2):
-            corr = np.corrcoef(full_q[row], full_qi[row])[0, 1]
+            corr = np.corrcoef(signals.interest[row], signals.interference[row])[0, 1]
             assert corr <= -0.6
             assert corr == pytest.approx(-1.0 / np.sqrt(2.0), abs=0.1)
 
@@ -211,14 +210,13 @@ class TestGenerateSourceSignals:
         geom = small_geometry(seed=23, counts=(2, 4, 0))
         params = SignalParams(n_samples=1500, order_interest=3)
         signals = generate_source_signals(geom, params, np.random.default_rng(24))
-        full_qi = np.hstack([signals.interference_pre, signals.interference_pst])
+        full_qi = signals.interference
         mirrored_power = np.mean(full_qi[:2] ** 2)
         for row in (2, 3):
             power = float(np.mean(full_qi[row] ** 2))
             assert power == pytest.approx(mirrored_power, rel=1e-9)
             # padding rows carry no mirrored signal
-            corr = np.corrcoef(full_qi[row], np.hstack(
-                [signals.interest_pre, signals.interest_pst])[0])[0, 1]
+            corr = np.corrcoef(full_qi[row], signals.interest[0])[0, 1]
             assert abs(corr) < 0.2
 
     def test_erp_disabled_means_zero_block(self):
@@ -234,9 +232,9 @@ class TestGenerateSourceSignals:
         with_erp = SignalParams(n_samples=n, order_interest=3, erp_enabled=True)
         plain = generate_source_signals(geom, base, np.random.default_rng(28))
         bumped = generate_source_signals(geom, with_erp, np.random.default_rng(28))
-        assert np.array_equal(plain.interest_pre, bumped.interest_pre)
+        assert np.array_equal(plain.interest[:, :n], bumped.interest[:, :n])
         assert not np.all(bumped.erp == 0.0)
-        assert np.allclose(bumped.interest_pst, plain.interest_pst + bumped.erp)
+        assert np.allclose(bumped.interest[:, n:], plain.interest[:, n:] + bumped.erp)
         # default center and width
         row = bumped.erp[0]
         width = max(n / 16.0, 1.0)
@@ -246,27 +244,36 @@ class TestGenerateSourceSignals:
         geom = small_geometry(seed=29, counts=(2, 1, 0))
         params = SignalParams(n_samples=300, order_interest=3)
         signals = generate_source_signals(geom, params, np.random.default_rng(30))
-        assert signals.background_pre.shape == (0, 300)
-        assert signals.background_model is None
-        assert signals.models.blocks.dim == 2
-        assert signals.models.channel_roles == ("interest", "interest")
+        assert signals.background.shape == (0, 600)
+        assert signals.interest.shape == (2, 600)
+        assert signals.interference.shape == (1, 600)
 
     def test_composite_provenance_includes_background(self):
         geom = small_geometry(seed=31, counts=(2, 1, 3))
         params = SignalParams(n_samples=300, order_interest=3, order_background=2)
         signals = generate_source_signals(geom, params, np.random.default_rng(32))
-        assert signals.background_model is not None
-        assert signals.models.blocks.dim == 5
-        assert signals.models.channel_roles == ("interest",) * 2 + ("background",) * 3
+        assert signals.interest.shape == (2, 600)
+        assert signals.background.shape == (3, 600)
+        assert np.all(np.isfinite(signals.background))
+        assert not np.all(signals.background == 0.0)
+
+    def test_role_blocks_must_share_both_segments(self):
+        geom = small_geometry(seed=35, counts=(2, 1, 2))
+        params = SignalParams(n_samples=300, order_interest=3, order_background=3)
+        signals = generate_source_signals(geom, params, np.random.default_rng(36))
+        with pytest.raises(ShapeMismatch, match="same 2n samples"):
+            replace(signals, background=signals.background[:, :300])
+        with pytest.raises(ShapeMismatch, match="erp"):
+            replace(signals, erp=signals.erp[:, :299])
 
     def test_deterministic_given_seed(self):
         geom = small_geometry(seed=33, counts=(2, 2, 2))
         params = SignalParams(n_samples=300, order_interest=3, order_background=3)
         a = generate_source_signals(geom, params, np.random.default_rng(34))
         b = generate_source_signals(geom, params, np.random.default_rng(34))
-        assert np.array_equal(a.interest_pst, b.interest_pst)
-        assert np.array_equal(a.interference_pst, b.interference_pst)
-        assert np.array_equal(a.background_pst, b.background_pst)
+        assert np.array_equal(a.interest, b.interest)
+        assert np.array_equal(a.interference, b.interference)
+        assert np.array_equal(a.background, b.background)
 
 
 class TestGeometryCsv:
