@@ -116,7 +116,8 @@ class CovarianceSet:
     data_cov and noise_cov come from the sensor segments; source_cov
     and cross_cov are oracle covariances computed from the ground-truth
     source signals of the post segment.  cross_cov is E[q q_c'] with
-    q_c the interest sources followed by the interference sources.
+    q_c the interest sources followed by the interference sources as
+    the post segment mixes them in.
     """
 
     data_cov: np.ndarray
@@ -141,13 +142,16 @@ def estimate_covariances(recording: Recording, signals: SourceSignals) -> Covari
 
     The sensor data covariance comes from the post segment and the
     sensor noise covariance from the pre segment; source-side matrices
-    use the ground-truth post-segment activity.
+    use the ground-truth post-segment activity, with the interference
+    scaled by the gain the post segment applied to it (0.0 when it is
+    switched off), so that they describe what the sensors carry.
     """
     n = recording.sensors_pst.shape[1]
     if n < 2:
         raise ValueError("at least two samples per segment are required")
     interest = signals.interest[:, n:]
-    composite = np.vstack([interest, signals.interference[:, n:]])
+    interference = recording.gains_pst.interference * signals.interference[:, n:]
+    composite = np.vstack([interest, interference])
     return CovarianceSet(
         data_cov=recording.sensors_pst @ recording.sensors_pst.T / n,
         noise_cov=recording.sensors_pre @ recording.sensors_pre.T / n,

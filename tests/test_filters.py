@@ -223,6 +223,20 @@ class TestWiener:
         i = wiener(covs, lf, FilterKind.MMSE_I)
         assert np.allclose(f.weights, i.weights, atol=1e-12)
 
+    def test_mmse_i_equals_mmse_f_without_post_interference(self):
+        rng = np.random.default_rng(2025)
+        geom = sample_geometry((3, 2, 2), SourceSpace(), rng)
+        params = SignalParams(n_samples=400, order_interest=3, order_background=3)
+        signals = generate_source_signals(geom, params, rng)
+        lf = leadfield_sphere(geom, fibonacci_montage(16, 0.09))
+        cfg = MeasurementConfig(interference_pst=False)
+        recording, view = compose_measurement(signals, lf, cfg, rng)
+        assert recording.gains_pst.interference == 0.0
+        covs = estimate_covariances(recording, signals)
+        f = wiener(covs, view, FilterKind.MMSE_F).weights
+        i = wiener(covs, view, FilterKind.MMSE_I).weights
+        assert np.linalg.norm(i - f) <= 1e-12 * np.linalg.norm(f)
+
     def test_other_kinds_rejected(self):
         covs = identity_covs(
             1, data=np.eye(1), noise=np.eye(1), source=np.eye(1)
@@ -435,6 +449,15 @@ class TestEstimateCovariances:
         l = covs.source_cov.shape[0]
         assert covs.cross_cov.shape == (l, view.composite.shape[1])
         assert np.allclose(covs.cross_cov[:, :l], covs.source_cov, atol=1e-12)
+
+    def test_cross_covariance_scales_interference_by_the_post_gain(self, mini_bench):
+        covs, _, recording, signals = mini_bench
+        n = recording.sensors_pst.shape[1]
+        l = covs.source_cov.shape[0]
+        gain = recording.gains_pst.interference
+        assert gain > 0.0 and gain != 1.0
+        expected = gain * signals.interest[:, n:] @ signals.interference[:, n:].T / n
+        assert np.allclose(covs.cross_cov[:, l:], expected, rtol=1e-12, atol=0.0)
 
     def test_cross_covariance_needs_one_row_per_source(self):
         with pytest.raises(ShapeMismatch, match="one row per source"):
