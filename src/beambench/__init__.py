@@ -21,6 +21,7 @@ from .connectivity import (
     spectral_transform,
 )
 from .filters import (
+    CovarianceFactor,
     CovarianceSet,
     FilterKind,
     FilterSpec,

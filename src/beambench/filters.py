@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,15 +111,25 @@ class SpatialFilter:
         object.__setattr__(self, "weights", weights)
 
 
+class CovarianceFactor(NamedTuple):
+    """Eigenvectors of a symmetrized sensor covariance (ascending
+    eigenvalues) and its regularized inverse."""
+
+    eigvec: np.ndarray
+    inverse: np.ndarray
+
+
 @dataclass(frozen=True)
 class CovarianceSet:
     """Second-order statistics needed by the bank.
 
-    data_cov and noise_cov come from the sensor segments; source_cov
-    and cross_cov are oracle covariances computed from the ground-truth
-    source signals of the post segment.  cross_cov is E[q q_c'] with
-    q_c the interest sources followed by the interference sources as
-    the post segment mixes them in.
+    data_cov and noise_cov come from the sensor segments; `data` and
+    `noise` are their factorizations, computed on first read, so a
+    sensor covariance that no requested filter reads is never
+    decomposed (and may be singular).  source_cov and cross_cov are
+    oracle covariances of the post segment: E[q q'] and E[q q_c'], with
+    q the interest sources and q_c the interest sources followed by the
+    interference sources, each as the post segment mixes them in.
     """
 
     data_cov: np.ndarray
@@ -136,20 +148,29 @@ class CovarianceSet:
         if self.cross_cov.ndim != 2 or self.cross_cov.shape[0] != l:
             raise ShapeMismatch("cross_cov must have one row per source of interest")
 
+    @cached_property
+    def data(self) -> CovarianceFactor:
+        return regularized_inverse(self.data_cov)
+
+    @cached_property
+    def noise(self) -> CovarianceFactor:
+        return regularized_inverse(self.noise_cov)
+
 
 def estimate_covariances(recording: Recording, signals: SourceSignals) -> CovarianceSet:
     """Non-centered sample covariances over the two segments.
 
     The sensor data covariance comes from the post segment and the
     sensor noise covariance from the pre segment; source-side matrices
-    use the ground-truth post-segment activity, with the interference
-    scaled by the gain the post segment applied to it (0.0 when it is
-    switched off), so that they describe what the sensors carry.
+    use the ground-truth post-segment activity, with the interest and
+    the interference each scaled by the gain the post segment applied
+    to it (0.0 when it is switched off), so that they describe what the
+    sensors carry.
     """
     n = recording.sensors_pst.shape[1]
     if n < 2:
         raise ValueError("at least two samples per segment are required")
-    interest = signals.interest[:, n:]
+    interest = recording.gains_pst.interest * signals.interest[:, n:]
     interference = recording.gains_pst.interference * signals.interference[:, n:]
     composite = np.vstack([interest, interference])
     return CovarianceSet(
@@ -160,12 +181,13 @@ def estimate_covariances(recording: Recording, signals: SourceSignals) -> Covari
     )
 
 
-def regularized_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Invert a symmetric covariance, diagonally loading if needed.
+def regularized_inverse(matrix: np.ndarray) -> CovarianceFactor:
+    """Eigenvectors and inverse of a symmetric covariance, loaded if needed.
 
     When the condition number exceeds 1e12 the matrix gets
     1e-10 * trace/m added to its diagonal; if it stays that badly
-    conditioned the input is considered singular.
+    conditioned the input is considered singular.  Loading shifts the
+    eigenvalues only, so the eigenvectors are those of the input.
     """
     matrix = np.asarray(matrix, dtype=float)
     sym = 0.5 * (matrix + matrix.T)
@@ -183,7 +205,7 @@ def regularized_inverse(matrix: np.ndarray) -> np.ndarray:
             raise SingularCovariance(
                 "covariance stays ill-conditioned after diagonal loading"
             )
-    return (eigvec / eigval) @ eigvec.T
+    return CovarianceFactor(eigvec, (eigvec / eigval) @ eigvec.T)
 
 
 def _numerical_rank(weights: np.ndarray) -> int:
@@ -193,25 +215,25 @@ def _numerical_rank(weights: np.ndarray) -> int:
     return int(np.sum(sv > _RANK_RTOL * sv[0]))
 
 
-def _constrained_weights(leadfield: np.ndarray, cov: np.ndarray) -> np.ndarray:
+def _constrained_weights(leadfield: np.ndarray, cov: CovarianceFactor) -> np.ndarray:
     """W = (H' M^-1 H)^-1 H' M^-1 for a full-column-rank H."""
-    cov_inv = regularized_inverse(cov)
-    gram = leadfield.T @ cov_inv @ leadfield
+    lf_cov_inv = leadfield.T @ cov.inverse
+    gram = lf_cov_inv @ leadfield
     gram = 0.5 * (gram + gram.T)
     eigval = np.linalg.eigvalsh(gram)
     if eigval[-1] <= 0.0 or eigval[0] <= _GRAM_RTOL * eigval[-1]:
         raise RankDeficientLeadfield(
             "whitened lead-field Gram matrix is numerically singular"
         )
-    return np.linalg.solve(gram, leadfield.T @ cov_inv)
+    return np.linalg.solve(gram, lf_cov_inv)
 
 
 def lcmv(
     leadfield: np.ndarray,
-    cov: np.ndarray,
+    cov: CovarianceFactor,
     kind: FilterKind = FilterKind.LCMV_R,
 ) -> SpatialFilter:
-    """Distortionless minimum-variance beamformer against cov."""
+    """Distortionless minimum-variance beamformer against the factored cov."""
     weights = _constrained_weights(leadfield, cov)
     residual = float(np.linalg.norm(weights @ leadfield - np.eye(weights.shape[0])))
     return SpatialFilter(
@@ -221,7 +243,9 @@ def lcmv(
     )
 
 
-def nulling(composite: np.ndarray, cov: np.ndarray, n_interest: int) -> SpatialFilter:
+def nulling(
+    composite: np.ndarray, cov: CovarianceFactor, n_interest: int
+) -> SpatialFilter:
     """LCMV over [H H_i] keeping the interest rows: passes the interest
     columns distortionless while placing exact nulls on interference."""
     if not 1 <= n_interest <= composite.shape[1]:
@@ -243,11 +267,10 @@ def wiener(cov_set: CovarianceSet, lf: LeadfieldSet, kind: FilterKind) -> Spatia
     the joint source block: W = E[q q_c'] H_c' R^-1.  With no
     interference sources both coincide.
     """
-    data_inv = regularized_inverse(cov_set.data_cov)
     if kind is FilterKind.MMSE_F:
-        weights = cov_set.source_cov @ lf.filter_interest.T @ data_inv
+        weights = cov_set.source_cov @ lf.filter_interest.T @ cov_set.data.inverse
     elif kind is FilterKind.MMSE_I:
-        weights = cov_set.cross_cov @ lf.composite.T @ data_inv
+        weights = cov_set.cross_cov @ lf.composite.T @ cov_set.data.inverse
     else:
         raise ValueError(f"not a Wiener filter kind: {kind}")
     return SpatialFilter(
@@ -271,15 +294,17 @@ def zero_forcing(leadfield: np.ndarray) -> SpatialFilter:
     )
 
 
-def eig_lcmv(base: SpatialFilter, data_cov: np.ndarray, sig_dim: int) -> SpatialFilter:
+def eig_lcmv(
+    base: SpatialFilter, data: CovarianceFactor, sig_dim: int
+) -> SpatialFilter:
     """Project an LCMV filter onto the top-sig_dim eigenspace of the
-    data covariance (the presumed signal subspace).
+    factored data covariance (the presumed signal subspace).
 
     Eigenvalue ties are resolved by the ascending output order of the
     symmetric eigendecomposition, which is deterministic for a given
     input matrix.
     """
-    m = data_cov.shape[0]
+    m = data.eigvec.shape[0]
     if not 1 <= sig_dim <= m:
         raise ValueError(f"sig_dim must lie in [1, {m}], got {sig_dim}")
     kind_map = {
@@ -288,12 +313,7 @@ def eig_lcmv(base: SpatialFilter, data_cov: np.ndarray, sig_dim: int) -> Spatial
     }
     if base.spec.kind not in kind_map:
         raise ValueError("base filter must be LCMV_R or LCMV_N")
-    sym = 0.5 * (data_cov + data_cov.T)
-    try:
-        _, eigvec = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise EigenDecompositionFailure(str(exc)) from exc
-    top = eigvec[:, m - sig_dim :]
+    top = data.eigvec[:, m - sig_dim :]
     weights = (base.weights @ top) @ top.T
     return SpatialFilter(
         weights=weights,
@@ -404,11 +424,13 @@ def build_filter_bank(
     """Construct the requested filters, sharing the LCMV/NL bases.
 
     Specs are built in the order given; the random baseline draws from
-    rng only when requested.  At full rank (rank == l, the default) an
-    MV-PURE variant equals its MVP_BASE filter by construction
-    (acceptance criterion 4), so its entry shares that filter's weights
-    array and diagnostics instead of recomputing them up to rounding;
-    its spec still carries rank l.
+    rng only when requested.  Every filter reads the factorizations
+    cached on cov_set, so each sensor covariance is decomposed at most
+    once, and only if a requested filter reads it.  At full rank
+    (rank == l, the default) an MV-PURE variant equals its MVP_BASE
+    filter by construction (acceptance criterion 4), so its entry
+    shares that filter's weights array and diagnostics instead of
+    recomputing them up to rounding; its spec still carries rank l.
     """
     l = lf.filter_interest.shape[1]
     m = lf.filter_interest.shape[0]
@@ -417,11 +439,11 @@ def build_filter_bank(
     def base(kind: FilterKind) -> SpatialFilter:
         if kind not in cache:
             if kind is FilterKind.LCMV_R:
-                cache[kind] = lcmv(lf.filter_interest, cov_set.data_cov, kind)
+                cache[kind] = lcmv(lf.filter_interest, cov_set.data, kind)
             elif kind is FilterKind.LCMV_N:
-                cache[kind] = lcmv(lf.filter_interest, cov_set.noise_cov, kind)
+                cache[kind] = lcmv(lf.filter_interest, cov_set.noise, kind)
             else:
-                cache[kind] = nulling(lf.composite, cov_set.data_cov, l)
+                cache[kind] = nulling(lf.composite, cov_set.data, l)
         return cache[kind]
 
     bank: list[SpatialFilter] = []
@@ -433,7 +455,7 @@ def build_filter_bank(
             parent = base(
                 FilterKind.LCMV_R if kind is FilterKind.EIG_LCMV_R else FilterKind.LCMV_N
             )
-            built = eig_lcmv(parent, cov_set.data_cov, spec.sig_dim or l)
+            built = eig_lcmv(parent, cov_set.data, spec.sig_dim or l)
         elif kind is FilterKind.NL:
             built = base(FilterKind.NL)
         elif kind in (FilterKind.MMSE_F, FilterKind.MMSE_I):

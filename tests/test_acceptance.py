@@ -21,6 +21,7 @@ from beambench.filters import (
     lcmv,
     mv_pure,
     nulling,
+    regularized_inverse,
     zero_forcing,
 )
 from beambench.forward import (
@@ -76,13 +77,13 @@ def test_criterion_1_constraint_suite():
         composite = np.hstack([h, h_i])
         eye = np.eye(5)
         for filt in (
-            lcmv(h, data_cov, FilterKind.LCMV_R),
-            lcmv(h, noise_cov, FilterKind.LCMV_N),
-            nulling(composite, data_cov, 5),
+            lcmv(h, regularized_inverse(data_cov), FilterKind.LCMV_R),
+            lcmv(h, regularized_inverse(noise_cov), FilterKind.LCMV_N),
+            nulling(composite, regularized_inverse(data_cov), 5),
             zero_forcing(h),
         ):
             worst_gain = max(worst_gain, np.linalg.norm(filt.weights @ h - eye))
-        nl = nulling(composite, data_cov, 5)
+        nl = nulling(composite, regularized_inverse(data_cov), 5)
         worst_null = max(worst_null, np.linalg.norm(nl.weights @ h_i))
     elapsed = time.perf_counter() - start
     ok = worst_gain <= 1e-8 and worst_null <= 1e-8 and elapsed < 10.0
@@ -171,9 +172,9 @@ def test_criterion_4_mv_pure_degeneracy():
             source_cov=composite_cov[:l, :l],
             cross_cov=composite_cov[:l, :],
         )
-        lcmv_r = lcmv(h, data_cov, FilterKind.LCMV_R)
-        lcmv_n = lcmv(h, noise_cov, FilterKind.LCMV_N)
-        nl = nulling(np.hstack([h, h_i]), data_cov, l)
+        lcmv_r = lcmv(h, regularized_inverse(data_cov), FilterKind.LCMV_R)
+        lcmv_n = lcmv(h, regularized_inverse(noise_cov), FilterKind.LCMV_N)
+        nl = nulling(np.hstack([h, h_i]), regularized_inverse(data_cov), l)
         pairs = {
             FilterKind.MVP_F_1: lcmv_r,
             FilterKind.MVP_F_2: lcmv_r,

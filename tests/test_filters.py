@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from beambench import filters
 from beambench.errors import (
     RankDeficientLeadfield,
     ShapeMismatch,
     SingularCovariance,
 )
 from beambench.filters import (
+    EIG_KINDS,
     MVP_BASE,
     MVP_KINDS,
     CovarianceSet,
@@ -89,11 +93,11 @@ def mini_bench():
 class TestRegularizedInverse:
     def test_well_conditioned_matrix_is_inverted_exactly(self):
         matrix = random_spd(6, np.random.default_rng(0))
-        inv = regularized_inverse(matrix)
+        inv = regularized_inverse(matrix).inverse
         assert np.max(np.abs(inv @ matrix - np.eye(6))) <= 1e-12
 
     def test_near_singular_matrix_gets_loaded(self):
-        inv = regularized_inverse(np.diag([1.0, 1e-20]))
+        inv = regularized_inverse(np.diag([1.0, 1e-20])).inverse
         assert np.all(np.isfinite(inv))
         # loading is trace-scaled, so the small direction ends up near
         # the reciprocal of 1e-10 * trace / 2
@@ -109,7 +113,7 @@ class TestRegularizedInverse:
 
     def test_asymmetric_input_is_symmetrized(self):
         matrix = np.array([[2.0, 0.1], [0.0, 2.0]])
-        inv = regularized_inverse(matrix)
+        inv = regularized_inverse(matrix).inverse
         sym = 0.5 * (matrix + matrix.T)
         assert np.max(np.abs(inv @ sym - np.eye(2))) <= 1e-12
 
@@ -118,19 +122,19 @@ class TestLcmv:
     def test_square_leadfield_recovers_inverse(self):
         rng = np.random.default_rng(1)
         h = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-        filt = lcmv(h, random_spd(4, rng))
+        filt = lcmv(h, regularized_inverse(random_spd(4, rng)))
         assert np.allclose(filt.weights, np.linalg.inv(h), atol=1e-10)
 
     def test_orthonormal_columns_white_data_gives_transpose(self):
         rng = np.random.default_rng(2)
         h = np.linalg.qr(rng.standard_normal((8, 3)))[0]
-        filt = lcmv(h, np.eye(8))
+        filt = lcmv(h, regularized_inverse(np.eye(8)))
         assert np.allclose(filt.weights, h.T, atol=1e-12)
 
     def test_distortionless_constraint(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal((12, 4))
-        filt = lcmv(h, random_spd(12, rng))
+        filt = lcmv(h, regularized_inverse(random_spd(12, rng)))
         residual = np.linalg.norm(filt.weights @ h - np.eye(4))
         assert residual <= 1e-8
         assert filt.diagnostics.constraint_residual == pytest.approx(residual)
@@ -139,7 +143,7 @@ class TestLcmv:
         rng = np.random.default_rng(4)
         h = rng.standard_normal((10, 3))
         cov = random_spd(10, rng)
-        filt = lcmv(h, cov)
+        filt = lcmv(h, regularized_inverse(cov))
         best = np.trace(filt.weights @ cov @ filt.weights.T)
         null_proj = np.eye(10) - h @ np.linalg.pinv(h)
         for _ in range(100):
@@ -150,11 +154,11 @@ class TestLcmv:
     def test_rank_deficient_leadfield_rejected(self):
         h = np.ones((6, 2))
         with pytest.raises(RankDeficientLeadfield):
-            lcmv(h, np.eye(6))
+            lcmv(h, regularized_inverse(np.eye(6)))
 
     def test_kind_is_recorded(self):
         h = np.eye(3)
-        filt = lcmv(h, np.eye(3), FilterKind.LCMV_N)
+        filt = lcmv(h, regularized_inverse(np.eye(3)), FilterKind.LCMV_N)
         assert filt.spec.kind is FilterKind.LCMV_N
 
 
@@ -162,7 +166,7 @@ class TestNulling:
     def test_no_interference_matches_lcmv(self):
         rng = np.random.default_rng(5)
         h = rng.standard_normal((9, 3))
-        cov = random_spd(9, rng)
+        cov = regularized_inverse(random_spd(9, rng))
         assert np.allclose(
             nulling(h, cov, 3).weights, lcmv(h, cov).weights, atol=1e-12
         )
@@ -170,23 +174,24 @@ class TestNulling:
     def test_square_composite_takes_inverse_rows(self):
         rng = np.random.default_rng(6)
         composite = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
-        filt = nulling(composite, random_spd(5, rng), 2)
+        filt = nulling(composite, regularized_inverse(random_spd(5, rng)), 2)
         assert np.allclose(filt.weights, np.linalg.inv(composite)[:2], atol=1e-8)
 
     def test_interference_is_nulled_and_interest_passed(self):
         rng = np.random.default_rng(7)
         h = rng.standard_normal((12, 3))
         h_i = rng.standard_normal((12, 4))
-        filt = nulling(np.hstack([h, h_i]), random_spd(12, rng), 3)
+        filt = nulling(np.hstack([h, h_i]), regularized_inverse(random_spd(12, rng)), 3)
         assert np.linalg.norm(filt.weights @ h - np.eye(3)) <= 1e-8
         assert np.linalg.norm(filt.weights @ h_i) <= 1e-8
         assert filt.diagnostics.constraint_residual <= 1e-8
 
     def test_interest_count_bounds(self):
+        white = regularized_inverse(np.eye(4))
         with pytest.raises(ValueError, match="n_interest"):
-            nulling(np.eye(4), np.eye(4), 0)
+            nulling(np.eye(4), white, 0)
         with pytest.raises(ValueError, match="n_interest"):
-            nulling(np.eye(4), np.eye(4), 5)
+            nulling(np.eye(4), white, 5)
 
 
 class TestWiener:
@@ -223,19 +228,28 @@ class TestWiener:
         i = wiener(covs, lf, FilterKind.MMSE_I)
         assert np.allclose(f.weights, i.weights, atol=1e-12)
 
-    def test_mmse_i_equals_mmse_f_without_post_interference(self):
+    @staticmethod
+    def composed(cfg: MeasurementConfig):
         rng = np.random.default_rng(2025)
         geom = sample_geometry((3, 2, 2), SourceSpace(), rng)
         params = SignalParams(n_samples=400, order_interest=3, order_background=3)
         signals = generate_source_signals(geom, params, rng)
         lf = leadfield_sphere(geom, fibonacci_montage(16, 0.09))
-        cfg = MeasurementConfig(interference_pst=False)
         recording, view = compose_measurement(signals, lf, cfg, rng)
+        return recording, estimate_covariances(recording, signals), view
+
+    def test_mmse_i_equals_mmse_f_without_post_interference(self):
+        recording, covs, view = self.composed(MeasurementConfig(interference_pst=False))
         assert recording.gains_pst.interference == 0.0
-        covs = estimate_covariances(recording, signals)
         f = wiener(covs, view, FilterKind.MMSE_F).weights
         i = wiener(covs, view, FilterKind.MMSE_I).weights
         assert np.linalg.norm(i - f) <= 1e-12 * np.linalg.norm(f)
+
+    def test_no_post_interest_gives_zero_weights(self):
+        recording, covs, view = self.composed(MeasurementConfig(interest_pst=False))
+        assert recording.gains_pst.interest == 0.0
+        for kind in (FilterKind.MMSE_F, FilterKind.MMSE_I):
+            assert np.all(wiener(covs, view, kind).weights == 0.0)
 
     def test_other_kinds_rejected(self):
         covs = identity_covs(
@@ -275,35 +289,37 @@ class TestEigLcmv:
     def test_full_signal_dimension_reproduces_base(self):
         rng = np.random.default_rng(10)
         h = rng.standard_normal((9, 3))
-        cov = random_spd(9, rng)
+        cov = regularized_inverse(random_spd(9, rng))
         base = lcmv(h, cov)
         projected = eig_lcmv(base, cov, 9)
         assert np.allclose(projected.weights, base.weights, atol=1e-12)
 
     def test_diagonal_case_keeps_strongest_directions(self):
-        base = lcmv(np.eye(3), np.diag([3.0, 2.0, 1.0]))
-        projected = eig_lcmv(base, np.diag([3.0, 2.0, 1.0]), 2)
+        cov = regularized_inverse(np.diag([3.0, 2.0, 1.0]))
+        projected = eig_lcmv(lcmv(np.eye(3), cov), cov, 2)
         assert np.allclose(projected.weights, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
     def test_rows_live_in_the_top_eigenspace(self):
         rng = np.random.default_rng(11)
         h = rng.standard_normal((10, 3))
-        cov = random_spd(10, rng)
+        matrix = random_spd(10, rng)
+        cov = regularized_inverse(matrix)
         base = lcmv(h, cov)
         projected = eig_lcmv(base, cov, 4)
-        _, eigvec = np.linalg.eigh(cov)
+        _, eigvec = np.linalg.eigh(matrix)
         bottom = eigvec[:, :6]
         leakage = np.max(np.abs(projected.weights @ bottom))
         assert leakage <= 1e-10 * np.max(np.abs(projected.weights))
 
     def test_degenerate_spectrum_is_deterministic(self):
-        base = lcmv(np.eye(3), np.eye(3))
-        first = eig_lcmv(base, np.eye(3), 2)
-        second = eig_lcmv(base, np.eye(3), 2)
+        white = regularized_inverse(np.eye(3))
+        base = lcmv(np.eye(3), white)
+        first = eig_lcmv(base, white, 2)
+        second = eig_lcmv(base, white, 2)
         assert np.array_equal(first.weights, second.weights)
 
     def test_kind_mapping_and_sig_dim_recorded(self):
-        cov = np.diag([3.0, 2.0, 1.0])
+        cov = regularized_inverse(np.diag([3.0, 2.0, 1.0]))
         for kind, mapped in (
             (FilterKind.LCMV_R, FilterKind.EIG_LCMV_R),
             (FilterKind.LCMV_N, FilterKind.EIG_LCMV_N),
@@ -313,11 +329,12 @@ class TestEigLcmv:
             assert projected.spec.sig_dim == 2
 
     def test_bad_inputs_rejected(self):
-        base = lcmv(np.eye(3), np.eye(3))
+        white = regularized_inverse(np.eye(3))
+        base = lcmv(np.eye(3), white)
         with pytest.raises(ValueError, match="sig_dim"):
-            eig_lcmv(base, np.eye(3), 0)
+            eig_lcmv(base, white, 0)
         with pytest.raises(ValueError, match="LCMV"):
-            eig_lcmv(zero_forcing(np.eye(3)), np.eye(3), 2)
+            eig_lcmv(zero_forcing(np.eye(3)), white, 2)
 
 
 class TestMvPure:
@@ -326,9 +343,9 @@ class TestMvPure:
         covs = identity_covs(
             3, data=np.diag(data), noise=np.diag(noise), source=np.diag(source)
         )
-        lcmv_r = lcmv(np.eye(3), covs.data_cov, FilterKind.LCMV_R)
-        lcmv_n = lcmv(np.eye(3), covs.noise_cov, FilterKind.LCMV_N)
-        nl = nulling(np.eye(3), covs.data_cov, 3)
+        lcmv_r = lcmv(np.eye(3), covs.data, FilterKind.LCMV_R)
+        lcmv_n = lcmv(np.eye(3), covs.noise, FilterKind.LCMV_N)
+        nl = nulling(np.eye(3), covs.data, 3)
         return covs, lcmv_r, lcmv_n, nl
 
     def test_variant_two_keeps_low_output_power_directions(self):
@@ -357,9 +374,9 @@ class TestMvPure:
     def test_full_rank_reproduces_base(self, mini_bench):
         covs, view, _, _ = mini_bench
         l = view.filter_interest.shape[1]
-        lcmv_r = lcmv(view.filter_interest, covs.data_cov, FilterKind.LCMV_R)
-        lcmv_n = lcmv(view.filter_interest, covs.noise_cov, FilterKind.LCMV_N)
-        nl = nulling(view.composite, covs.data_cov, l)
+        lcmv_r = lcmv(view.filter_interest, covs.data, FilterKind.LCMV_R)
+        lcmv_n = lcmv(view.filter_interest, covs.noise, FilterKind.LCMV_N)
+        nl = nulling(view.composite, covs.data, l)
         expected = {
             FilterKind.MVP_F_1: lcmv_r,
             FilterKind.MVP_F_2: lcmv_r,
@@ -376,9 +393,9 @@ class TestMvPure:
     def test_weight_rank_bounded_by_requested_rank(self, mini_bench):
         covs, view, _, _ = mini_bench
         l = view.filter_interest.shape[1]
-        lcmv_r = lcmv(view.filter_interest, covs.data_cov, FilterKind.LCMV_R)
-        lcmv_n = lcmv(view.filter_interest, covs.noise_cov, FilterKind.LCMV_N)
-        nl = nulling(view.composite, covs.data_cov, l)
+        lcmv_r = lcmv(view.filter_interest, covs.data, FilterKind.LCMV_R)
+        lcmv_n = lcmv(view.filter_interest, covs.noise, FilterKind.LCMV_N)
+        nl = nulling(view.composite, covs.data, l)
         for rank in (1, 2):
             filt = mv_pure(FilterKind.MVP_F_2, rank, covs, lcmv_r, lcmv_n, nl)
             assert filt.diagnostics.numerical_rank <= rank
@@ -421,12 +438,12 @@ class TestReconstruct:
         assert np.array_equal(reconstruct(filt, sensors), filt.weights @ sensors)
 
     def test_zero_filter_gives_silence(self):
-        filt = lcmv(np.eye(3), np.eye(3))
+        filt = lcmv(np.eye(3), regularized_inverse(np.eye(3)))
         silent = reconstruct(filt, np.zeros((3, 9)))
         assert np.all(silent == 0.0)
 
     def test_sensor_count_mismatch_rejected(self):
-        filt = lcmv(np.eye(3), np.eye(3))
+        filt = lcmv(np.eye(3), regularized_inverse(np.eye(3)))
         with pytest.raises(ShapeMismatch):
             reconstruct(filt, np.zeros((4, 9)))
 
@@ -490,7 +507,95 @@ class TestParseFilterList:
             parse_filter_list(" , ")
 
 
+def well_conditioned(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-column-rank matrix with singular values in [0.5, 2]."""
+    left = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+    right = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    return (left * rng.uniform(0.5, 2.0, cols)) @ right.T
+
+
 class TestBuildFilterBank:
+    @staticmethod
+    def factor_calls(monkeypatch) -> list[np.ndarray]:
+        seen: list[np.ndarray] = []
+
+        def spy(matrix):
+            seen.append(matrix)
+            return regularized_inverse(matrix)
+
+        monkeypatch.setattr(filters, "regularized_inverse", spy)
+        return seen
+
+    def test_each_covariance_is_factored_once(self, mini_bench, monkeypatch):
+        covs, view, _, _ = mini_bench
+        fresh = replace(covs)  # no factorization cached yet
+        seen = self.factor_calls(monkeypatch)
+        specs = [FilterSpec(kind=kind) for kind in FilterKind]
+        bank = build_filter_bank(specs, fresh, view, np.random.default_rng(23))
+        assert len(seen) == 2
+        assert seen[0] is covs.data_cov and seen[1] is covs.noise_cov
+        built = {f.spec.kind: f for f in bank}
+        top = fresh.data.eigvec[:, -3:]
+        expected = (built[FilterKind.LCMV_R].weights @ top) @ top.T
+        assert np.array_equal(built[FilterKind.EIG_LCMV_R].weights, expected)
+
+    def test_unread_noise_covariance_is_not_factored(self, mini_bench, monkeypatch):
+        covs, view, _, _ = mini_bench
+        seen = self.factor_calls(monkeypatch)
+        unread = {FilterKind.LCMV_N, FilterKind.EIG_LCMV_N, FilterKind.MVP_F_3}
+        specs = [FilterSpec(kind=kind) for kind in FilterKind if kind not in unread]
+        build_filter_bank(specs, replace(covs), view, np.random.default_rng(24))
+        assert len(seen) == 1
+        assert seen[0] is covs.data_cov
+
+    def test_distortionless_constraints(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(
+            l=st.integers(1, 3),
+            k=st.integers(0, 3),
+            extra=st.integers(0, 6),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(l, k, extra, seed):
+            m = l + k + extra
+            rng = np.random.default_rng(seed)
+            composite = well_conditioned(m, l + k, rng)
+            h, h_i = composite[:, :l], composite[:, l:]
+            lf = LeadfieldSet(
+                interest=h,
+                interference=h_i,
+                background=np.zeros((m, 0)),
+                interest_pert=h,
+                interference_pert=h_i,
+                filter_interest=h,
+                composite=composite,
+            )
+            covs = CovarianceSet(
+                data_cov=random_spd(m, rng),
+                noise_cov=random_spd(m, rng),
+                source_cov=np.eye(l),
+                cross_cov=np.eye(l, l + k),
+            )
+            kinds = (FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL)
+            specs = [FilterSpec(kind=kind) for kind in kinds] + [
+                FilterSpec(kind=kind, sig_dim=m) for kind in EIG_KINDS
+            ]
+            lcmv_r, lcmv_n, nl, eig_r, eig_n = build_filter_bank(
+                specs, covs, lf, np.random.default_rng(seed)
+            )
+            for filt in (lcmv_r, lcmv_n):
+                assert np.linalg.norm(filt.weights @ h - np.eye(l)) <= 1e-8
+            target = np.eye(l, l + k)
+            assert np.linalg.norm(nl.weights @ composite - target) <= 1e-8
+            for eig, base in ((eig_r, lcmv_r), (eig_n, lcmv_n)):
+                gap = np.linalg.norm(eig.weights - base.weights)
+                assert gap <= 1e-12 * np.linalg.norm(base.weights)
+
+        check()
+
     def test_full_bank_is_finite_and_ordered(self, mini_bench):
         covs, view, _, _ = mini_bench
         specs = [FilterSpec(kind=kind) for kind in FilterKind]

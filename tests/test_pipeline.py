@@ -229,6 +229,21 @@ class TestFailureModes:
             run(small_config(), out_dir=tmp_path / "never")
         assert info.value.__cause__ is error
 
+    def test_unread_singular_noise_covariance_is_never_factored(self, tmp_path):
+        silent_pre = dict(
+            interference_pre=False,
+            background_pre=False,
+            noise_pre=False,
+            n_realizations=1,
+        )
+        noise_free = ("LCMV_R", "NL", "MMSE_F", "MMSE_I", "ZF", "RANDN", "EIG_LCMV_R")
+        run(small_config(filters=noise_free, **silent_pre), out_dir=tmp_path / "ok")
+        with pytest.raises(PipelineError, match="realization 1, stage filters"):
+            run(
+                small_config(filters=("LCMV_R", "LCMV_N"), **silent_pre),
+                out_dir=tmp_path / "never",
+            )
+
     def test_bad_jobs_count(self, tmp_path):
         with pytest.raises(ValueError, match="jobs"):
             run(small_config(), out_dir=tmp_path / "never", jobs=0)
