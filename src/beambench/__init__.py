@@ -40,7 +40,6 @@ from .filters import (
 from .forward import (
     ElectrodeMontage,
     LeadfieldSet,
-    MeasurementConfig,
     Recording,
     SegmentGains,
     adjust_snr,
@@ -66,10 +65,8 @@ from .mvar import (
 from .pipeline import export_leadfield, report, run
 from .sources import (
     PerturbedGeometry,
-    SignalParams,
     SourceGeometry,
     SourceSignals,
-    SourceSpace,
     erp_waveform,
     generate_source_signals,
     perturb_geometry,

@@ -326,9 +326,9 @@ def mv_pure(
     kind: FilterKind,
     rank: int,
     cov_set: CovarianceSet,
-    lcmv_r: SpatialFilter,
-    lcmv_n: SpatialFilter,
-    nl: SpatialFilter,
+    lcmv_r: SpatialFilter | None,
+    lcmv_n: SpatialFilter | None,
+    nl: SpatialFilter | None,
 ) -> SpatialFilter:
     """Reduced-rank MV-PURE variants.
 
@@ -341,23 +341,21 @@ def mv_pure(
 
     Each variant projects the filter that MVP_BASE pairs it with: F
     variants the matching LCMV filter, I variants the
-    interference-nulling filter.  Eigenvalue ties are resolved by the
-    ascending output order of the symmetric eigendecomposition, which
-    is deterministic for a given input matrix.
+    interference-nulling filter.  Only the filters a variant reads
+    are needed; the others may be None.  Eigenvalue ties are resolved
+    by the ascending output order of the symmetric eigendecomposition,
+    which is deterministic for a given input matrix.
     """
     if kind not in MVP_KINDS:
         raise ValueError(f"not an MV-PURE kind: {kind}")
     variant = int(kind.value.split("_")[2])
-    w_r, w_n = lcmv_r.weights, lcmv_n.weights
-    l = w_r.shape[0]
+    w = (lcmv_n if variant == 3 else lcmv_r).weights
+    l = w.shape[0]
     if not 1 <= rank <= l:
         raise ValueError(f"rank must lie in [1, {l}], got {rank}")
+    selection = w @ (cov_set.noise_cov if variant == 3 else cov_set.data_cov) @ w.T
     if variant == 1:
-        selection = w_r @ cov_set.data_cov @ w_r.T - 2.0 * cov_set.source_cov
-    elif variant == 2:
-        selection = w_r @ cov_set.data_cov @ w_r.T
-    else:
-        selection = w_n @ cov_set.noise_cov @ w_n.T
+        selection -= 2.0 * cov_set.source_cov
     selection = 0.5 * (selection + selection.T)
     try:
         _, eigvec = np.linalg.eigh(selection)
@@ -467,13 +465,15 @@ def build_filter_bank(
         elif (spec.rank or l) == l:
             built = replace(base(MVP_BASE[kind]), spec=FilterSpec(kind=kind, rank=l))
         else:
+            # Variant 3 selects with LCMV_N, the others with LCMV_R.
+            selector = FilterKind.LCMV_N if kind.value.endswith("_3") else FilterKind.LCMV_R
+            read = {selector, MVP_BASE[kind]}
+            inputs = (FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL)
             built = mv_pure(
                 kind,
                 spec.rank,
                 cov_set,
-                base(FilterKind.LCMV_R),
-                base(FilterKind.LCMV_N),
-                base(FilterKind.NL),
+                *(base(k) if k in read else None for k in inputs),
             )
         bank.append(built)
     return bank

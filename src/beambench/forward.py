@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -53,6 +53,9 @@ from .errors import (
     ZeroTargetSignal,
 )
 from .sources import PerturbedGeometry, SourceGeometry, SourceSignals
+
+if TYPE_CHECKING:
+    from .config import SetupConfig
 
 DEFAULT_SIGMA = 0.33
 
@@ -191,8 +194,6 @@ def _referenced(matrix: np.ndarray) -> np.ndarray:
 def leadfield_sphere(
     geom: SourceGeometry | PerturbedGeometry,
     montage: ElectrodeMontage,
-    head_radius: float | None = None,
-    sigma: float = DEFAULT_SIGMA,
 ) -> LeadfieldSet:
     """Build average-referenced lead-fields split by source role.
 
@@ -200,16 +201,16 @@ def leadfield_sphere(
     jittered coordinates while the plain matrices use the original
     ones; passing a SourceGeometry puts the original arrays in the
     perturbed slots too.  The filter view starts unperturbed; see
-    select_filter_leadfields.
+    select_filter_leadfields.  The conductivity is DEFAULT_SIGMA.
     """
     base = geom.base if isinstance(geom, PerturbedGeometry) else geom
-    radius = base.head_radius if head_radius is None else head_radius
+    radius = base.head_radius
     if abs(montage.head_radius - radius) > 1e-9:
         raise ShapeMismatch("montage radius does not match the head radius")
 
     def split(positions: np.ndarray, orientations: np.ndarray) -> dict[str, np.ndarray]:
         full = _referenced(
-            dipole_potentials(positions, orientations, montage.positions, radius, sigma)
+            dipole_potentials(positions, orientations, montage.positions, radius)
         )
         return {
             role: full[:, base.role_indices(role)]
@@ -289,26 +290,6 @@ def adjust_snr(reference: np.ndarray, target: np.ndarray, snr_db: float) -> np.n
     return target * gain
 
 
-@dataclass(frozen=True)
-class MeasurementConfig:
-    """SNR levels, segment component switches and filter-view flags."""
-
-    sinr_db: float = 5.0
-    sbnr_db: float = 5.0
-    smnr_db: float = 20.0
-    interest_pre: bool = False
-    interference_pre: bool = True
-    background_pre: bool = True
-    noise_pre: bool = True
-    interest_pst: bool = True
-    interference_pst: bool = True
-    background_pst: bool = True
-    noise_pst: bool = True
-    use_interest_pert: bool = False
-    use_interference_pert: bool = False
-    interference_rank: int | None = None
-
-
 class SegmentGains(NamedTuple):
     """Amplitudes one segment applies to each term of the model."""
 
@@ -341,7 +322,7 @@ class Recording:
 def compose_measurement(
     signals: SourceSignals,
     lf: LeadfieldSet,
-    cfg: MeasurementConfig,
+    cfg: SetupConfig,
     rng: np.random.Generator,
 ) -> tuple[Recording, LeadfieldSet]:
     """Project sources to the sensors at the configured levels.

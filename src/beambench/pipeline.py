@@ -30,7 +30,7 @@ from .filters import (
     reconstruct,
 )
 from .forward import (
-    MeasurementConfig,
+    ElectrodeMontage,
     compose_measurement,
     fibonacci_montage,
     leadfield_sphere,
@@ -46,45 +46,13 @@ from .metrics import (
     write_summary_csv,
 )
 from .sources import (
-    SignalParams,
-    SourceSpace,
+    HEAD_RADIUS,
+    SourceGeometry,
     generate_source_signals,
     perturb_geometry,
     sample_geometry,
     write_geometry_csv,
 )
-
-
-def _signal_params(config: SetupConfig) -> SignalParams:
-    return SignalParams(
-        n_samples=config.n_samples,
-        order_interest=config.order_interest,
-        order_background=config.order_background,
-        frac_ones=config.frac_ones,
-        stab_limit=config.stab_limit,
-        coeff_range=config.coeff_range,
-        iter_limit=config.iter_limit,
-        erp_enabled=config.erp_enabled,
-    )
-
-
-def _measurement_config(config: SetupConfig) -> MeasurementConfig:
-    return MeasurementConfig(
-        sinr_db=config.sinr_db,
-        sbnr_db=config.sbnr_db,
-        smnr_db=config.smnr_db,
-        interest_pre=config.interest_pre,
-        interference_pre=config.interference_pre,
-        background_pre=config.background_pre,
-        noise_pre=config.noise_pre,
-        interest_pst=config.interest_pst,
-        interference_pst=config.interference_pst,
-        background_pst=config.background_pst,
-        noise_pst=config.noise_pst,
-        use_interest_pert=config.use_interest_pert,
-        use_interference_pert=config.use_interference_pert,
-        interference_rank=config.interference_rank,
-    )
 
 
 def _filter_specs(config: SetupConfig) -> list[FilterSpec]:
@@ -96,6 +64,13 @@ def _filter_specs(config: SetupConfig) -> list[FilterSpec]:
         sig_dim = (config.eig_dim or l) if kind in EIG_KINDS else None
         specs.append(FilterSpec(kind=kind, rank=rank, sig_dim=sig_dim))
     return specs
+
+
+def _geometry(config: SetupConfig) -> tuple[SourceGeometry, ElectrodeMontage]:
+    """The run's source geometry (spawn-key-0 stream) and montage."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
+    geometry = sample_geometry(config.sources, rng, config.deep_sources)
+    return geometry, fibonacci_montage(config.n_electrodes, HEAD_RADIUS)
 
 
 def _realization_streams(seed: int, index: int) -> list[np.random.Generator]:
@@ -119,16 +94,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    space = SourceSpace()
-    geometry_rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(0,))
-    )
-    geometry = sample_geometry(
-        config.sources, space, geometry_rng, config.deep_sources
-    )
-    montage = fibonacci_montage(config.n_electrodes, space.head_radius)
-    params = _signal_params(config)
-    meas_cfg = _measurement_config(config)
+    geometry, montage = _geometry(config)
     specs = _filter_specs(config)
     freqs = default_freqs(config.pdc_resolution)
 
@@ -139,7 +105,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
                 config.seed, index
             )
             stage = "signals"
-            signals = generate_source_signals(geometry, params, rng_signals)
+            signals = generate_source_signals(geometry, config, rng_signals)
             stage = "perturbation"
             perturbed = perturb_geometry(
                 geometry, config.cube_edge, config.cone_half_angle, rng_perturb
@@ -147,7 +113,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
             stage = "leadfields"
             lf = leadfield_sphere(perturbed, montage)
             stage = "measurement"
-            recording, lf_view = compose_measurement(signals, lf, meas_cfg, rng_noise)
+            recording, lf_view = compose_measurement(signals, lf, config, rng_noise)
             cov_set = estimate_covariances(recording, signals)
             stage = "filters"
             bank = build_filter_bank(specs, cov_set, lf_view, rng_filters)
@@ -163,7 +129,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
             for built in bank:
                 if id(built.weights) not in scored:
                     scored[id(built.weights)] = evaluate(
-                        signals.interest[:, params.n_samples :],
+                        signals.interest[:, config.n_samples :],
                         reconstruct(built, recording.sensors_pst),
                         signals.interest_model,
                         config.order_interest,
@@ -220,13 +186,7 @@ def report(run_dir: str | Path) -> str:
 def export_leadfield(config: SetupConfig, out_path: str | Path) -> Path:
     """Write the full average-referenced lead-field for the config's
     geometry, columns ordered like the geometry.csv rows."""
-    space = SourceSpace()
-    geometry_rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(0,))
-    )
-    geometry = sample_geometry(config.sources, space, geometry_rng, config.deep_sources)
-    montage = fibonacci_montage(config.n_electrodes, space.head_radius)
-    lf = leadfield_sphere(geometry, montage)
+    lf = leadfield_sphere(*_geometry(config))
     matrix = np.hstack([lf.interest, lf.interference, lf.background])
     out_path = Path(out_path)
     save_leadfield(matrix, out_path)

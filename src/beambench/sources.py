@@ -12,8 +12,9 @@ correlation with the interest signal near -1/sqrt(2).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,32 +30,16 @@ from .mvar import (
     simulate,
 )
 
+if TYPE_CHECKING:
+    from .config import SetupConfig
+
 _UNIT_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class SourceSpace:
-    """Admissible dipole regions inside a spherical head (meters).
-
-    Cortical sources sit on the shell of radius cortex_radius; deep
-    sources are drawn from the ball of radius deep_radius.
-    """
-
-    head_radius: float = 0.09
-    cortex_radius: float | None = None
-    deep_radius: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.head_radius <= 0.0:
-            raise ValueError("head_radius must be positive")
-        cortex = 0.8 * self.head_radius if self.cortex_radius is None else self.cortex_radius
-        deep = 0.3 * self.head_radius if self.deep_radius is None else self.deep_radius
-        if not 0.0 < deep <= cortex < self.head_radius:
-            raise ValueError(
-                "radii must satisfy 0 < deep_radius <= cortex_radius < head_radius"
-            )
-        object.__setattr__(self, "cortex_radius", cortex)
-        object.__setattr__(self, "deep_radius", deep)
+# Spherical head (meters): cortical sources sit on the cortex shell,
+# deep sources are drawn from the deep ball.
+HEAD_RADIUS = 0.09
+CORTEX_RADIUS = 0.8 * HEAD_RADIUS
+DEEP_RADIUS = 0.3 * HEAD_RADIUS
 
 
 @dataclass(frozen=True)
@@ -147,7 +132,6 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
 
 def sample_geometry(
     counts: tuple[int, int, int],
-    space: SourceSpace,
     rng: np.random.Generator,
     deep: tuple[int, int, int] = (0, 0, 0),
 ) -> SourceGeometry:
@@ -178,11 +162,11 @@ def sample_geometry(
             while True:
                 direction = _random_unit(rng)
                 if is_deep:
-                    radius = space.deep_radius * rng.random() ** (1.0 / 3.0)
+                    radius = DEEP_RADIUS * rng.random() ** (1.0 / 3.0)
                     pos = radius * direction
                     orient = _random_unit(rng)
                 else:
-                    pos = space.cortex_radius * direction
+                    pos = CORTEX_RADIUS * direction
                     orient = direction
                 key = pos.tobytes()
                 if key not in seen:
@@ -198,7 +182,7 @@ def sample_geometry(
         orientations=np.array(orientations),
         roles=tuple(roles),
         deep=np.array(deep_flags),
-        head_radius=space.head_radius,
+        head_radius=HEAD_RADIUS,
     )
 
 
@@ -271,29 +255,6 @@ def erp_waveform(
 
 
 @dataclass(frozen=True)
-class SignalParams:
-    """Knobs for ground-truth signal generation."""
-
-    n_samples: int = 2000
-    order_interest: int = 6
-    order_background: int = 6
-    frac_ones: float = 0.2
-    stab_limit: float = 0.95
-    coeff_range: tuple[float, float] = (-0.3, 0.3)
-    iter_limit: int = 1000
-    burn_in: int = 1000
-    erp_enabled: bool = False
-    erp_center: float | None = None
-    erp_width: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be >= 2")
-        if self.order_interest < 1 or self.order_background < 1:
-            raise ValueError("model orders must be >= 1")
-
-
-@dataclass(frozen=True)
 class SourceSignals:
     """Per-role source time courses over both recording segments.
 
@@ -322,7 +283,7 @@ class SourceSignals:
 
 def generate_source_signals(
     geom: SourceGeometry,
-    params: SignalParams,
+    config: SetupConfig,
     rng: np.random.Generator,
 ) -> SourceSignals:
     """Simulate all ground-truth source activity for one realization.
@@ -332,39 +293,40 @@ def generate_source_signals(
     mirror the first min(k, l) interest rows negated plus white noise
     matched to each row's empirical power; extra rows (k > l) are fresh
     white noise at the mean power of the constructed rows.  The ERP is
-    added to the interest post segment after interference is built.
+    added to the interest post segment after interference is built,
+    centered on the segment's middle sample with width n/16.
     """
     l = geom.n_interest
     k = geom.n_interference
     n_background = geom.n_background
     if l < 1:
         raise ValueError("geometry must contain at least one source of interest")
-    n = params.n_samples
+    n = config.n_samples
     total = 2 * n
 
     interest_model = sample_stable_mvar(
         l,
-        params.order_interest,
-        make_mask(l, params.frac_ones, rng),
-        params.stab_limit,
-        params.coeff_range,
-        params.iter_limit,
+        config.order_interest,
+        make_mask(l, config.frac_ones, rng),
+        config.stab_limit,
+        config.coeff_range,
+        config.iter_limit,
         rng,
     )
-    interest = simulate(interest_model, total, rng, burn_in=params.burn_in)
+    interest = simulate(interest_model, total, rng)
 
     background = np.zeros((0, total))
     if n_background > 0:
         background_model = sample_stable_mvar(
             n_background,
-            params.order_background,
-            make_mask(n_background, params.frac_ones, rng),
-            params.stab_limit,
-            params.coeff_range,
-            params.iter_limit,
+            config.order_background,
+            make_mask(n_background, config.frac_ones, rng),
+            config.stab_limit,
+            config.coeff_range,
+            config.iter_limit,
             rng,
         )
-        background = simulate(background_model, total, rng, burn_in=params.burn_in)
+        background = simulate(background_model, total, rng)
 
     noise = rng.standard_normal((k, total))
     interference = np.zeros((k, total))
@@ -382,12 +344,10 @@ def generate_source_signals(
             interference[row] = scale * noise[row]
 
     erp = np.zeros((l, n))
-    if params.erp_enabled:
-        center = float(n // 2) if params.erp_center is None else params.erp_center
-        width = max(n / 16.0, 1.0) if params.erp_width is None else params.erp_width
+    if config.erp_enabled:
         for row in range(l):
             amplitude = float(np.std(interest[row, n:]))
-            erp[row] = erp_waveform(n, amplitude, center, width)
+            erp[row] = erp_waveform(n, amplitude, n // 2, max(n / 16.0, 1.0))
         interest[:, n:] += erp
 
     return SourceSignals(

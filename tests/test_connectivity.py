@@ -306,3 +306,30 @@ class TestConnectivitySpectrum:
         assert np.all(spectrum.pdc[1, 0, :] > 0.0)
         assert np.all(spectrum.pdc[0, 1, :] == 0.0)
 
+
+
+class TestNormalizationProperty:
+    def test_pdc_columns_and_dtf_rows_square_sum_to_one(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=40, deadline=None)
+        @hyp.given(
+            dim=st.integers(1, 6),
+            order=st.integers(1, 8),
+            freqs=st.lists(st.floats(0.0, 0.5), min_size=2, max_size=65),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(dim, order, freqs, seed):
+            rng = np.random.default_rng(seed)
+            # +/-0.2 keeps the rejection sampler fast up to dim 6, order 8
+            model = sample_stable_mvar(
+                dim, order, make_mask(dim, 0.4, rng), 0.95, (-0.2, 0.2), 1000, rng
+            )
+            spectrum = connectivity_spectrum(model, np.sort(freqs))
+            pdc_sums = np.sum(spectrum.pdc**2, axis=0)
+            dtf_sums = np.sum(spectrum.dtf**2, axis=1)
+            assert np.max(np.abs(pdc_sums - 1.0)) <= 1e-10
+            assert np.max(np.abs(dtf_sums - 1.0)) <= 1e-10
+
+        check()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from beambench import filters
+from beambench.config import SetupConfig
 from beambench.errors import (
     RankDeficientLeadfield,
     ShapeMismatch,
@@ -35,17 +36,11 @@ from beambench.filters import (
 )
 from beambench.forward import (
     LeadfieldSet,
-    MeasurementConfig,
     compose_measurement,
     fibonacci_montage,
     leadfield_sphere,
 )
-from beambench.sources import (
-    SignalParams,
-    SourceSpace,
-    generate_source_signals,
-    sample_geometry,
-)
+from beambench.sources import generate_source_signals, sample_geometry
 
 
 def random_spd(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -80,12 +75,12 @@ def identity_covs(dim: int, data: np.ndarray, noise: np.ndarray, source: np.ndar
 def mini_bench():
     """A small but fully realistic covariance/lead-field pair."""
     rng = np.random.default_rng(2024)
-    geom = sample_geometry((3, 2, 2), SourceSpace(), rng)
+    geom = sample_geometry((3, 2, 2), rng)
     montage = fibonacci_montage(16, 0.09)
-    params = SignalParams(n_samples=400, order_interest=3, order_background=3)
+    params = SetupConfig(n_samples=400, order_interest=3, order_background=3)
     signals = generate_source_signals(geom, params, rng)
     lf = leadfield_sphere(geom, montage)
-    recording, view = compose_measurement(signals, lf, MeasurementConfig(), rng)
+    recording, view = compose_measurement(signals, lf, SetupConfig(), rng)
     covs = estimate_covariances(recording, signals)
     return covs, view, recording, signals
 
@@ -229,24 +224,24 @@ class TestWiener:
         assert np.allclose(f.weights, i.weights, atol=1e-12)
 
     @staticmethod
-    def composed(cfg: MeasurementConfig):
+    def composed(cfg: SetupConfig):
         rng = np.random.default_rng(2025)
-        geom = sample_geometry((3, 2, 2), SourceSpace(), rng)
-        params = SignalParams(n_samples=400, order_interest=3, order_background=3)
+        geom = sample_geometry((3, 2, 2), rng)
+        params = SetupConfig(n_samples=400, order_interest=3, order_background=3)
         signals = generate_source_signals(geom, params, rng)
         lf = leadfield_sphere(geom, fibonacci_montage(16, 0.09))
         recording, view = compose_measurement(signals, lf, cfg, rng)
         return recording, estimate_covariances(recording, signals), view
 
     def test_mmse_i_equals_mmse_f_without_post_interference(self):
-        recording, covs, view = self.composed(MeasurementConfig(interference_pst=False))
+        recording, covs, view = self.composed(SetupConfig(interference_pst=False))
         assert recording.gains_pst.interference == 0.0
         f = wiener(covs, view, FilterKind.MMSE_F).weights
         i = wiener(covs, view, FilterKind.MMSE_I).weights
         assert np.linalg.norm(i - f) <= 1e-12 * np.linalg.norm(f)
 
     def test_no_post_interest_gives_zero_weights(self):
-        recording, covs, view = self.composed(MeasurementConfig(interest_pst=False))
+        recording, covs, view = self.composed(SetupConfig(interest_pst=False))
         assert recording.gains_pst.interest == 0.0
         for kind in (FilterKind.MMSE_F, FilterKind.MMSE_I):
             assert np.all(wiener(covs, view, kind).weights == 0.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from beambench.config import SetupConfig
 from beambench.errors import (
     DimensionMismatch,
     ParseError,
@@ -15,7 +16,6 @@ from beambench.errors import (
 from beambench.forward import (
     DEFAULT_SIGMA,
     ElectrodeMontage,
-    MeasurementConfig,
     adjust_snr,
     compose_measurement,
     dipole_potentials,
@@ -27,8 +27,6 @@ from beambench.forward import (
     select_filter_leadfields,
 )
 from beambench.sources import (
-    SignalParams,
-    SourceSpace,
     generate_source_signals,
     perturb_geometry,
     sample_geometry,
@@ -93,9 +91,9 @@ def series_potentials(
 
 
 def small_setup(seed: int = 0, counts=(2, 1, 2), m: int = 16):
-    geom = sample_geometry(counts, SourceSpace(), np.random.default_rng(seed))
+    geom = sample_geometry(counts, np.random.default_rng(seed))
     montage = fibonacci_montage(m, HEAD)
-    params = SignalParams(n_samples=300, order_interest=3, order_background=3)
+    params = SetupConfig(n_samples=300, order_interest=3, order_background=3)
     signals = generate_source_signals(geom, params, np.random.default_rng(seed + 1))
     lf = leadfield_sphere(geom, montage)
     return geom, montage, signals, lf
@@ -113,16 +111,16 @@ SWITCHES = tuple(
 )
 
 
-def switched_config(mask: int, **levels) -> MeasurementConfig:
-    """MeasurementConfig whose eight segment switches are the bits of mask."""
-    return MeasurementConfig(
+def switched_config(mask: int, **levels) -> SetupConfig:
+    """SetupConfig whose eight segment switches are the bits of mask."""
+    return SetupConfig(
         **{name: bool(mask >> bit & 1) for bit, name in enumerate(SWITCHES)}, **levels
     )
 
 
 def tiny_setup(counts, m: int, seed: int):
-    geom = sample_geometry(counts, SourceSpace(), np.random.default_rng(seed))
-    params = SignalParams(n_samples=60, order_interest=2, order_background=2, burn_in=50)
+    geom = sample_geometry(counts, np.random.default_rng(seed))
+    params = SetupConfig(n_samples=60, order_interest=2, order_background=2)
     signals = generate_source_signals(geom, params, np.random.default_rng(seed + 1))
     return signals, leadfield_sphere(geom, fibonacci_montage(m, HEAD))
 
@@ -404,7 +402,7 @@ class TestAdjustSnr:
 class TestComposeMeasurement:
     def test_sensors_sum_enabled_components(self):
         _, _, signals, lf = small_setup(seed=11)
-        cfg = MeasurementConfig()
+        cfg = SetupConfig()
         recording, _ = compose_measurement(signals, lf, cfg, np.random.default_rng(12))
         n = recording.sensors_pst.shape[1]
         noise = replayed_noise(12, lf.interest.shape[0], n)
@@ -428,7 +426,7 @@ class TestComposeMeasurement:
 
     def test_achieved_snr_levels_over_both_segments(self):
         _, _, signals, lf = small_setup(seed=13)
-        cfg = MeasurementConfig(sinr_db=5.0, sbnr_db=-3.0, smnr_db=20.0)
+        cfg = SetupConfig(sinr_db=5.0, sbnr_db=-3.0, smnr_db=20.0)
         recording, _ = compose_measurement(signals, lf, cfg, np.random.default_rng(14))
         gains = recording.gains_pst
         noise = replayed_noise(14, lf.interest.shape[0], signals.erp.shape[1])
@@ -443,7 +441,7 @@ class TestComposeMeasurement:
 
     def test_interest_only_post_segment(self):
         _, _, signals, lf = small_setup(seed=15)
-        cfg = MeasurementConfig(
+        cfg = SetupConfig(
             interference_pre=False,
             background_pre=False,
             noise_pre=False,
@@ -461,7 +459,7 @@ class TestComposeMeasurement:
     def test_missing_background_stays_zero(self):
         _, _, signals, lf = small_setup(seed=17, counts=(2, 1, 0))
         recording, _ = compose_measurement(
-            signals, lf, MeasurementConfig(), np.random.default_rng(18)
+            signals, lf, SetupConfig(), np.random.default_rng(18)
         )
         assert recording.gains_pre.background == 0.0
         assert recording.gains_pst.background == 0.0
@@ -479,26 +477,26 @@ class TestComposeMeasurement:
         geom, montage, _, _ = small_setup(seed=19)
         pert = perturb_geometry(geom, 0.01, np.pi / 32.0, np.random.default_rng(20))
         lf = leadfield_sphere(pert, montage)
-        params = SignalParams(n_samples=300, order_interest=3, order_background=3)
+        params = SetupConfig(n_samples=300, order_interest=3, order_background=3)
         signals = generate_source_signals(geom, params, np.random.default_rng(21))
-        cfg = MeasurementConfig(use_interest_pert=True)
+        cfg = SetupConfig(use_interest_pert=True)
         _, view = compose_measurement(signals, lf, cfg, np.random.default_rng(22))
         assert np.array_equal(view.filter_interest, lf.interest_pert)
 
     def test_dimension_mismatch_rejected(self):
         _, _, signals, lf = small_setup(seed=23)
         other_signals = generate_source_signals(
-            sample_geometry((3, 1, 2), SourceSpace(), np.random.default_rng(24)),
-            SignalParams(n_samples=300, order_interest=3, order_background=3),
+            sample_geometry((3, 1, 2), np.random.default_rng(24)),
+            SetupConfig(n_samples=300, order_interest=3, order_background=3),
             np.random.default_rng(25),
         )
         with pytest.raises(ShapeMismatch):
-            compose_measurement(other_signals, lf, MeasurementConfig(), np.random.default_rng(26))
+            compose_measurement(other_signals, lf, SetupConfig(), np.random.default_rng(26))
 
     def test_deterministic_given_seed(self):
         _, _, signals, lf = small_setup(seed=27)
-        a, _ = compose_measurement(signals, lf, MeasurementConfig(), np.random.default_rng(28))
-        b, _ = compose_measurement(signals, lf, MeasurementConfig(), np.random.default_rng(28))
+        a, _ = compose_measurement(signals, lf, SetupConfig(), np.random.default_rng(28))
+        b, _ = compose_measurement(signals, lf, SetupConfig(), np.random.default_rng(28))
         assert np.array_equal(a.sensors_pre, b.sensors_pre)
         assert np.array_equal(a.sensors_pst, b.sensors_pst)
 

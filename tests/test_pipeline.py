@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from beambench import __version__, pipeline
 from beambench.cli import main
 from beambench.config import SetupConfig
 from beambench.errors import MissingRun, ParseError, PipelineError
-from beambench.filters import MVP_BASE
+from beambench.filters import MVP_BASE, FilterKind
 from beambench.forward import load_leadfield
 from beambench.metrics import load_summary_csv
 from beambench.pipeline import export_leadfield, report, run
@@ -119,6 +120,40 @@ class TestDeterminism:
         assert (
             other / "results.csv"
         ).read_bytes() != (run_dir / "results.csv").read_bytes()
+
+
+class TestJobsInvariance:
+    def test_two_jobs_give_the_bytes_of_one(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=10, deadline=None)
+        @hyp.given(
+            seed=st.integers(0, 2**32 - 1),
+            sources=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(0, 3)),
+            n_realizations=st.integers(2, 3),
+            filters=st.lists(
+                st.sampled_from([kind.value for kind in FilterKind]),
+                min_size=1,
+                max_size=5,
+                unique=True,
+            ),
+        )
+        def check(seed, sources, n_realizations, filters):
+            config = small_config(
+                seed=seed,
+                n_samples=300,
+                sources=sources,
+                n_realizations=n_realizations,
+                filters=tuple(filters),
+            )
+            with tempfile.TemporaryDirectory() as tmp:
+                one = run(config, out_dir=Path(tmp) / "one", jobs=1)
+                two = run(config, out_dir=Path(tmp) / "two", jobs=2)
+                for name in ("results.csv", "summary.csv"):
+                    assert (two / name).read_bytes() == (one / name).read_bytes()
+
+        check()
 
 
 class TestDistinctFiltersScoredOnce:
@@ -243,6 +278,22 @@ class TestFailureModes:
                 small_config(filters=("LCMV_R", "LCMV_N"), **silent_pre),
                 out_dir=tmp_path / "never",
             )
+
+    def test_sub_rank_mv_pure_builds_only_the_bases_it_reads(self, tmp_path):
+        silent_pre = dict(
+            interference_pre=False,
+            background_pre=False,
+            noise_pre=False,
+            n_realizations=1,
+            mvp_rank=1,
+        )
+        # Variants 1 and 2 select with LCMV_R and never read the noise
+        # covariance; variant 3 selects with LCMV_N and must fail.
+        noise_free = ("MVP_F_1", "MVP_F_2", "MVP_I_1", "MVP_I_2")
+        run(small_config(filters=noise_free, **silent_pre), out_dir=tmp_path / "ok")
+        for kind in ("MVP_F_3", "MVP_I_3"):
+            with pytest.raises(PipelineError, match="realization 1, stage filters"):
+                run(small_config(filters=(kind,), **silent_pre), out_dir=tmp_path / kind)
 
     def test_bad_jobs_count(self, tmp_path):
         with pytest.raises(ValueError, match="jobs"):

@@ -8,11 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from beambench.config import SetupConfig
 from beambench.errors import ShapeMismatch
 from beambench.sources import (
-    SignalParams,
+    CORTEX_RADIUS,
+    DEEP_RADIUS,
+    HEAD_RADIUS,
     SourceGeometry,
-    SourceSpace,
     erp_waveform,
     generate_source_signals,
     perturb_geometry,
@@ -24,21 +26,14 @@ CONE = np.pi / 32.0
 
 
 def small_geometry(seed: int = 0, counts=(3, 2, 4), deep=(0, 0, 0)) -> SourceGeometry:
-    return sample_geometry(counts, SourceSpace(), np.random.default_rng(seed), deep)
+    return sample_geometry(counts, np.random.default_rng(seed), deep)
 
 
 class TestSourceSpace:
     def test_default_radii(self):
-        space = SourceSpace()
-        assert space.head_radius == 0.09
-        assert space.cortex_radius == pytest.approx(0.8 * 0.09)
-        assert space.deep_radius == pytest.approx(0.3 * 0.09)
-
-    def test_radius_ordering_enforced(self):
-        with pytest.raises(ValueError, match="radii"):
-            SourceSpace(head_radius=0.09, cortex_radius=0.09)
-        with pytest.raises(ValueError, match="radii"):
-            SourceSpace(head_radius=0.09, cortex_radius=0.05, deep_radius=0.06)
+        assert HEAD_RADIUS == 0.09
+        assert CORTEX_RADIUS == pytest.approx(0.8 * 0.09)
+        assert DEEP_RADIUS == pytest.approx(0.3 * 0.09)
 
 
 class TestSampleGeometry:
@@ -53,34 +48,28 @@ class TestSampleGeometry:
         assert np.array_equal(geom.role_indices("interference"), [3, 4])
 
     def test_cortical_sources_sit_on_shell_pointing_outward(self):
-        space = SourceSpace()
         geom = small_geometry()
         radii = np.linalg.norm(geom.positions, axis=1)
-        assert np.allclose(radii, space.cortex_radius, atol=1e-12)
+        assert np.allclose(radii, CORTEX_RADIUS, atol=1e-12)
         # radial orientation: unit position equals the orientation
         unit = geom.positions / radii[:, None]
         assert np.allclose(unit, geom.orientations, atol=1e-12)
 
     def test_deep_sources_live_in_the_deep_ball(self):
-        space = SourceSpace()
-        geom = sample_geometry(
-            (1, 0, 0), space, np.random.default_rng(5), deep=(4, 0, 2)
-        )
+        geom = sample_geometry((1, 0, 0), np.random.default_rng(5), deep=(4, 0, 2))
         assert geom.roles == ("interest",) * 5 + ("background",) * 2
         radii = np.linalg.norm(geom.positions[geom.deep], axis=1)
-        assert np.all(radii <= space.deep_radius + 1e-12)
+        assert np.all(radii <= DEEP_RADIUS + 1e-12)
         assert int(geom.deep.sum()) == 6
 
     def test_orientations_are_unit_and_positions_inside(self):
-        geom = sample_geometry(
-            (2, 1, 3), SourceSpace(), np.random.default_rng(6), deep=(1, 1, 0)
-        )
+        geom = sample_geometry((2, 1, 3), np.random.default_rng(6), deep=(1, 1, 0))
         norms = np.linalg.norm(geom.orientations, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
         assert np.all(np.linalg.norm(geom.positions, axis=1) < geom.head_radius)
 
     def test_positions_pairwise_distinct(self):
-        geom = sample_geometry((5, 5, 20), SourceSpace(), np.random.default_rng(7))
+        geom = sample_geometry((5, 5, 20), np.random.default_rng(7))
         keys = {pos.tobytes() for pos in geom.positions}
         assert len(keys) == geom.n_sources
 
@@ -92,7 +81,7 @@ class TestSampleGeometry:
 
     def test_needs_at_least_one_interest_source(self):
         with pytest.raises(ValueError, match="interest"):
-            sample_geometry((0, 1, 1), SourceSpace(), np.random.default_rng(9))
+            sample_geometry((0, 1, 1), np.random.default_rng(9))
 
 
 class TestGeometryType:
@@ -142,16 +131,15 @@ class TestPerturbGeometry:
             assert np.all(dots >= bound)
 
     def test_escaped_positions_are_pulled_back_inside(self):
-        space = SourceSpace()
         geom = small_geometry(seed=14)
         rng = np.random.default_rng(15)
         pert = perturb_geometry(geom, 0.2, 0.0, rng)  # huge cube, many escapes
         radii = np.linalg.norm(pert.positions, axis=1)
-        assert np.all(radii < space.head_radius)
+        assert np.all(radii < HEAD_RADIUS)
         moved = np.linalg.norm(pert.positions - geom.positions, axis=1)
-        pulled = radii[moved > 0.1 * space.head_radius]
+        pulled = radii[moved > 0.1 * HEAD_RADIUS]
         if pulled.size:
-            assert np.all(pulled <= 0.99 * space.head_radius + 1e-12)
+            assert np.all(pulled <= 0.99 * HEAD_RADIUS + 1e-12)
 
     def test_deterministic_given_seed(self):
         geom = small_geometry(seed=16)
@@ -190,7 +178,7 @@ class TestErpWaveform:
 class TestGenerateSourceSignals:
     def test_shapes_follow_geometry(self):
         geom = small_geometry(counts=(3, 2, 4))
-        params = SignalParams(n_samples=300, order_interest=3, order_background=3)
+        params = SetupConfig(n_samples=300, order_interest=3, order_background=3)
         signals = generate_source_signals(geom, params, np.random.default_rng(20))
         assert signals.interest.shape == (3, 600)
         assert signals.interference.shape == (2, 600)
@@ -199,7 +187,7 @@ class TestGenerateSourceSignals:
 
     def test_interference_mirrors_interest_negated(self):
         geom = small_geometry(seed=21, counts=(3, 2, 0))
-        params = SignalParams(n_samples=2000)
+        params = SetupConfig(n_samples=2000)
         signals = generate_source_signals(geom, params, np.random.default_rng(22))
         for row in range(2):
             corr = np.corrcoef(signals.interest[row], signals.interference[row])[0, 1]
@@ -208,7 +196,7 @@ class TestGenerateSourceSignals:
 
     def test_extra_interference_rows_are_power_matched_noise(self):
         geom = small_geometry(seed=23, counts=(2, 4, 0))
-        params = SignalParams(n_samples=1500, order_interest=3)
+        params = SetupConfig(n_samples=1500, order_interest=3)
         signals = generate_source_signals(geom, params, np.random.default_rng(24))
         full_qi = signals.interference
         mirrored_power = np.mean(full_qi[:2] ** 2)
@@ -221,15 +209,15 @@ class TestGenerateSourceSignals:
 
     def test_erp_disabled_means_zero_block(self):
         geom = small_geometry(seed=25, counts=(2, 1, 0))
-        params = SignalParams(n_samples=400, order_interest=3)
+        params = SetupConfig(n_samples=400, order_interest=3)
         signals = generate_source_signals(geom, params, np.random.default_rng(26))
         assert np.all(signals.erp == 0.0)
 
     def test_erp_enabled_adds_waveform_to_post_segment_only(self):
         geom = small_geometry(seed=27, counts=(2, 1, 0))
         n = 400
-        base = SignalParams(n_samples=n, order_interest=3)
-        with_erp = SignalParams(n_samples=n, order_interest=3, erp_enabled=True)
+        base = SetupConfig(n_samples=n, order_interest=3)
+        with_erp = SetupConfig(n_samples=n, order_interest=3, erp_enabled=True)
         plain = generate_source_signals(geom, base, np.random.default_rng(28))
         bumped = generate_source_signals(geom, with_erp, np.random.default_rng(28))
         assert np.array_equal(plain.interest[:, :n], bumped.interest[:, :n])
@@ -242,7 +230,7 @@ class TestGenerateSourceSignals:
 
     def test_background_block_optional(self):
         geom = small_geometry(seed=29, counts=(2, 1, 0))
-        params = SignalParams(n_samples=300, order_interest=3)
+        params = SetupConfig(n_samples=300, order_interest=3)
         signals = generate_source_signals(geom, params, np.random.default_rng(30))
         assert signals.background.shape == (0, 600)
         assert signals.interest.shape == (2, 600)
@@ -250,7 +238,7 @@ class TestGenerateSourceSignals:
 
     def test_composite_provenance_includes_background(self):
         geom = small_geometry(seed=31, counts=(2, 1, 3))
-        params = SignalParams(n_samples=300, order_interest=3, order_background=2)
+        params = SetupConfig(n_samples=300, order_interest=3, order_background=2)
         signals = generate_source_signals(geom, params, np.random.default_rng(32))
         assert signals.interest.shape == (2, 600)
         assert signals.background.shape == (3, 600)
@@ -259,7 +247,7 @@ class TestGenerateSourceSignals:
 
     def test_role_blocks_must_share_both_segments(self):
         geom = small_geometry(seed=35, counts=(2, 1, 2))
-        params = SignalParams(n_samples=300, order_interest=3, order_background=3)
+        params = SetupConfig(n_samples=300, order_interest=3, order_background=3)
         signals = generate_source_signals(geom, params, np.random.default_rng(36))
         with pytest.raises(ShapeMismatch, match="same 2n samples"):
             replace(signals, background=signals.background[:, :300])
@@ -268,7 +256,7 @@ class TestGenerateSourceSignals:
 
     def test_deterministic_given_seed(self):
         geom = small_geometry(seed=33, counts=(2, 2, 2))
-        params = SignalParams(n_samples=300, order_interest=3, order_background=3)
+        params = SetupConfig(n_samples=300, order_interest=3, order_background=3)
         a = generate_source_signals(geom, params, np.random.default_rng(34))
         b = generate_source_signals(geom, params, np.random.default_rng(34))
         assert np.array_equal(a.interest, b.interest)
@@ -278,9 +266,7 @@ class TestGenerateSourceSignals:
 
 class TestGeometryCsv:
     def test_one_row_per_source_with_repr_floats(self, tmp_path):
-        geom = sample_geometry(
-            (2, 1, 1), SourceSpace(), np.random.default_rng(40), deep=(1, 0, 0)
-        )
+        geom = sample_geometry((2, 1, 1), np.random.default_rng(40), deep=(1, 0, 0))
         path = tmp_path / "geometry.csv"
         write_geometry_csv(geom, path)
         with path.open(newline="") as handle:
