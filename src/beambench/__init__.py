@@ -52,7 +52,7 @@ from .forward import (
     save_leadfield,
     select_filter_leadfields,
 )
-from .metrics import EvalRow, SummaryRow, aggregate, evaluate, render_report
+from .metrics import EvalRow, SummaryRow, Truth, aggregate, evaluate, render_report
 from .mvar import (
     MaskMatrix,
     MvarModel,

@@ -198,30 +198,38 @@ def leadfield_sphere(
     """Build average-referenced lead-fields split by source role.
 
     Passing a PerturbedGeometry fills the perturbed matrices from the
-    jittered coordinates while the plain matrices use the original
-    ones; passing a SourceGeometry puts the original arrays in the
-    perturbed slots too.  The filter view starts unperturbed; see
-    select_filter_leadfields.  The conductivity is DEFAULT_SIGMA.
+    jittered coordinates of the interest and interference dipoles (no
+    slot holds perturbed background columns) while the plain matrices
+    use the original ones; passing a SourceGeometry puts the original
+    arrays in the perturbed slots too.  The filter view starts
+    unperturbed; see select_filter_leadfields.  The conductivity is
+    DEFAULT_SIGMA.
     """
     base = geom.base if isinstance(geom, PerturbedGeometry) else geom
     radius = base.head_radius
     if abs(montage.head_radius - radius) > 1e-9:
         raise ShapeMismatch("montage radius does not match the head radius")
 
-    def split(positions: np.ndarray, orientations: np.ndarray) -> dict[str, np.ndarray]:
+    def split(
+        positions: np.ndarray, orientations: np.ndarray, roles: tuple[str, ...]
+    ) -> dict[str, np.ndarray]:
+        picked = [i for i, tag in enumerate(base.roles) if tag in roles]
         full = _referenced(
-            dipole_potentials(positions, orientations, montage.positions, radius)
+            dipole_potentials(
+                positions[picked], orientations[picked], montage.positions, radius
+            )
         )
+        tags = [base.roles[i] for i in picked]
         return {
-            role: full[:, base.role_indices(role)]
-            if base.role_indices(role).size
-            else np.zeros((montage.n_electrodes, 0))
-            for role in ("interest", "interference", "background")
+            role: full[:, [j for j, tag in enumerate(tags) if tag == role]]
+            for role in roles
         }
 
-    plain = split(base.positions, base.orientations)
+    plain = split(
+        base.positions, base.orientations, ("interest", "interference", "background")
+    )
     if isinstance(geom, PerturbedGeometry):
-        pert = split(geom.positions, geom.orientations)
+        pert = split(geom.positions, geom.orientations, ("interest", "interference"))
     else:
         pert = plain
 

@@ -3,18 +3,21 @@
 Every (filter, realization) pair yields one EvalRow holding the
 relative Frobenius reconstruction error, per-source and mean Pearson
 correlations, and errors of the MVAR coefficients and PDC/DTF spectra
-refitted from the reconstruction against the generating model.
+refitted from the reconstruction against the generating model and its
+refit.  The truth side is one Truth per realization, refitted once and
+read by every filter's score.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .connectivity import connectivity_spectrum
+from .connectivity import ConnectivitySpectrum, connectivity_spectrum
 from .errors import ParseError, RankDeficientRegressor, ShapeMismatch
 from .filters import FilterKind
 from .mvar import MvarModel, fit
@@ -70,12 +73,38 @@ def _padded_stack(model: MvarModel, order: int) -> np.ndarray:
     return stack
 
 
+@dataclass(frozen=True)
+class Truth:
+    """The ground truth of one realization, shared by every filter's score.
+
+    `refit` (None when the fit is rank-deficient) and its `spectrum`
+    are computed on first read, so one realization refits its truth at
+    most once however many filters are scored against it.
+    """
+
+    signal: np.ndarray
+    model: MvarModel
+    fit_order: int
+    freqs: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "signal", np.asarray(self.signal, dtype=float))
+
+    @cached_property
+    def refit(self) -> MvarModel | None:
+        try:
+            return fit(self.signal, self.fit_order)
+        except RankDeficientRegressor:
+            return None
+
+    @cached_property
+    def spectrum(self) -> ConnectivitySpectrum:
+        return connectivity_spectrum(self.refit, self.freqs)
+
+
 def evaluate(
-    truth: np.ndarray,
+    truth: Truth,
     estimate: np.ndarray,
-    true_model: MvarModel,
-    fit_order: int,
-    freqs: np.ndarray,
     filter_name: str = "",
     realization: int = 0,
 ) -> EvalRow:
@@ -83,42 +112,40 @@ def evaluate(
 
     The coefficient error compares the generating model's stack with a
     model refitted on the estimate.  The PDC/DTF errors compare the
-    spectra of two refits, one on the truth and one on the estimate,
-    so both pass through the same estimator and a perfect
-    reconstruction scores exactly zero.  A rank-deficient refit is
-    flagged rather than fatal: the model and spectrum errors become
-    NaN and fit_failed is set.
+    spectra of two refits, the truth's and the estimate's, so both
+    pass through the same estimator and a perfect reconstruction
+    scores exactly zero.  The truth is refitted only once the
+    estimate's fit has succeeded.  A rank-deficient refit is flagged
+    rather than fatal: the model and spectrum errors become NaN and
+    fit_failed is set.
     """
-    truth = np.asarray(truth, dtype=float)
+    signal = truth.signal
     estimate = np.asarray(estimate, dtype=float)
-    if truth.shape != estimate.shape:
+    if signal.shape != estimate.shape:
         raise ShapeMismatch(
-            f"truth shape {truth.shape} differs from estimate shape {estimate.shape}"
+            f"truth shape {signal.shape} differs from estimate shape {estimate.shape}"
         )
-    denom = float(np.linalg.norm(truth))
+    denom = float(np.linalg.norm(signal))
     if denom == 0.0:
         raise ValueError("ground truth signal is identically zero")
-    euclid = float(np.linalg.norm(estimate - truth)) / denom
-    correlations = tuple(_pearson(truth[i], estimate[i]) for i in range(truth.shape[0]))
+    euclid = float(np.linalg.norm(estimate - signal)) / denom
+    correlations = tuple(_pearson(signal[i], estimate[i]) for i in range(signal.shape[0]))
 
     try:
-        fitted = fit(estimate, fit_order)
-        refit_truth = fit(truth, fit_order)
-        fit_failed = False
+        fitted = fit(estimate, truth.fit_order)
     except RankDeficientRegressor:
         fitted = None
-        refit_truth = None
-        fit_failed = True
+    fit_failed = fitted is None or truth.refit is None
 
-    if fitted is None or refit_truth is None:
+    if fit_failed:
         coeff_err = pdc_err = dtf_err = float("nan")
     else:
-        order = max(true_model.order, fitted.order)
+        order = max(truth.model.order, fitted.order)
         coeff_err = float(
-            np.linalg.norm(_padded_stack(true_model, order) - _padded_stack(fitted, order))
+            np.linalg.norm(_padded_stack(truth.model, order) - _padded_stack(fitted, order))
         )
-        spec_true = connectivity_spectrum(refit_truth, freqs)
-        spec_fit = connectivity_spectrum(fitted, freqs)
+        spec_true = truth.spectrum
+        spec_fit = connectivity_spectrum(fitted, truth.freqs)
         pdc_err = float(np.linalg.norm(spec_true.pdc - spec_fit.pdc))
         dtf_err = float(np.linalg.norm(spec_true.dtf - spec_fit.dtf))
 

@@ -38,6 +38,7 @@ from .forward import (
 )
 from .metrics import (
     EvalRow,
+    Truth,
     aggregate,
     evaluate,
     load_summary_csv,
@@ -83,8 +84,9 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
 
     Outputs: geometry.csv, results.csv, summary.csv, manifest.json and
     (optionally) the filter matrices of the first realization.
-    Each distinct weights array of the bank is scored once; entries that
-    share it (full-rank MV-PURE and its base filter) copy that row.
+    Each distinct weights array of the bank is scored once, against one
+    Truth per realization; entries that share it (full-rank MV-PURE and
+    its base filter) copy that row.
     A BenchError or ValueError (numpy's LinAlgError included) inside a
     realization is re-raised as a PipelineError that names the
     realization and stage.  Returns the run directory path.
@@ -125,15 +127,18 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
                         built.weights, filter_dir / f"{built.spec.export_name}.csv"
                     )
             stage = "evaluation"
+            truth = Truth(
+                signals.interest[:, config.n_samples :],
+                signals.interest_model,
+                config.order_interest,
+                freqs,
+            )
             scored: dict[int, EvalRow] = {}
             for built in bank:
                 if id(built.weights) not in scored:
                     scored[id(built.weights)] = evaluate(
-                        signals.interest[:, config.n_samples :],
+                        truth,
                         reconstruct(built, recording.sensors_pst),
-                        signals.interest_model,
-                        config.order_interest,
-                        freqs,
                         filter_name=built.spec.name,
                         realization=index,
                     )

@@ -36,4 +36,5 @@ def test_traced_run_reports_every_per_layer_metric(tmp_path):
     exact, timings = tracer.summarize(start, end)
     assert wanted <= set(exact) | set(timings)
     assert exact["metrics.evaluate.calls"] > 0
+    assert exact["metrics.spectra.repeat_ratio"] == 0.0
     assert exact["forward.dipole_potentials.calls"] > 0

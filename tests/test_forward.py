@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from beambench import forward
 from beambench.config import SetupConfig
 from beambench.errors import (
     DimensionMismatch,
@@ -16,6 +17,7 @@ from beambench.errors import (
 from beambench.forward import (
     DEFAULT_SIGMA,
     ElectrodeMontage,
+    _referenced,
     adjust_snr,
     compose_measurement,
     dipole_potentials,
@@ -27,6 +29,7 @@ from beambench.forward import (
     select_filter_leadfields,
 )
 from beambench.sources import (
+    SourceGeometry,
     generate_source_signals,
     perturb_geometry,
     sample_geometry,
@@ -315,6 +318,41 @@ class TestLeadfieldSphere:
         assert not np.array_equal(lf.interest, lf.interest_pert)
         # data-facing and filter-facing matrices still use the original
         assert np.array_equal(lf.filter_interest, lf.interest)
+
+    @pytest.mark.parametrize("order", ["by_role", "interleaved"])
+    def test_perturbed_background_is_never_evaluated(self, monkeypatch, order):
+        geom, montage, _, _ = small_setup(seed=3, counts=(2, 2, 3))
+        if order == "interleaved":
+            mix = np.array([4, 0, 2, 5, 1, 6, 3])
+            geom = SourceGeometry(
+                positions=geom.positions[mix],
+                orientations=geom.orientations[mix],
+                roles=tuple(geom.roles[i] for i in mix),
+                deep=geom.deep[mix],
+                head_radius=geom.head_radius,
+            )
+        pert = perturb_geometry(geom, 0.01, np.pi / 32.0, np.random.default_rng(4))
+        full = _referenced(
+            dipole_potentials(pert.positions, pert.orientations, montage.positions, HEAD)
+        )
+        seen: list[np.ndarray] = []
+        original = forward.dipole_potentials
+
+        def spy(positions, *args, **kwargs):
+            seen.append(np.atleast_2d(positions).copy())
+            return original(positions, *args, **kwargs)
+
+        monkeypatch.setattr(forward, "dipole_potentials", spy)
+        lf = leadfield_sphere(pert, montage)
+        for role, block in (
+            ("interest", lf.interest_pert),
+            ("interference", lf.interference_pert),
+        ):
+            assert np.array_equal(block, full[:, geom.role_indices(role)])
+        background = pert.positions[geom.role_indices("background")]
+        evaluated = {row.tobytes() for batch in seen for row in batch}
+        assert len(seen) == 2
+        assert not any(row.tobytes() in evaluated for row in background)
 
     def test_montage_radius_mismatch_rejected(self):
         geom, _, _, _ = small_setup(seed=5)

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from beambench.connectivity import default_freqs
-from beambench.errors import ParseError, ShapeMismatch
+from beambench import metrics
+from beambench.connectivity import connectivity_spectrum, default_freqs
+from beambench.errors import ParseError, RankDeficientRegressor, ShapeMismatch
 from beambench.metrics import (
     EvalRow,
     SCALAR_MEASURES,
     SummaryRow,
+    Truth,
+    _padded_stack,
+    _pearson,
     aggregate,
     evaluate,
     load_summary_csv,
@@ -21,7 +26,7 @@ from beambench.metrics import (
     write_results_csv,
     write_summary_csv,
 )
-from beambench.mvar import make_mask, sample_stable_mvar, simulate
+from beambench.mvar import fit, make_mask, sample_stable_mvar, simulate
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +40,7 @@ def truth_setup():
 
 def score(truth, estimate, model, name="F", realization=1):
     return evaluate(
-        truth, estimate, model, model.order, default_freqs(33), name, realization
+        Truth(truth, model, model.order, default_freqs(33)), estimate, name, realization
     )
 
 
@@ -80,7 +85,8 @@ class TestEvaluate:
 
     def test_coefficient_error_pads_to_common_order(self, truth_setup):
         model, truth = truth_setup
-        row = evaluate(truth, truth.copy(), model, model.order + 2, default_freqs(33))
+        higher = Truth(truth, model, model.order + 2, default_freqs(33))
+        row = evaluate(higher, truth.copy())
         # refit at a higher order: extra taps are near zero, so the
         # coefficient error stays close to the fit noise floor
         assert row.mvar_coeff_err < 0.5
@@ -94,6 +100,111 @@ class TestEvaluate:
         model, truth = truth_setup
         with pytest.raises(ValueError, match="zero"):
             score(np.zeros_like(truth), truth, model)
+
+
+def per_call_reference(
+    truth, estimate, true_model, fit_order, freqs, name, realization
+):
+    """The scoring body as it was when every call refitted the truth."""
+    truth = np.asarray(truth, dtype=float)
+    estimate = np.asarray(estimate, dtype=float)
+    euclid = float(np.linalg.norm(estimate - truth)) / float(np.linalg.norm(truth))
+    correlations = tuple(_pearson(truth[i], estimate[i]) for i in range(truth.shape[0]))
+    try:
+        fitted = fit(estimate, fit_order)
+        refit_truth = fit(truth, fit_order)
+        fit_failed = False
+    except RankDeficientRegressor:
+        fitted = refit_truth = None
+        fit_failed = True
+    if fit_failed:
+        coeff_err = pdc_err = dtf_err = float("nan")
+    else:
+        order = max(true_model.order, fitted.order)
+        coeff_err = float(
+            np.linalg.norm(_padded_stack(true_model, order) - _padded_stack(fitted, order))
+        )
+        spec_true = connectivity_spectrum(refit_truth, freqs)
+        spec_fit = connectivity_spectrum(fitted, freqs)
+        pdc_err = float(np.linalg.norm(spec_true.pdc - spec_fit.pdc))
+        dtf_err = float(np.linalg.norm(spec_true.dtf - spec_fit.dtf))
+    return EvalRow(
+        filter_name=name,
+        realization=realization,
+        signal_euclid=euclid,
+        source_correlations=correlations,
+        signal_corr=float(np.mean(correlations)),
+        mvar_coeff_err=coeff_err,
+        pdc_err=pdc_err,
+        dtf_err=dtf_err,
+        fit_failed=fit_failed,
+    )
+
+
+def assert_same_row(row, expected):
+    """Field by field with ==; a NaN matches only a NaN."""
+    for field in fields(EvalRow):
+        got, want = getattr(row, field.name), getattr(expected, field.name)
+        if isinstance(want, float) and math.isnan(want):
+            assert math.isnan(got), field.name
+        else:
+            assert got == want, field.name
+
+
+class TestSharedTruth:
+    @staticmethod
+    def estimates(truth):
+        noise = np.random.default_rng(92).standard_normal(truth.shape)
+        return {
+            "copy": truth.copy(),
+            "double": 2.0 * truth,
+            "noise": noise,
+            "zeros": np.zeros_like(truth),
+        }
+
+    @staticmethod
+    def counting_fit(monkeypatch) -> list[np.ndarray]:
+        seen: list[np.ndarray] = []
+        original = metrics.fit
+
+        def spy(series, order):
+            seen.append(series)
+            return original(series, order)
+
+        monkeypatch.setattr(metrics, "fit", spy)
+        return seen
+
+    def test_rows_equal_a_refit_per_call(self, truth_setup, monkeypatch):
+        model, truth = truth_setup
+        freqs = default_freqs(33)
+        shared = Truth(truth, model, model.order, freqs)
+        fitted = self.counting_fit(monkeypatch)
+        rows = {
+            name: evaluate(shared, estimate, name, 3)
+            for name, estimate in self.estimates(truth).items()
+        }
+        assert sum(series is shared.signal for series in fitted) == 1
+        assert rows["zeros"].fit_failed
+        assert not any(rows[name].fit_failed for name in ("copy", "double", "noise"))
+        for name, estimate in self.estimates(truth).items():
+            expected = per_call_reference(
+                truth, estimate, model, model.order, freqs, name, 3
+            )
+            assert_same_row(rows[name], expected)
+
+    def test_rank_deficient_truth_fails_every_row_and_is_fitted_once(
+        self, truth_setup, monkeypatch
+    ):
+        model, truth = truth_setup
+        constant = truth.copy()
+        constant[1] = 1.0
+        shared = Truth(constant, model, model.order, default_freqs(33))
+        fitted = self.counting_fit(monkeypatch)
+        rows = [evaluate(shared, estimate) for estimate in self.estimates(truth).values()]
+        assert all(row.fit_failed for row in rows)
+        assert all(math.isnan(row.pdc_err) and math.isnan(row.dtf_err) for row in rows)
+        assert sum(series is shared.signal for series in fitted) == 1
+        assert shared.refit is None
 
 
 class TestRowMeasures:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beambench import __version__, pipeline
+from beambench import __version__, metrics, pipeline
 from beambench.cli import main
 from beambench.config import SetupConfig
 from beambench.errors import MissingRun, ParseError, PipelineError
@@ -176,6 +176,27 @@ class TestDistinctFiltersScoredOnce:
         names = self.count_evaluations(monkeypatch)
         run(small_config(mvp_rank=mvp_rank), out_dir=tmp_path / "run")
         assert len(names) == per_realization * SMALL["n_realizations"]
+
+    def test_truth_is_refitted_once_per_realization(self, tmp_path, monkeypatch):
+        names = self.count_evaluations(monkeypatch)
+        calls = {"fit": 0, "connectivity_spectrum": 0}
+
+        def counting(attribute):
+            original = getattr(metrics, attribute)
+
+            def counted(*args, **kwargs):
+                calls[attribute] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for attribute in calls:
+            monkeypatch.setattr(metrics, attribute, counting(attribute))
+        run(small_config(), out_dir=tmp_path / "run")
+        distinct = len(names) // SMALL["n_realizations"]
+        expected = SMALL["n_realizations"] * (distinct + 1)
+        assert distinct == 9
+        assert calls == {"fit": expected, "connectivity_spectrum": expected}
 
     def test_full_rank_mv_pure_rows_equal_their_base_rows(self, run_dir):
         with (run_dir / "results.csv").open() as handle:
