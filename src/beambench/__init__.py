@@ -16,8 +16,6 @@ from .connectivity import (
     ConnectivitySpectrum,
     connectivity_spectrum,
     default_freqs,
-    dtf,
-    pdc,
     spectral_transform,
 )
 from .filters import (
@@ -47,14 +45,12 @@ from .forward import (
     dipole_potentials,
     fibonacci_montage,
     leadfield_sphere,
-    load_leadfield,
     reduce_rank,
     save_leadfield,
     select_filter_leadfields,
 )
 from .metrics import EvalRow, SummaryRow, Truth, aggregate, evaluate, render_report
 from .mvar import (
-    MaskMatrix,
     MvarModel,
     fit,
     is_stable,

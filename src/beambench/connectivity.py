@@ -123,22 +123,6 @@ def _invert(base: np.ndarray) -> tuple[np.ndarray, bool]:
     return inverse, bool(singular.any())
 
 
-def pdc(model: MvarModel, freqs: np.ndarray) -> np.ndarray:
-    """Partial directed coherence: |A_ij(f)| scaled so every column of
-    the (to, from) slice has unit Euclidean norm at each frequency."""
-    freqs = _check_freqs(freqs)
-    coeff_transform, _ = spectral_transform(model, freqs)
-    return _column_normalize(np.abs(coeff_transform), freqs)
-
-
-def dtf(model: MvarModel, freqs: np.ndarray) -> np.ndarray:
-    """Directed transfer function: |H_ji(f)| scaled so every row of the
-    (to, from) slice has unit Euclidean norm at each frequency."""
-    freqs = _check_freqs(freqs)
-    _, transfer_mat = spectral_transform(model, freqs)
-    return _row_normalize(np.abs(transfer_mat), freqs)
-
-
 def _column_normalize(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     scale = np.sqrt(np.sum(mags**2, axis=0))
     if np.any(scale == 0.0):

@@ -55,10 +55,6 @@ class ParseError(BenchError):
     """A config or CSV file is syntactically malformed."""
 
 
-class DimensionMismatch(BenchError):
-    """File contents disagree with their declared dimensions."""
-
-
 class UnknownKey(BenchError):
     """A config key is not recognized or not supported."""
 

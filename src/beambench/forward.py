@@ -45,13 +45,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    ParseError,
-    ShapeMismatch,
-    SourceOutsideHead,
-    ZeroTargetSignal,
-)
+from .errors import ShapeMismatch, SourceOutsideHead, ZeroTargetSignal
 from .sources import PerturbedGeometry, SourceGeometry, SourceSignals
 
 if TYPE_CHECKING:
@@ -62,20 +56,15 @@ DEFAULT_SIGMA = 0.33
 
 @dataclass(frozen=True)
 class ElectrodeMontage:
-    """Electrode positions on the scalp sphere with unique labels."""
+    """Electrode positions on the scalp sphere."""
 
     positions: np.ndarray
-    labels: tuple[str, ...]
     head_radius: float
 
     def __post_init__(self) -> None:
         positions = np.asarray(self.positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError("positions must have shape (m, 3)")
-        if positions.shape[0] != len(self.labels):
-            raise ValueError("one label per electrode is required")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("electrode labels must be unique")
         radii = np.linalg.norm(positions, axis=1)
         if np.max(np.abs(radii - self.head_radius), initial=0.0) > 1e-9:
             raise ValueError("all electrodes must sit on the scalp sphere")
@@ -103,8 +92,7 @@ def fibonacci_montage(m: int, head_radius: float) -> ElectrodeMontage:
     positions = head_radius * np.column_stack(
         [rho * np.cos(azimuth), rho * np.sin(azimuth), z]
     )
-    labels = tuple(f"E{i:03d}" for i in idx)
-    return ElectrodeMontage(positions=positions, labels=labels, head_radius=head_radius)
+    return ElectrodeMontage(positions=positions, head_radius=head_radius)
 
 
 def dipole_potentials(
@@ -158,20 +146,23 @@ def dipole_potentials(
 
 @dataclass(frozen=True)
 class LeadfieldSet:
-    """Role-split lead-fields, the perturbed twins, and the filter view.
+    """Role-split lead-fields, their Grams, the perturbed twins, and the
+    filter view.
 
     Data generation always reads the unperturbed `interest`,
-    `interference` and `background` matrices.  `interest_pert` and
-    `interference_pert` come from the jittered geometry; for a plain
-    geometry they are the unperturbed arrays themselves.  The filters
-    see `filter_interest` and `composite`, the stack of
-    `filter_interest` and the filter-side interference matrix (possibly
-    perturbed, possibly rank-reduced).
+    `interference` and `background` matrices and their Grams H'H
+    (`grams`, in that order); a run builds these once, from its fixed
+    geometry.  `interest_pert` and `interference_pert` come from the
+    jittered geometry; for a plain geometry they are the unperturbed
+    arrays themselves.  The filters see `filter_interest` and
+    `composite`, the stack of `filter_interest` and the filter-side
+    interference matrix (possibly perturbed, possibly rank-reduced).
     """
 
     interest: np.ndarray
     interference: np.ndarray
     background: np.ndarray
+    grams: tuple[np.ndarray, np.ndarray, np.ndarray]
     interest_pert: np.ndarray
     interference_pert: np.ndarray
     filter_interest: np.ndarray
@@ -180,7 +171,7 @@ class LeadfieldSet:
     def __post_init__(self) -> None:
         m = self.interest.shape[0]
         for name, matrix in vars(self).items():
-            if matrix.shape[0] != m:
+            if name != "grams" and matrix.shape[0] != m:
                 raise ShapeMismatch(f"{name} must have {m} sensor rows")
 
 
@@ -194,16 +185,17 @@ def _referenced(matrix: np.ndarray) -> np.ndarray:
 def leadfield_sphere(
     geom: SourceGeometry | PerturbedGeometry,
     montage: ElectrodeMontage,
+    plain: LeadfieldSet | None = None,
 ) -> LeadfieldSet:
     """Build average-referenced lead-fields split by source role.
 
-    Passing a PerturbedGeometry fills the perturbed matrices from the
-    jittered coordinates of the interest and interference dipoles (no
-    slot holds perturbed background columns) while the plain matrices
-    use the original ones; passing a SourceGeometry puts the original
-    arrays in the perturbed slots too.  The filter view starts
-    unperturbed; see select_filter_leadfields.  The conductivity is
-    DEFAULT_SIGMA.
+    A SourceGeometry gives the plain set: every role's matrix and Gram,
+    with the same arrays in the perturbed slots.  A run builds it once,
+    since its geometry stays fixed.  A PerturbedGeometry takes the plain
+    set of its base geometry as `plain` and evaluates only the jittered
+    interest and interference columns (no slot holds perturbed
+    background columns).  The filter view starts unperturbed; see
+    select_filter_leadfields.  The conductivity is DEFAULT_SIGMA.
     """
     base = geom.base if isinstance(geom, PerturbedGeometry) else geom
     radius = base.head_radius
@@ -225,22 +217,25 @@ def leadfield_sphere(
             for role in roles
         }
 
-    plain = split(
-        base.positions, base.orientations, ("interest", "interference", "background")
-    )
     if isinstance(geom, PerturbedGeometry):
+        if plain is None:
+            raise ValueError("a perturbed geometry needs the plain set of its base")
         pert = split(geom.positions, geom.orientations, ("interest", "interference"))
-    else:
-        pert = plain
-
+        return replace(
+            plain,
+            interest_pert=pert["interest"],
+            interference_pert=pert["interference"],
+        )
+    blocks = split(
+        geom.positions, geom.orientations, ("interest", "interference", "background")
+    )
     return LeadfieldSet(
-        interest=plain["interest"],
-        interference=plain["interference"],
-        background=plain["background"],
-        interest_pert=pert["interest"],
-        interference_pert=pert["interference"],
-        filter_interest=plain["interest"],
-        composite=np.hstack([plain["interest"], plain["interference"]]),
+        **blocks,
+        grams=tuple(h.T @ h for h in blocks.values()),
+        interest_pert=blocks["interest"],
+        interference_pert=blocks["interference"],
+        filter_interest=blocks["interest"],
+        composite=np.hstack([blocks["interest"], blocks["interference"]]),
     )
 
 
@@ -353,7 +348,7 @@ def compose_measurement(
 
     noise = rng.standard_normal((m, 2 * n))
     # ||H X||_F^2 = sum((H'H) * (X X')), without forming H X.
-    powers = [np.sum((h.T @ h) * (x @ x.T)) for h, x in zip(leadfields, blocks)]
+    powers = [np.sum(gram * (x @ x.T)) for gram, x in zip(lf.grams, blocks)]
     powers.append(np.vdot(noise, noise))
     reference = np.sqrt(powers[0])
     levels = (cfg.sinr_db, cfg.sbnr_db, cfg.smnr_db)
@@ -396,38 +391,3 @@ def save_leadfield(matrix: np.ndarray, path: str | Path) -> None:
         handle.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
         for row in matrix:
             handle.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_leadfield(path: str | Path) -> np.ndarray:
-    """Read a matrix written by save_leadfield, validating dimensions."""
-    path = Path(path)
-    with path.open() as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    if not lines or not lines[0].strip():
-        raise ParseError(f"{path}: missing dimension header")
-    tokens = lines[0].split()
-    if len(tokens) != 2:
-        raise ParseError(f"{path}:1: header must hold exactly two integers")
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
-        raise ParseError(f"{path}:1: non-integer dimension header") from exc
-    if rows < 0 or cols < 0:
-        raise DimensionMismatch(f"{path}:1: dimensions must be non-negative")
-    body = [line for line in lines[1:] if line.strip()]
-    if len(body) != rows:
-        raise DimensionMismatch(
-            f"{path}: header promises {rows} rows, found {len(body)}"
-        )
-    out = np.empty((rows, cols))
-    for i, line in enumerate(body):
-        cells = line.split(",")
-        if len(cells) != cols:
-            raise DimensionMismatch(
-                f"{path}:{i + 2}: expected {cols} columns, found {len(cells)}"
-            )
-        try:
-            out[i] = [float(cell) for cell in cells]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{i + 2}: malformed float") from exc
-    return out

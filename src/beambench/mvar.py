@@ -82,26 +82,9 @@ class MvarModel:
         return self.coeffs.transpose(1, 0, 2).reshape(self.dim, self.order * self.dim)
 
 
-@dataclass(frozen=True)
-class MaskMatrix:
-    """Binary sparsity pattern with a forced unit diagonal."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"entries shape {entries.shape} does not match dim")
-        if not np.all((entries == 0.0) | (entries == 1.0)):
-            raise ValueError("mask entries must be 0 or 1")
-        if not np.all(np.diag(entries) == 1.0):
-            raise ValueError("mask diagonal must be all ones")
-        object.__setattr__(self, "entries", entries)
-
-
-def make_mask(dim: int, frac_ones: float, rng: np.random.Generator) -> MaskMatrix:
-    """Draw a mask with unit diagonal and random off-diagonal support.
+def make_mask(dim: int, frac_ones: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw a (dim, dim) 0/1 mask with unit diagonal and random
+    off-diagonal support.
 
     The number of off-diagonal ones is round(frac_ones * dim * (dim-1)),
     placed uniformly without replacement.
@@ -117,7 +100,7 @@ def make_mask(dim: int, frac_ones: float, rng: np.random.Generator) -> MaskMatri
         rows, cols = np.nonzero(~np.eye(dim, dtype=bool))
         picked = rng.choice(n_off, size=n_ones, replace=False)
         entries[rows[picked], cols[picked]] = 1.0
-    return MaskMatrix(dim=dim, entries=entries)
+    return entries
 
 
 def is_stable(model: MvarModel, stab_limit: float = 1.0) -> tuple[bool, float]:
@@ -135,7 +118,7 @@ def is_stable(model: MvarModel, stab_limit: float = 1.0) -> tuple[bool, float]:
 def sample_stable_mvar(
     dim: int,
     order: int,
-    mask: MaskMatrix,
+    mask: np.ndarray,
     stab_limit: float,
     coeff_range: tuple[float, float],
     iter_limit: int,
@@ -148,8 +131,8 @@ def sample_stable_mvar(
     iff the companion spectral radius is below stab_limit.  Raises
     StabilitySearchExhausted after iter_limit failed attempts.
     """
-    if mask.dim != dim:
-        raise ValueError(f"mask dim {mask.dim} does not match dim {dim}")
+    if mask.shape != (dim, dim):
+        raise ValueError(f"mask shape {mask.shape} does not match dim {dim}")
     if not 0.0 < stab_limit <= 1.0:
         raise ValueError(f"stab_limit must lie in (0, 1], got {stab_limit}")
     lo, hi = float(coeff_range[0]), float(coeff_range[1])
@@ -160,7 +143,7 @@ def sample_stable_mvar(
 
     eye = np.eye(dim)
     for _ in range(iter_limit):
-        draw = rng.uniform(lo, hi, size=(order, dim, dim)) * mask.entries
+        draw = rng.uniform(lo, hi, size=(order, dim, dim)) * mask
         candidate = MvarModel(dim=dim, order=order, coeffs=draw, noise_cov=eye)
         stable, _ = is_stable(candidate, stab_limit)
         if stable:

@@ -84,6 +84,9 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
 
     Outputs: geometry.csv, results.csv, summary.csv, manifest.json and
     (optionally) the filter matrices of the first realization.
+    The geometry is fixed for the run, so its plain lead-field set and
+    Grams are built once; each realization evaluates only the jittered
+    interest and interference columns.
     Each distinct weights array of the bank is scored once, against one
     Truth per realization; entries that share it (full-rank MV-PURE and
     its base filter) copy that row.
@@ -97,6 +100,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     out.mkdir(parents=True, exist_ok=True)
 
     geometry, montage = _geometry(config)
+    plain = leadfield_sphere(geometry, montage)
     specs = _filter_specs(config)
     freqs = default_freqs(config.pdc_resolution)
 
@@ -113,7 +117,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
                 geometry, config.cube_edge, config.cone_half_angle, rng_perturb
             )
             stage = "leadfields"
-            lf = leadfield_sphere(perturbed, montage)
+            lf = leadfield_sphere(perturbed, montage, plain)
             stage = "measurement"
             recording, lf_view = compose_measurement(signals, lf, config, rng_noise)
             cov_set = estimate_covariances(recording, signals)

@@ -89,11 +89,6 @@ class SourceGeometry:
     def n_background(self) -> int:
         return self.roles.count(ROLE_BACKGROUND)
 
-    def role_indices(self, role: str) -> np.ndarray:
-        if role not in ROLES:
-            raise ValueError(f"unknown source role {role!r}")
-        return np.array([i for i, tag in enumerate(self.roles) if tag == role])
-
 
 @dataclass(frozen=True)
 class PerturbedGeometry:
@@ -261,14 +256,13 @@ class SourceSignals:
     `interest`, `interference` and `background` each hold one row per
     source of that role and 2n columns: the pre segment is [:, :n] and
     the post segment [:, n:].  When enabled, the ERP is already added
-    to the post half of `interest`; `erp` keeps the added waveform,
-    shape (l, n).  `interest_model` generated the interest rows.
+    to the post half of `interest`.  `interest_model` generated the
+    interest rows.
     """
 
     interest: np.ndarray
     interference: np.ndarray
     background: np.ndarray
-    erp: np.ndarray
     interest_model: MvarModel
 
     def __post_init__(self) -> None:
@@ -277,8 +271,6 @@ class SourceSignals:
             block.shape[1] != total for block in (self.interference, self.background)
         ):
             raise ShapeMismatch("every role block must span the same 2n samples")
-        if self.erp.shape != (self.interest.shape[0], total // 2):
-            raise ShapeMismatch("erp must match the interest post segment shape")
 
 
 def generate_source_signals(
@@ -354,7 +346,6 @@ def generate_source_signals(
         interest=interest,
         interference=interference,
         background=background,
-        erp=erp,
         interest_model=interest_model,
     )
 

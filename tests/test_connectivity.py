@@ -9,11 +9,11 @@ import pytest
 
 from beambench.connectivity import (
     DEFAULT_RESOLUTION,
+    _column_normalize,
     _invert,
+    _row_normalize,
     connectivity_spectrum,
     default_freqs,
-    dtf,
-    pdc,
     spectral_transform,
 )
 from beambench.errors import ZeroColumn, ZeroRow
@@ -214,26 +214,26 @@ class TestRegularCertificate:
 
 class TestPdc:
     def test_zero_model_gives_identity_pattern(self):
-        values = pdc(zero_model(3), default_freqs(5))
+        values = connectivity_spectrum(zero_model(3), default_freqs(5)).pdc
         for k in range(5):
             assert np.allclose(values[:, :, k], np.eye(3), atol=1e-15)
 
     def test_scalar_model_is_one_everywhere(self):
-        values = pdc(scalar_model(0.5), default_freqs(7))
+        values = connectivity_spectrum(scalar_model(0.5), default_freqs(7)).pdc
         assert np.allclose(values, 1.0, atol=1e-15)
 
     def test_directionality_of_triangular_model(self):
-        values = pdc(triangular_model(), default_freqs(17))
+        values = connectivity_spectrum(triangular_model(), default_freqs(17)).pdc
         assert np.all(values[1, 0, :] > 0.0)
         assert np.all(values[0, 1, :] == 0.0)
 
     def test_columns_square_sum_to_one(self):
-        values = pdc(random_stable(3, 5, 4), default_freqs(33))
+        values = connectivity_spectrum(random_stable(3, 5, 4), default_freqs(33)).pdc
         sums = np.sum(values**2, axis=0)
         assert np.max(np.abs(sums - 1.0)) <= 1e-10
 
     def test_magnitudes_within_unit_interval(self):
-        values = pdc(random_stable(4, 4, 2), default_freqs(33))
+        values = connectivity_spectrum(random_stable(4, 4, 2), default_freqs(33)).pdc
         assert np.all(values >= 0.0)
         assert np.all(values <= 1.0)
 
@@ -242,50 +242,60 @@ class TestPdc:
         # the singular-transfer fallback warning on the way
         with pytest.warns(RuntimeWarning):
             with pytest.raises(ZeroColumn):
-                pdc(scalar_model(1.0), np.array([0.0]))
+                connectivity_spectrum(scalar_model(1.0), np.array([0.0]))
 
     def test_independent_of_noise_covariance(self):
         model = random_stable(5, 3, 2)
         scaled = MvarModel(model.dim, model.order, model.coeffs, 4.0 * model.noise_cov)
         freqs = default_freqs(17)
-        assert np.array_equal(pdc(model, freqs), pdc(scaled, freqs))
+        assert np.array_equal(
+            connectivity_spectrum(model, freqs).pdc,
+            connectivity_spectrum(scaled, freqs).pdc,
+        )
 
 
 class TestDtf:
     def test_zero_model_gives_identity_pattern(self):
-        values = dtf(zero_model(3), default_freqs(5))
+        values = connectivity_spectrum(zero_model(3), default_freqs(5)).dtf
         for k in range(5):
             assert np.allclose(values[:, :, k], np.eye(3), atol=1e-15)
 
     def test_scalar_model_is_one_everywhere(self):
-        values = dtf(scalar_model(0.5), default_freqs(7))
+        values = connectivity_spectrum(scalar_model(0.5), default_freqs(7)).dtf
         assert np.allclose(values, 1.0, atol=1e-15)
 
     def test_directionality_of_triangular_model(self):
-        values = dtf(triangular_model(), default_freqs(17))
+        values = connectivity_spectrum(triangular_model(), default_freqs(17)).dtf
         assert np.all(values[1, 0, :] > 0.0)
         # the inverse of a lower-triangular matrix stays lower-triangular
         assert np.all(values[0, 1, :] <= 1e-15)
 
     def test_rows_square_sum_to_one(self):
-        values = dtf(random_stable(6, 5, 4), default_freqs(33))
+        values = connectivity_spectrum(random_stable(6, 5, 4), default_freqs(33)).dtf
         sums = np.sum(values**2, axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-10
 
     def test_zero_row_raises_under_printed_form(self):
         # a = 1 makes A(0) = 0 for the scalar model; pinv(0) = 0 leaves H(0)
-        # with a vanishing row, after one singular-transform warning
+        # with a vanishing row, after one singular-transform warning.  A
+        # spectrum stops earlier, at the zero column of A(0), so the row
+        # normalization is applied to H itself.
+        freqs = np.array([0.0])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            _, transfer = spectral_transform(scalar_model(1.0), freqs)
             with pytest.raises(ZeroRow):
-                dtf(scalar_model(1.0), np.array([0.0]))
+                _row_normalize(np.abs(transfer), freqs)
         assert [w.category for w in caught] == [RuntimeWarning]
 
     def test_independent_of_noise_covariance(self):
         model = random_stable(7, 3, 2)
         scaled = MvarModel(model.dim, model.order, model.coeffs, 0.25 * model.noise_cov)
         freqs = default_freqs(17)
-        assert np.array_equal(dtf(model, freqs), dtf(scaled, freqs))
+        assert np.array_equal(
+            connectivity_spectrum(model, freqs).dtf,
+            connectivity_spectrum(scaled, freqs).dtf,
+        )
 
 
 class TestConnectivitySpectrum:
@@ -293,8 +303,10 @@ class TestConnectivitySpectrum:
         model = random_stable(8, 4, 3)
         freqs = default_freqs(21)
         spectrum = connectivity_spectrum(model, freqs)
-        assert np.array_equal(spectrum.pdc, pdc(model, freqs))
-        assert np.array_equal(spectrum.dtf, dtf(model, freqs))
+        coeff_transform, transfer = spectral_transform(model, freqs)
+        pdc = _column_normalize(np.abs(coeff_transform), freqs)
+        assert np.array_equal(spectrum.pdc, pdc)
+        assert np.array_equal(spectrum.dtf, _row_normalize(np.abs(transfer), freqs))
         assert spectrum.pdc.shape == (4, 4, 21)
 
     def test_default_grid_is_129_points(self):

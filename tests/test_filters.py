@@ -55,6 +55,7 @@ def scalar_lf(h: float) -> LeadfieldSet:
         interest=h_f,
         interference=empty,
         background=empty,
+        grams=(h_f.T @ h_f, np.zeros((0, 0)), np.zeros((0, 0))),
         interest_pert=h_f,
         interference_pert=empty,
         filter_interest=h_f,
@@ -563,6 +564,7 @@ class TestBuildFilterBank:
                 interest=h,
                 interference=h_i,
                 background=np.zeros((m, 0)),
+                grams=(h.T @ h, h_i.T @ h_i, np.zeros((0, 0))),
                 interest_pert=h,
                 interference_pert=h_i,
                 filter_interest=h,

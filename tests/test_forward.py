@@ -7,13 +7,7 @@ import pytest
 
 from beambench import forward
 from beambench.config import SetupConfig
-from beambench.errors import (
-    DimensionMismatch,
-    ParseError,
-    ShapeMismatch,
-    SourceOutsideHead,
-    ZeroTargetSignal,
-)
+from beambench.errors import ShapeMismatch, SourceOutsideHead, ZeroTargetSignal
 from beambench.forward import (
     DEFAULT_SIGMA,
     ElectrodeMontage,
@@ -23,7 +17,6 @@ from beambench.forward import (
     dipole_potentials,
     fibonacci_montage,
     leadfield_sphere,
-    load_leadfield,
     reduce_rank,
     save_leadfield,
     select_filter_leadfields,
@@ -134,7 +127,6 @@ class TestMontage:
         assert montage.n_electrodes == 128
         radii = np.linalg.norm(montage.positions, axis=1)
         assert np.max(np.abs(radii - HEAD)) <= 1e-9
-        assert len(set(montage.labels)) == 128
 
     def test_covers_only_the_upper_three_quarters(self):
         montage = fibonacci_montage(64, HEAD)
@@ -150,15 +142,8 @@ class TestMontage:
     def test_type_rejects_off_sphere_positions(self):
         with pytest.raises(ValueError, match="scalp sphere"):
             ElectrodeMontage(
-                positions=np.array([[0.0, 0.0, 0.08]]),
-                labels=("E0",),
-                head_radius=HEAD,
+                positions=np.array([[0.0, 0.0, 0.08]]), head_radius=HEAD
             )
-
-    def test_type_rejects_duplicate_labels(self):
-        positions = HEAD * np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        with pytest.raises(ValueError, match="unique"):
-            ElectrodeMontage(positions=positions, labels=("E0", "E0"), head_radius=HEAD)
 
 
 class TestDipolePotentials:
@@ -312,9 +297,9 @@ class TestLeadfieldSphere:
         assert np.array_equal(lf.composite, np.hstack([lf.interest, lf.interference]))
 
     def test_perturbed_geometry_fills_pert_slots(self):
-        geom, montage, _, _ = small_setup(seed=3)
+        geom, montage, _, plain = small_setup(seed=3)
         pert = perturb_geometry(geom, 0.01, np.pi / 32.0, np.random.default_rng(4))
-        lf = leadfield_sphere(pert, montage)
+        lf = leadfield_sphere(pert, montage, plain)
         assert not np.array_equal(lf.interest, lf.interest_pert)
         # data-facing and filter-facing matrices still use the original
         assert np.array_equal(lf.filter_interest, lf.interest)
@@ -322,6 +307,7 @@ class TestLeadfieldSphere:
     @pytest.mark.parametrize("order", ["by_role", "interleaved"])
     def test_perturbed_background_is_never_evaluated(self, monkeypatch, order):
         geom, montage, _, _ = small_setup(seed=3, counts=(2, 2, 3))
+        indices = {"interest": [0, 1], "interference": [2, 3], "background": [4, 5, 6]}
         if order == "interleaved":
             mix = np.array([4, 0, 2, 5, 1, 6, 3])
             geom = SourceGeometry(
@@ -331,6 +317,12 @@ class TestLeadfieldSphere:
                 deep=geom.deep[mix],
                 head_radius=geom.head_radius,
             )
+            indices = {
+                "interest": [1, 4],
+                "interference": [2, 6],
+                "background": [0, 3, 5],
+            }
+        plain = leadfield_sphere(geom, montage)
         pert = perturb_geometry(geom, 0.01, np.pi / 32.0, np.random.default_rng(4))
         full = _referenced(
             dipole_potentials(pert.positions, pert.orientations, montage.positions, HEAD)
@@ -343,16 +335,32 @@ class TestLeadfieldSphere:
             return original(positions, *args, **kwargs)
 
         monkeypatch.setattr(forward, "dipole_potentials", spy)
-        lf = leadfield_sphere(pert, montage)
+        lf = leadfield_sphere(pert, montage, plain)
         for role, block in (
             ("interest", lf.interest_pert),
             ("interference", lf.interference_pert),
         ):
-            assert np.array_equal(block, full[:, geom.role_indices(role)])
-        background = pert.positions[geom.role_indices("background")]
+            assert np.array_equal(block, full[:, indices[role]])
+        background = pert.positions[indices["background"]]
         evaluated = {row.tobytes() for batch in seen for row in batch}
-        assert len(seen) == 2
+        # one call, for the jittered interest and interference dipoles
+        assert len(seen) == 1
         assert not any(row.tobytes() in evaluated for row in background)
+
+    def test_grams_belong_to_the_plain_matrices(self):
+        geom, montage, _, plain = small_setup(seed=3)
+        pert = perturb_geometry(geom, 0.01, np.pi / 32.0, np.random.default_rng(4))
+        lf = leadfield_sphere(pert, montage, plain)
+        for gram, h in zip(lf.grams, (lf.interest, lf.interference, lf.background)):
+            assert np.array_equal(gram, h.T @ h)
+        # the plain arrays and Grams are the run's, not recomputed
+        assert lf.interest is plain.interest and lf.grams is plain.grams
+
+    def test_perturbed_geometry_needs_the_plain_set(self):
+        geom, montage, _, _ = small_setup(seed=3)
+        pert = perturb_geometry(geom, 0.01, np.pi / 32.0, np.random.default_rng(4))
+        with pytest.raises(ValueError, match="plain set"):
+            leadfield_sphere(pert, montage)
 
     def test_montage_radius_mismatch_rejected(self):
         geom, _, _, _ = small_setup(seed=5)
@@ -387,9 +395,9 @@ class TestReduceRank:
 
 class TestSelectFilterLeadfields:
     def test_flags_route_perturbed_matrices(self):
-        geom, montage, _, _ = small_setup(seed=7)
+        geom, montage, _, plain = small_setup(seed=7)
         pert = perturb_geometry(geom, 0.01, np.pi / 32.0, np.random.default_rng(8))
-        lf = leadfield_sphere(pert, montage)
+        lf = leadfield_sphere(pert, montage, plain)
         chosen = select_filter_leadfields(lf, True, False)
         assert np.array_equal(chosen.filter_interest, lf.interest_pert)
         assert np.array_equal(
@@ -467,7 +475,7 @@ class TestComposeMeasurement:
         cfg = SetupConfig(sinr_db=5.0, sbnr_db=-3.0, smnr_db=20.0)
         recording, _ = compose_measurement(signals, lf, cfg, np.random.default_rng(14))
         gains = recording.gains_pst
-        noise = replayed_noise(14, lf.interest.shape[0], signals.erp.shape[1])
+        noise = replayed_noise(14, lf.interest.shape[0], signals.interest.shape[1] // 2)
         ref_norm = np.linalg.norm(lf.interest @ signals.interest)
         for scaled, level in (
             (gains.interference * lf.interference @ signals.interference, 5.0),
@@ -512,9 +520,9 @@ class TestComposeMeasurement:
         assert np.allclose(recording.sensors_pst, expected, atol=1e-12)
 
     def test_filter_view_honors_flags(self):
-        geom, montage, _, _ = small_setup(seed=19)
+        geom, montage, _, plain = small_setup(seed=19)
         pert = perturb_geometry(geom, 0.01, np.pi / 32.0, np.random.default_rng(20))
-        lf = leadfield_sphere(pert, montage)
+        lf = leadfield_sphere(pert, montage, plain)
         params = SetupConfig(n_samples=300, order_interest=3, order_background=3)
         signals = generate_source_signals(geom, params, np.random.default_rng(21))
         cfg = SetupConfig(use_interest_pert=True)
@@ -544,7 +552,7 @@ def check_gain_scaled_product(counts, m: int, seed: int, levels) -> None:
     segment's gains follow the SNR rule and its switches, and its
     sensors equal the gain-scaled mixing product plus scaled noise."""
     signals, lf = tiny_setup(counts, m, seed)
-    n = signals.erp.shape[1]
+    n = signals.interest.shape[1] // 2
     noise = replayed_noise(seed + 2, m, n)
     leadfields = (lf.interest, lf.interference, lf.background)
     blocks = (signals.interest, signals.interference, signals.background)
@@ -634,39 +642,10 @@ class TestLeadfieldCsv:
         matrix = rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-8, 8, size=(5, 3))
         path = tmp_path / "lf.csv"
         save_leadfield(matrix, path)
-        assert np.array_equal(load_leadfield(path), matrix)
+        loaded = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(loaded, matrix)
 
     def test_header_row_declares_dimensions(self, tmp_path):
         path = tmp_path / "lf.csv"
         save_leadfield(np.ones((2, 4)), path)
         assert path.read_text().splitlines()[0] == "2 4"
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "broken.csv"
-        path.write_text("")
-        with pytest.raises(ParseError, match="header"):
-            load_leadfield(path)
-
-    def test_malformed_header_rejected(self, tmp_path):
-        path = tmp_path / "broken.csv"
-        path.write_text("3\n1,2,3\n")
-        with pytest.raises(ParseError, match="two integers"):
-            load_leadfield(path)
-
-    def test_row_count_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "broken.csv"
-        path.write_text("2 2\n1,2\n")
-        with pytest.raises(DimensionMismatch, match="promises 2 rows"):
-            load_leadfield(path)
-
-    def test_column_count_mismatch_names_the_line(self, tmp_path):
-        path = tmp_path / "broken.csv"
-        path.write_text("2 3\n1,2,3\n4,5\n")
-        with pytest.raises(DimensionMismatch, match=":3:"):
-            load_leadfield(path)
-
-    def test_malformed_float_names_the_line(self, tmp_path):
-        path = tmp_path / "broken.csv"
-        path.write_text("1 2\n1,zap\n")
-        with pytest.raises(ParseError, match=":2:"):
-            load_leadfield(path)

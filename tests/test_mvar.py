@@ -11,7 +11,6 @@ from beambench.errors import (
     UnstableModel,
 )
 from beambench.mvar import (
-    MaskMatrix,
     MvarModel,
     fit,
     is_stable,
@@ -77,41 +76,29 @@ class TestMvarModel:
 class TestMakeMask:
     def test_zero_fraction_gives_identity(self):
         mask = make_mask(3, 0.0, np.random.default_rng(0))
-        assert np.array_equal(mask.entries, np.eye(3))
+        assert np.array_equal(mask, np.eye(3))
 
     def test_full_fraction_gives_all_ones(self):
         mask = make_mask(3, 1.0, np.random.default_rng(0))
-        assert np.array_equal(mask.entries, np.ones((3, 3)))
+        assert np.array_equal(mask, np.ones((3, 3)))
 
     def test_default_fraction_count_dim9(self):
         mask = make_mask(9, 0.2, np.random.default_rng(1))
-        off = mask.entries[~np.eye(9, dtype=bool)]
+        off = mask[~np.eye(9, dtype=bool)]
         assert int(off.sum()) == 14  # round(0.2 * 9 * 8)
-        assert np.all(np.diag(mask.entries) == 1.0)
+        assert np.all(np.diag(mask) == 1.0)
 
     def test_exact_count_for_every_fraction(self):
         rng = np.random.default_rng(2)
         for dim, frac in ((2, 0.5), (5, 0.33), (7, 0.8)):
             mask = make_mask(dim, frac, rng)
-            off = mask.entries[~np.eye(dim, dtype=bool)]
+            off = mask[~np.eye(dim, dtype=bool)]
             assert int(off.sum()) == round(frac * dim * (dim - 1))
 
     def test_deterministic_given_seed(self):
         a = make_mask(6, 0.4, np.random.default_rng(42))
         b = make_mask(6, 0.4, np.random.default_rng(42))
-        assert np.array_equal(a.entries, b.entries)
-
-    def test_mask_type_rejects_broken_diagonal(self):
-        entries = np.eye(2)
-        entries[0, 0] = 0.0
-        with pytest.raises(ValueError, match="diagonal"):
-            MaskMatrix(dim=2, entries=entries)
-
-    def test_mask_type_rejects_non_binary(self):
-        entries = np.eye(2)
-        entries[0, 1] = 0.5
-        with pytest.raises(ValueError, match="0 or 1"):
-            MaskMatrix(dim=2, entries=entries)
+        assert np.array_equal(a, b)
 
 
 class TestIsStable:
@@ -161,7 +148,7 @@ class TestSampleStableMvar:
         rng = np.random.default_rng(6)
         mask = make_mask(5, 0.2, rng)
         model = sample_stable_mvar(5, 3, mask, 0.95, (-0.4, 0.4), 1000, rng)
-        zero = mask.entries == 0.0
+        zero = mask == 0.0
         for lag in range(model.order):
             assert np.all(model.coeffs[lag][zero] == 0.0)
 
@@ -180,6 +167,11 @@ class TestSampleStableMvar:
         mask = make_mask(1, 0.0, rng)
         with pytest.raises(StabilitySearchExhausted):
             sample_stable_mvar(1, 1, mask, 0.5, (0.9, 0.99), 5, rng)
+
+    def test_mask_of_another_dim_rejected(self):
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError, match="does not match dim 2"):
+            sample_stable_mvar(2, 1, make_mask(3, 0.0, rng), 0.95, (-0.1, 0.1), 5, rng)
 
     def test_deterministic_given_seed(self):
         draws = []

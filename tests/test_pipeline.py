@@ -10,12 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beambench import __version__, metrics, pipeline
+from beambench import __version__, forward, metrics, pipeline
 from beambench.cli import main
 from beambench.config import SetupConfig
 from beambench.errors import MissingRun, ParseError, PipelineError
 from beambench.filters import MVP_BASE, FilterKind
-from beambench.forward import load_leadfield
 from beambench.metrics import load_summary_csv
 from beambench.pipeline import export_leadfield, report, run
 
@@ -36,6 +35,11 @@ GOLDEN = Path(__file__).parent / "data" / "golden_report.txt"
 def small_config(**overrides) -> SetupConfig:
     merged = {**SMALL, **overrides}
     return SetupConfig(**merged)
+
+
+def load_matrix(path: Path) -> np.ndarray:
+    """Read a save_leadfield file: a "<rows> <cols>" header, then CSV rows."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +213,26 @@ class TestDistinctFiltersScoredOnce:
                 assert values[(kind.value, r, m)] == values[(base.value, r, m)]
 
 
+class TestPlainLeadfieldOncePerRun:
+    def test_evaluated_columns(self, tmp_path, monkeypatch):
+        columns: list[int] = []
+        original = forward.dipole_potentials
+
+        def counting(*args, **kwargs):
+            potentials = original(*args, **kwargs)
+            columns.append(potentials.size)
+            return potentials
+
+        monkeypatch.setattr(forward, "dipole_potentials", counting)
+        config = small_config(n_realizations=3)
+        run(config, out_dir=tmp_path / "run")
+        l, k, b = config.sources
+        m, r = config.n_electrodes, config.n_realizations
+        # every dipole once for the run, then the jittered interest and
+        # interference dipoles once per realization
+        assert sum(columns) == m * (l + k + b) + r * m * (l + k)
+
+
 class TestFilterSelectionAndDumps:
     def test_single_filter_run(self, tmp_path):
         out = run(
@@ -228,9 +252,9 @@ class TestFilterSelectionAndDumps:
             ),
             out_dir=tmp_path / "dump",
         )
-        weights = load_leadfield(out / "filters" / "LCMV_R.csv")
+        weights = load_matrix(out / "filters" / "LCMV_R.csv")
         assert weights.shape == (2, 24)
-        reduced = load_leadfield(out / "filters" / "MVP_F_2_r1.csv")
+        reduced = load_matrix(out / "filters" / "MVP_F_2_r1.csv")
         assert np.linalg.matrix_rank(reduced, tol=1e-10) == 1
 
     def test_no_dump_directory_by_default(self, run_dir):
@@ -246,13 +270,13 @@ class TestExportLeadfield:
     def test_shape_and_determinism(self, tmp_path):
         config = small_config()
         first = export_leadfield(config, tmp_path / "lf.csv")
-        matrix = load_leadfield(first)
+        matrix = load_matrix(first)
         assert matrix.shape == (24, 6)
         second = export_leadfield(config, tmp_path / "lf2.csv")
         assert first.read_bytes() == second.read_bytes()
 
     def test_average_reference_holds(self, tmp_path):
-        matrix = load_leadfield(export_leadfield(small_config(), tmp_path / "lf.csv"))
+        matrix = load_matrix(export_leadfield(small_config(), tmp_path / "lf.csv"))
         assert np.max(np.abs(matrix.mean(axis=0))) <= 1e-12 * np.max(np.abs(matrix))
 
 
@@ -396,7 +420,7 @@ class TestCli:
             == 0
         )
         assert "lead-field written to" in capsys.readouterr().out
-        assert load_leadfield(target).shape == (16, 5)
+        assert load_matrix(target).shape == (16, 5)
 
     def test_unknown_filter_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--out", str(tmp_path / "x"), "--filters", "BOGUS"]) == 1

@@ -10,6 +10,7 @@ import pytest
 
 from beambench.config import SetupConfig
 from beambench.errors import ShapeMismatch
+from beambench.mvar import make_mask, sample_stable_mvar, simulate
 from beambench.sources import (
     CORTEX_RADIUS,
     DEEP_RADIUS,
@@ -45,7 +46,6 @@ class TestSampleGeometry:
         assert geom.n_interest == 3
         assert geom.n_interference == 2
         assert geom.n_background == 4
-        assert np.array_equal(geom.role_indices("interference"), [3, 4])
 
     def test_cortical_sources_sit_on_shell_pointing_outward(self):
         geom = small_geometry()
@@ -183,7 +183,6 @@ class TestGenerateSourceSignals:
         assert signals.interest.shape == (3, 600)
         assert signals.interference.shape == (2, 600)
         assert signals.background.shape == (4, 600)
-        assert signals.erp.shape == (3, 300)
 
     def test_interference_mirrors_interest_negated(self):
         geom = small_geometry(seed=21, counts=(3, 2, 0))
@@ -211,7 +210,14 @@ class TestGenerateSourceSignals:
         geom = small_geometry(seed=25, counts=(2, 1, 0))
         params = SetupConfig(n_samples=400, order_interest=3)
         signals = generate_source_signals(geom, params, np.random.default_rng(26))
-        assert np.all(signals.erp == 0.0)
+        # replay the draws: the interest rows are the bare MVAR series
+        rng = np.random.default_rng(26)
+        mask = make_mask(2, params.frac_ones, rng)
+        model = sample_stable_mvar(
+            2, 3, mask, params.stab_limit, params.coeff_range, params.iter_limit, rng
+        )
+        assert np.array_equal(signals.interest_model.coeffs, model.coeffs)
+        assert np.array_equal(signals.interest, simulate(model, 800, rng))
 
     def test_erp_enabled_adds_waveform_to_post_segment_only(self):
         geom = small_geometry(seed=27, counts=(2, 1, 0))
@@ -221,11 +227,14 @@ class TestGenerateSourceSignals:
         plain = generate_source_signals(geom, base, np.random.default_rng(28))
         bumped = generate_source_signals(geom, with_erp, np.random.default_rng(28))
         assert np.array_equal(plain.interest[:, :n], bumped.interest[:, :n])
-        assert not np.all(bumped.erp == 0.0)
-        assert np.allclose(bumped.interest[:, n:], plain.interest[:, n:] + bumped.erp)
         # default center and width
-        row = bumped.erp[0]
         width = max(n / 16.0, 1.0)
+        erp = np.array(
+            [erp_waveform(n, np.std(row), n // 2, width) for row in plain.interest[:, n:]]
+        )
+        assert not np.all(erp == 0.0)
+        assert np.allclose(bumped.interest[:, n:], plain.interest[:, n:] + erp)
+        row = erp[0]
         assert int(np.argmax(np.abs(row))) in (n // 2 - round(width), n // 2 + round(width))
 
     def test_background_block_optional(self):
@@ -251,8 +260,6 @@ class TestGenerateSourceSignals:
         signals = generate_source_signals(geom, params, np.random.default_rng(36))
         with pytest.raises(ShapeMismatch, match="same 2n samples"):
             replace(signals, background=signals.background[:, :300])
-        with pytest.raises(ShapeMismatch, match="erp"):
-            replace(signals, erp=signals.erp[:, :299])
 
     def test_deterministic_given_seed(self):
         geom = small_geometry(seed=33, counts=(2, 2, 2))
