@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import RankDeficientRegressor, StabilitySearchExhausted, UnstableModel
 
@@ -27,6 +28,8 @@ ROLES = (ROLE_INTEREST, ROLE_INTERFERENCE, ROLE_BACKGROUND)
 _SYM_TOL = 1e-12
 _EIG_FLOOR = -1e-10
 _GRAM_RTOL = 1e-10
+_BLOCK_WIDTH = 128
+_MAX_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,8 @@ class MvarModel:
 
     coeffs has shape (order, dim, dim); coeffs[s - 1] is the lag-s
     matrix A_s.  noise_cov must be symmetric positive semidefinite.
+    The arrays are not copied and must not be changed after
+    construction: the spectral radius is computed once and kept.
     """
 
     dim: int
@@ -81,6 +86,17 @@ class MvarModel:
         """Horizontal stack [A_1 ... A_p], shape (dim, dim*order)."""
         return self.coeffs.transpose(1, 0, 2).reshape(self.dim, self.order * self.dim)
 
+    @property
+    def spectral_radius(self) -> float:
+        """Largest eigenvalue magnitude of the companion form, computed
+        on first read and kept on the instance.  Two threads reading it
+        at once may both compute it; they store the same value."""
+        radius = self.__dict__.get("_spectral_radius")
+        if radius is None:
+            radius = float(np.max(np.abs(np.linalg.eigvals(self.companion()))))
+            object.__setattr__(self, "_spectral_radius", radius)
+        return radius
+
 
 def make_mask(dim: int, frac_ones: float, rng: np.random.Generator) -> np.ndarray:
     """Draw a (dim, dim) 0/1 mask with unit diagonal and random
@@ -111,7 +127,7 @@ def is_stable(model: MvarModel, stab_limit: float = 1.0) -> tuple[bool, float]:
     """
     if stab_limit <= 0.0:
         raise ValueError(f"stab_limit must be positive, got {stab_limit}")
-    radius = float(np.max(np.abs(np.linalg.eigvals(model.companion()))))
+    radius = model.spectral_radius
     return radius < stab_limit, radius
 
 
@@ -154,6 +170,43 @@ def sample_stable_mvar(
     )
 
 
+def _block_size(dim: int) -> int:
+    """Steps per block in simulate: the largest B <= _MAX_BLOCK with
+    B * dim <= _BLOCK_WIDTH, and at least 1.  The innovation product costs about B * dim**2
+    flops per step and the sequential loop one Python iteration per
+    block, so B falls as 1/dim; at dim > 64 it is 1."""
+    return max(1, min(_MAX_BLOCK, _BLOCK_WIDTH // dim))
+
+
+def _block_maps(model: MvarModel, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T, G) of a `block`-step block of the recursion.
+
+    Over steps t0 .. t0+B-1, stacked time-major into one B*dim vector,
+
+        x_block = T e_block + G [x[t0-p] ... x[t0-1]],
+
+    where T, shape (B*dim, B*dim), is lower block-Toeplitz with block
+    (j, k) the impulse response Psi_{j-k} (Psi_0 = I), and G, shape
+    (B*dim, p*dim), carries the last p samples forward.  Both come from
+    one B-step run of the recursion on the selector [x[t0-p] ... x[t0-1]
+    | e[t0]]: resp[i] maps the selector to x[t0-p+i].
+    """
+    d, p = model.dim, model.order
+    width = p * d
+    stack = model.coeffs[::-1].transpose(1, 0, 2).reshape(d, width)
+    resp = np.zeros((p + block, d, width + d))
+    resp[:p].reshape(width, width + d)[:, :width] = np.eye(width)
+    resp[p, :, width:] = np.eye(d)
+    for j in range(block):
+        resp[p + j] += stack @ resp[j : p + j].reshape(width, width + d)
+    # G is read once per block: a contiguous copy keeps each product fast
+    gain = np.ascontiguousarray(resp[p:, :, :width].reshape(block * d, width))
+    psi = resp[p:, :, width:]
+    lag = np.subtract.outer(np.arange(block), np.arange(block))
+    toeplitz = np.where((lag >= 0)[:, :, None, None], psi[np.maximum(lag, 0)], 0.0)
+    return toeplitz.transpose(0, 2, 1, 3).reshape(block * d, block * d), gain
+
+
 def simulate(
     model: MvarModel,
     n_samples: int,
@@ -163,11 +216,19 @@ def simulate(
     """Simulate n_samples steps after a zero-state burn-in.
 
     Innovations are N(0, noise_cov), drawn as one (dim, burn_in +
-    n_samples) block.  The series lives in a time-major buffer whose
-    first `order` rows are the zero initial state, so the p lagged
-    samples of every step are one contiguous slice and each step costs
-    a single product with the lag stack [A_p ... A_1].  Returns shape
-    (dim, n_samples).  Raises UnstableModel when the companion spectral
+    n_samples) block.  The recursion runs B steps at a time through its
+    moving-average form (Lütkepohl 2005, sec. 2.1.2):
+
+        x_block = T e_block + G [x[t0-p] ... x[t0-1]],
+
+    with T the lower block-Toeplitz matrix of the impulse responses
+    Psi_0 .. Psi_{B-1} and G the map of the last p samples into the
+    block (see _block_maps).  The innovation term of every block is one
+    matrix product over the whole zero-padded series; only the state
+    term G x stays sequential, one product per block.  B is the largest
+    block length <= 32 with B * dim <= 128 (_block_size), so B = 1, the
+    plain per-step recursion, for dim > 64.  Returns shape (dim,
+    n_samples).  Raises UnstableModel when the companion spectral
     radius is >= 1, since the burn-in would then not converge to
     stationarity.
     """
@@ -175,30 +236,36 @@ def simulate(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    stable, radius = is_stable(model, 1.0)
-    if not stable:
+    radius = model.spectral_radius
+    if radius >= 1.0:
         raise UnstableModel(f"spectral radius {radius:.6f} is not below 1")
 
     d, p = model.dim, model.order
     total = burn_in + n_samples
+    block = _block_size(d)
+    n_blocks = -(-total // block)
+    toeplitz, gain = _block_maps(model, block)
     # Eigenfactor instead of Cholesky so that singular (even all-zero)
     # innovation covariances are simulated exactly.
     eigval, eigvec = np.linalg.eigh(model.noise_cov)
     factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    out = np.zeros((p + total, d))
-    out[p:] = (factor @ rng.standard_normal((d, total))).T
-    # lags[t] = flat[t*d:(t+p)*d] is x[t-p], ..., x[t-1].  Both are
-    # views of out (out.T.reshape(-1) would silently be a copy), so
-    # every step sees the rows written before it.
-    flat = out.reshape(-1)
-    lags = np.lib.stride_tricks.sliding_window_view(flat, p * d)[::d]
-    stack = model.coeffs[::-1].transpose(1, 0, 2).reshape(d, p * d)
-    dot = stack.dot
-    for row, lag in zip(out[p:], lags):
-        row += dot(lag)
+    # Time-major series whose first p rows are the zero initial state;
+    # each block of B rows is one B*d vector.
+    out = np.zeros((p + n_blocks * block, d))
+    innov = np.zeros((n_blocks * block, d))
+    np.matmul(factor, rng.standard_normal((d, total)), out=innov[:total].T)
+    blocks = out[p:].reshape(n_blocks, block * d)
+    np.matmul(innov.reshape(n_blocks, block * d), toeplitz.T, out=blocks)
+    del innov  # not held next to the result copy
+    # states[b] is x[t0-p .. t0-1] of block b, a view of out, so every
+    # block sees the blocks written before it.
+    states = sliding_window_view(out.reshape(-1), p * d)[:: block * d]
+    dot = gain.dot
+    for values, state in zip(blocks, states):
+        values += dot(state)
     # Row-major copy, as before: downstream BLAS products round
     # differently on a transposed layout.
-    return out[p + burn_in :].T.copy()
+    return out[p + burn_in : p + total].T.copy()
 
 
 def fit(series: np.ndarray, order: int) -> MvarModel:

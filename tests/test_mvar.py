@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,11 @@ from beambench.errors import (
     StabilitySearchExhausted,
     UnstableModel,
 )
+from beambench import mvar
 from beambench.mvar import (
     MvarModel,
+    _block_maps,
+    _block_size,
     fit,
     is_stable,
     make_mask,
@@ -125,6 +131,72 @@ class TestIsStable:
         model = scalar_model(0.7)
         assert is_stable(model, 0.8)[0]
         assert not is_stable(model, 0.6)[0]
+
+
+def count_eigvals(monkeypatch) -> list[int]:
+    """Count np.linalg.eigvals calls from now on; returns the counter."""
+    calls = [0]
+    original = np.linalg.eigvals
+
+    def counting(matrix):
+        calls[0] += 1
+        return original(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
+
+
+class TestSpectralRadiusCache:
+    def test_radius_is_computed_once_per_model(self, monkeypatch):
+        calls = count_eigvals(monkeypatch)
+        model = MvarModel(3, 1, 0.5 * np.eye(3)[None], np.eye(3))
+        assert is_stable(model, 1.0) == (True, pytest.approx(0.5, abs=1e-12))
+        assert is_stable(model, 0.4) == (False, model.spectral_radius)
+        assert calls[0] == 1
+
+    def test_one_eigvals_per_accepted_model_through_simulate(self, monkeypatch):
+        rng = np.random.default_rng(np.random.SeedSequence(31))
+        mask = make_mask(6, 0.3, rng)
+        attempts = []
+        original = mvar.is_stable
+
+        def recording(model, stab_limit=1.0):
+            attempts.append(model)
+            return original(model, stab_limit)
+
+        monkeypatch.setattr(mvar, "is_stable", recording)
+        calls = count_eigvals(monkeypatch)
+        model = sample_stable_mvar(6, 4, mask, 0.95, (-0.4, 0.4), 1000, rng)
+        assert len(attempts) > 1  # some draws were rejected
+        assert calls[0] == len(attempts)
+        simulate(model, 200, rng)
+        simulate(model, 200, rng)
+        assert calls[0] == len(attempts)
+
+    def test_threads_reading_one_model_agree(self):
+        model = random_model(8, 12, 3, "full")
+        expected = float(np.max(np.abs(np.linalg.eigvals(model.companion()))))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: model.spectral_radius) for _ in range(64)]
+                radii = [future.result(timeout=30) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert radii == [expected] * 64
+
+    def test_hand_built_unstable_model_still_raises(self, monkeypatch):
+        # x[n] = 1.45 x[n-1] - 0.25 x[n-2] per channel: companion roots 1.25, 0.2
+        lag1, lag2 = 1.45 * np.eye(2), -0.25 * np.eye(2)
+        model = MvarModel(2, 2, np.stack([lag1, lag2]), np.eye(2))
+        calls = count_eigvals(monkeypatch)
+        with pytest.raises(UnstableModel, match="spectral radius 1.250000 is not below 1"):
+            simulate(model, 10, np.random.default_rng(0))
+        stable, radius = is_stable(model)
+        assert not stable
+        assert radius == pytest.approx(1.25, abs=1e-12)
+        assert calls[0] == 1
 
 
 class TestSampleStableMvar:
@@ -269,41 +341,119 @@ def assert_matches_reference(model: MvarModel, n_samples: int, burn_in: int) -> 
     assert rng.standard_normal() == ref_rng.standard_normal()
 
 
+def block_regimes(dim: int, order: int, n_samples: int, burn_in: int) -> set[str]:
+    """The block-recursion regimes that one simulate call exercises."""
+    block = _block_size(dim)
+    regimes = {"B = 1" if block == 1 else "1 < B < p" if block < order else "B >= p"}
+    if (n_samples + burn_in) % block:
+        regimes.add("total % B != 0")
+    if n_samples < block:
+        regimes.add("n_samples < B")
+    return regimes
+
+
+ALL_REGIMES = {"B = 1", "1 < B < p", "B >= p", "total % B != 0", "n_samples < B"}
+
+# (dim, order, noise, n_samples, burn_in)
+NAMED_CASES = [
+    (3, 4, "full", 200, 0),  # no burn-in
+    (2, 8, "full", 3, 0),  # fewer samples than lags
+    (4, 5, "zero", 50, 20),  # all-zero noise covariance
+    (6, 8, "rank1", 300, 100),  # order 8, singular noise
+    (70, 2, "full", 30, 5),  # B = 1
+    (44, 6, "rank1", 40, 3),  # 1 < B < p
+    (20, 3, "full", 7, 0),  # n_samples < B, total % B != 0
+]
+
+
 class TestSimulateAgainstReference:
     def test_random_models(self):
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
 
+        @st.composite
+        def shapes(draw):
+            # order capped so that the companion stays <= 400 wide
+            dim = draw(st.integers(1, 140))
+            return dim, draw(st.integers(1, max(1, min(8, 400 // dim))))
+
         @hyp.settings(max_examples=60, deadline=None)
         @hyp.given(
             seed=st.integers(0, 2**32 - 1),
-            dim=st.integers(1, 6),
-            order=st.integers(1, 8),
+            shape=shapes(),
             noise=st.sampled_from(["full", "rank1", "zero"]),
             n_samples=st.integers(1, 60),
             burn_in=st.integers(0, 40),
         )
-        def check(seed, dim, order, noise, n_samples, burn_in):
+        # one example per regime, whatever else the strategy draws
+        @hyp.example(seed=1, shape=(140, 2), noise="full", n_samples=60, burn_in=40)
+        @hyp.example(seed=2, shape=(50, 7), noise="rank1", n_samples=13, burn_in=0)
+        @hyp.example(seed=3, shape=(3, 6), noise="full", n_samples=60, burn_in=40)
+        @hyp.example(seed=4, shape=(5, 2), noise="zero", n_samples=11, burn_in=3)
+        def check(seed, shape, noise, n_samples, burn_in):
+            dim, order = shape
             model = random_model(seed, dim, order, noise)
             assert_matches_reference(model, n_samples, burn_in)
 
         check()
 
-    @pytest.mark.parametrize(
-        "dim, order, noise, n_samples, burn_in",
-        [
-            (3, 4, "full", 200, 0),  # no burn-in
-            (2, 8, "full", 3, 0),  # fewer samples than lags
-            (4, 5, "zero", 50, 20),  # all-zero noise covariance
-            (6, 8, "rank1", 300, 100),  # largest dim and order, singular noise
-        ],
-    )
+    @pytest.mark.parametrize("dim, order, noise, n_samples, burn_in", NAMED_CASES)
     def test_named_cases(self, dim, order, noise, n_samples, burn_in):
         assert_matches_reference(random_model(5, dim, order, noise), n_samples, burn_in)
+
+    def test_named_cases_cover_every_regime(self):
+        drawn = set()
+        for dim, order, _, n_samples, burn_in in NAMED_CASES:
+            drawn |= block_regimes(dim, order, n_samples, burn_in)
+        assert drawn == ALL_REGIMES
+
+    @pytest.mark.parametrize(
+        "dim, order, n_samples",
+        [
+            (3, 6, 4000),  # default interest
+            (10, 6, 4000),  # default background
+            (44, 1, 600),  # forward_heavy background
+            (6, 8, 4000),  # spectral_heavy interest
+            (2, 2, 4000),  # spectral_heavy background
+        ],
+    )
+    def test_workload_shapes(self, dim, order, n_samples):
+        assert_matches_reference(random_model(9, dim, order, "full"), n_samples, 1000)
 
     def test_output_is_row_major(self):
         out = simulate(random_model(6, 3, 2, "full"), 40, np.random.default_rng(0))
         assert out.flags.c_contiguous
+
+
+class TestBlockForm:
+    def test_block_size_rule(self):
+        for dim in range(1, 300):
+            block = _block_size(dim)
+            assert 1 <= block <= 32
+            assert block * dim <= max(128, dim)
+        for dim in (65, 100, 140, 1000):
+            assert _block_size(dim) == 1
+        assert [_block_size(d) for d in (2, 3, 6, 10, 44)] == [32, 32, 21, 12, 2]
+
+    def test_maps_hold_impulse_responses_and_lag_stack(self):
+        model = random_model(4, 3, 4, "full")
+        d, p, block = model.dim, model.order, 6
+        toeplitz, gain = _block_maps(model, block)
+        assert toeplitz.shape == (block * d, block * d)
+        assert gain.shape == (block * d, p * d)
+        assert gain.flags.c_contiguous
+        # Psi_j is the top-left block of the j-th companion power
+        power = np.eye(p * d)
+        for j in range(block):
+            psi = power[:d, :d]
+            for k in range(block - j):
+                rows, cols = slice((k + j) * d, (k + j + 1) * d), slice(k * d, (k + 1) * d)
+                assert np.allclose(toeplitz[rows, cols], psi, rtol=0, atol=1e-14)
+                if j > 0:
+                    assert np.all(toeplitz[cols, rows] == 0.0)
+            power = model.companion() @ power
+        # the first block row applies [A_p ... A_1] to x[t0-p .. t0-1]
+        assert np.array_equal(gain[:d], model.coeffs[::-1].transpose(1, 0, 2).reshape(d, p * d))
 
 
 class TestFit:

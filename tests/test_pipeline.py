@@ -16,6 +16,7 @@ from beambench.config import SetupConfig
 from beambench.errors import MissingRun, ParseError, PipelineError
 from beambench.filters import MVP_BASE, FilterKind
 from beambench.metrics import load_summary_csv
+from beambench.mvar import _block_size
 from beambench.pipeline import export_leadfield, report, run
 
 SMALL = dict(
@@ -158,6 +159,21 @@ class TestJobsInvariance:
                     assert (two / name).read_bytes() == (one / name).read_bytes()
 
         check()
+
+    def test_two_jobs_give_the_bytes_of_one_at_unit_block(self, tmp_path):
+        # 65 background sources: simulate runs its one-step-per-block loop
+        assert _block_size(65) == 1
+        config = small_config(
+            sources=(2, 1, 65),
+            order_background=1,
+            n_samples=300,
+            n_realizations=3,
+            filters=("LCMV_R", "NL", "MVP_F_1"),
+        )
+        one = run(config, out_dir=tmp_path / "one", jobs=1)
+        two = run(config, out_dir=tmp_path / "two", jobs=2)
+        for name in ("results.csv", "summary.csv"):
+            assert (two / name).read_bytes() == (one / name).read_bytes()
 
 
 class TestDistinctFiltersScoredOnce:
