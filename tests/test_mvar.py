@@ -8,12 +8,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from beambench import mvar
 from beambench.errors import (
     RankDeficientRegressor,
     StabilitySearchExhausted,
     UnstableModel,
 )
-from beambench import mvar
 from beambench.mvar import (
     MvarModel,
     _block_maps,
