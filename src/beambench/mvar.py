@@ -172,9 +172,10 @@ def sample_stable_mvar(
 
 def _block_size(dim: int) -> int:
     """Steps per block in simulate: the largest B <= _MAX_BLOCK with
-    B * dim <= _BLOCK_WIDTH, and at least 1.  The innovation product costs about B * dim**2
-    flops per step and the sequential loop one Python iteration per
-    block, so B falls as 1/dim; at dim > 64 it is 1."""
+    B * dim <= _BLOCK_WIDTH, and at least 1.  The innovation product
+    costs about B * dim**2 flops per step and the sequential loop one
+    Python iteration per block, so B falls as 1/dim; at dim > 64 it
+    is 1."""
     return max(1, min(_MAX_BLOCK, _BLOCK_WIDTH // dim))
 
 

@@ -191,7 +191,7 @@ class TestSpectralRadiusCache:
         lag1, lag2 = 1.45 * np.eye(2), -0.25 * np.eye(2)
         model = MvarModel(2, 2, np.stack([lag1, lag2]), np.eye(2))
         calls = count_eigvals(monkeypatch)
-        with pytest.raises(UnstableModel, match="spectral radius 1.250000 is not below 1"):
+        with pytest.raises(UnstableModel, match="radius 1.250000 is not below 1"):
             simulate(model, 10, np.random.default_rng(0))
         stable, radius = is_stable(model)
         assert not stable
@@ -447,13 +447,15 @@ class TestBlockForm:
         for j in range(block):
             psi = power[:d, :d]
             for k in range(block - j):
-                rows, cols = slice((k + j) * d, (k + j + 1) * d), slice(k * d, (k + 1) * d)
+                rows = slice((k + j) * d, (k + j + 1) * d)
+                cols = slice(k * d, (k + 1) * d)
                 assert np.allclose(toeplitz[rows, cols], psi, rtol=0, atol=1e-14)
                 if j > 0:
                     assert np.all(toeplitz[cols, rows] == 0.0)
             power = model.companion() @ power
         # the first block row applies [A_p ... A_1] to x[t0-p .. t0-1]
-        assert np.array_equal(gain[:d], model.coeffs[::-1].transpose(1, 0, 2).reshape(d, p * d))
+        lag_stack = model.coeffs[::-1].transpose(1, 0, 2).reshape(d, p * d)
+        assert np.array_equal(gain[:d], lag_stack)
 
 
 class TestFit:
