@@ -333,6 +333,13 @@ class TestEigLcmv:
             eig_lcmv(zero_forcing(np.eye(3)), white, 2)
 
 
+def well_conditioned(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-column-rank matrix with singular values in [0.5, 2]."""
+    left = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+    right = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    return (left * rng.uniform(0.5, 2.0, cols)) @ right.T
+
+
 class TestMvPure:
     @staticmethod
     def diagonal_setup(data, noise, source):
@@ -395,6 +402,80 @@ class TestMvPure:
         for rank in (1, 2):
             filt = mv_pure(FilterKind.MVP_F_2, rank, covs, lcmv_r, lcmv_n, nl)
             assert filt.diagnostics.numerical_rank <= rank
+
+    # The docstring's recipe, written out per variant: the selection
+    # matrix's selector and whether it subtracts 2Q, then the base.
+    RECIPES = {
+        FilterKind.MVP_F_1: ("R", True, "LCMV_R"),
+        FilterKind.MVP_F_2: ("R", False, "LCMV_R"),
+        FilterKind.MVP_F_3: ("N", False, "LCMV_N"),
+        FilterKind.MVP_I_1: ("R", True, "NL"),
+        FilterKind.MVP_I_2: ("R", False, "NL"),
+        FilterKind.MVP_I_3: ("N", False, "NL"),
+    }
+
+    @staticmethod
+    def general_setup():
+        """A non-diagonal instance on which LCMV_R, LCMV_N and NL differ."""
+        l, k, m = 3, 2, 8
+        rng = np.random.default_rng(31)
+        composite = well_conditioned(m, l + k, rng)
+        h, h_i = composite[:, :l], composite[:, l:]
+        lf = LeadfieldSet(
+            interest=h,
+            interference=h_i,
+            background=np.zeros((m, 0)),
+            grams=(h.T @ h, h_i.T @ h_i, np.zeros((0, 0))),
+            interest_pert=h,
+            interference_pert=h_i,
+            filter_interest=h,
+            composite=composite,
+        )
+        source = random_spd(l, rng)
+        covs = CovarianceSet(
+            data_cov=random_spd(m, rng),
+            noise_cov=random_spd(m, rng),
+            source_cov=source,
+            cross_cov=np.hstack([source, rng.standard_normal((l, k))]),
+        )
+        bases = {
+            "LCMV_R": lcmv(h, covs.data, FilterKind.LCMV_R),
+            "LCMV_N": lcmv(h, covs.noise, FilterKind.LCMV_N),
+            "NL": nulling(composite, covs.data, l),
+        }
+        return covs, lf, bases
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("kind", list(RECIPES))
+    def test_reduced_rank_matches_the_docstring_recipe(self, kind, rank):
+        covs, lf, bases = self.general_setup()
+        weights = {name: f.weights for name, f in bases.items()}
+        for a, b in (("LCMV_R", "LCMV_N"), ("LCMV_R", "NL"), ("LCMV_N", "NL")):
+            assert np.linalg.norm(weights[a] - weights[b]) > 1e-2
+        selector, subtract_q, base = self.RECIPES[kind]
+        w_sel, cov = (
+            (weights["LCMV_R"], covs.data_cov)
+            if selector == "R"
+            else (weights["LCMV_N"], covs.noise_cov)
+        )
+        selection = w_sel @ cov @ w_sel.T
+        if subtract_q:
+            selection = selection - 2.0 * covs.source_cov
+        eigval, eigvec = np.linalg.eigh(0.5 * (selection + selection.T))
+        assert eigval[rank] - eigval[rank - 1] > 1e-6 * np.max(np.abs(eigval))
+        low = eigvec[:, :rank]
+        expected = low @ low.T @ weights[base]
+        scale = np.linalg.norm(expected)
+
+        direct = mv_pure(
+            kind, rank, covs, bases["LCMV_R"], bases["LCMV_N"], bases["NL"]
+        )
+        assert np.linalg.norm(direct.weights - expected) <= 1e-10 * scale
+        built = build_filter_bank(
+            [FilterSpec(kind=kind, rank=rank)], covs, lf, np.random.default_rng(0)
+        )[0]
+        assert np.linalg.norm(built.weights - expected) <= 1e-10 * scale
+        assert built.spec == FilterSpec(kind=kind, rank=rank)
 
     def test_bad_inputs_rejected(self):
         covs, lcmv_r, lcmv_n, nl = self.diagonal_setup(
@@ -501,13 +582,6 @@ class TestParseFilterList:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             parse_filter_list(" , ")
-
-
-def well_conditioned(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-column-rank matrix with singular values in [0.5, 2]."""
-    left = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
-    right = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
-    return (left * rng.uniform(0.5, 2.0, cols)) @ right.T
 
 
 class TestBuildFilterBank:
