@@ -133,6 +133,8 @@ class SetupConfig:
             raise bad("ITER must be >= 1")
         if self.pdc_resolution < 2:
             raise bad("PDC_RES must be >= 2")
+        if self.seed < 0:
+            raise bad("SEED must be >= 0")
         for name in ("sinr_db", "sbnr_db", "smnr_db"):
             if not math.isfinite(getattr(self, name)):
                 raise bad(f"{name} must be finite")

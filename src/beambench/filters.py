@@ -53,18 +53,26 @@ class FilterKind(str, Enum):
     MVP_I_3 = "MVP_I_3"
 
 
-EIG_KINDS = (FilterKind.EIG_LCMV_R, FilterKind.EIG_LCMV_N)
-# The filter each MV-PURE variant projects: the F variants 1 and 2 pair
-# with LCMV_R, variant 3 with LCMV_N, and the I variants with NL.
-MVP_BASE = {
-    FilterKind.MVP_F_1: FilterKind.LCMV_R,
-    FilterKind.MVP_F_2: FilterKind.LCMV_R,
-    FilterKind.MVP_F_3: FilterKind.LCMV_N,
-    FilterKind.MVP_I_1: FilterKind.NL,
-    FilterKind.MVP_I_2: FilterKind.NL,
-    FilterKind.MVP_I_3: FilterKind.NL,
+# The LCMV filter each eigenspace kind projects onto the signal subspace.
+EIG_BASE = {
+    FilterKind.EIG_LCMV_R: FilterKind.LCMV_R,
+    FilterKind.EIG_LCMV_N: FilterKind.LCMV_N,
 }
-MVP_KINDS = tuple(MVP_BASE)
+# Each MV-PURE variant as (selector, subtract 2Q, base): its directions
+# are ranked by the output covariance of the selector (LCMV_R against
+# data_cov, LCMV_N against noise_cov), less 2Q where marked, and it
+# projects the base filter.
+MVP_RECIPE = {
+    FilterKind.MVP_F_1: (FilterKind.LCMV_R, True, FilterKind.LCMV_R),
+    FilterKind.MVP_F_2: (FilterKind.LCMV_R, False, FilterKind.LCMV_R),
+    FilterKind.MVP_F_3: (FilterKind.LCMV_N, False, FilterKind.LCMV_N),
+    FilterKind.MVP_I_1: (FilterKind.LCMV_R, True, FilterKind.NL),
+    FilterKind.MVP_I_2: (FilterKind.LCMV_R, False, FilterKind.NL),
+    FilterKind.MVP_I_3: (FilterKind.LCMV_N, False, FilterKind.NL),
+}
+EIG_KINDS = tuple(EIG_BASE)
+MVP_BASE = {kind: base for kind, (_, _, base) in MVP_RECIPE.items()}
+MVP_KINDS = tuple(MVP_RECIPE)
 
 
 @dataclass(frozen=True)
@@ -215,6 +223,21 @@ def _numerical_rank(weights: np.ndarray) -> int:
     return int(np.sum(sv > _RANK_RTOL * sv[0]))
 
 
+def _entry(
+    weights: np.ndarray, spec: FilterSpec, constrained: np.ndarray | None = None
+) -> SpatialFilter:
+    """A bank entry with its diagnostics.  When the weights pass the
+    leading columns of a lead-field H distortionless and null the rest,
+    `constrained` is H and the residual is ||W H - [I 0]||."""
+    residual = None
+    if constrained is not None:
+        target = np.eye(weights.shape[0], constrained.shape[1])
+        residual = float(np.linalg.norm(weights @ constrained - target))
+    return SpatialFilter(
+        weights, spec, FilterDiagnostics(residual, _numerical_rank(weights))
+    )
+
+
 def _constrained_weights(leadfield: np.ndarray, cov: CovarianceFactor) -> np.ndarray:
     """W = (H' M^-1 H)^-1 H' M^-1 for a full-column-rank H."""
     lf_cov_inv = leadfield.T @ cov.inverse
@@ -235,12 +258,7 @@ def lcmv(
 ) -> SpatialFilter:
     """Distortionless minimum-variance beamformer against the factored cov."""
     weights = _constrained_weights(leadfield, cov)
-    residual = float(np.linalg.norm(weights @ leadfield - np.eye(weights.shape[0])))
-    return SpatialFilter(
-        weights=weights,
-        spec=FilterSpec(kind=kind),
-        diagnostics=FilterDiagnostics(residual, _numerical_rank(weights)),
-    )
+    return _entry(weights, FilterSpec(kind=kind), leadfield)
 
 
 def nulling(
@@ -251,13 +269,7 @@ def nulling(
     if not 1 <= n_interest <= composite.shape[1]:
         raise ValueError("n_interest must address a prefix of the composite columns")
     weights = _constrained_weights(composite, cov)[:n_interest]
-    target = np.eye(n_interest, composite.shape[1])
-    residual = float(np.linalg.norm(weights @ composite - target))
-    return SpatialFilter(
-        weights=weights,
-        spec=FilterSpec(kind=FilterKind.NL),
-        diagnostics=FilterDiagnostics(residual, _numerical_rank(weights)),
-    )
+    return _entry(weights, FilterSpec(kind=FilterKind.NL), composite)
 
 
 def wiener(cov_set: CovarianceSet, lf: LeadfieldSet, kind: FilterKind) -> SpatialFilter:
@@ -273,11 +285,7 @@ def wiener(cov_set: CovarianceSet, lf: LeadfieldSet, kind: FilterKind) -> Spatia
         weights = cov_set.cross_cov @ lf.composite.T @ cov_set.data.inverse
     else:
         raise ValueError(f"not a Wiener filter kind: {kind}")
-    return SpatialFilter(
-        weights=weights,
-        spec=FilterSpec(kind=kind),
-        diagnostics=FilterDiagnostics(None, _numerical_rank(weights)),
-    )
+    return _entry(weights, FilterSpec(kind=kind))
 
 
 def zero_forcing(leadfield: np.ndarray) -> SpatialFilter:
@@ -286,12 +294,7 @@ def zero_forcing(leadfield: np.ndarray) -> SpatialFilter:
     if sv.size == 0 or sv[0] == 0.0 or sv[-1] <= _GRAM_RTOL * sv[0]:
         raise RankDeficientLeadfield("lead-field does not have full column rank")
     weights = np.linalg.pinv(leadfield, rcond=_GRAM_RTOL)
-    residual = float(np.linalg.norm(weights @ leadfield - np.eye(weights.shape[0])))
-    return SpatialFilter(
-        weights=weights,
-        spec=FilterSpec(kind=FilterKind.ZF),
-        diagnostics=FilterDiagnostics(residual, _numerical_rank(weights)),
-    )
+    return _entry(weights, FilterSpec(kind=FilterKind.ZF), leadfield)
 
 
 def eig_lcmv(
@@ -307,19 +310,12 @@ def eig_lcmv(
     m = data.eigvec.shape[0]
     if not 1 <= sig_dim <= m:
         raise ValueError(f"sig_dim must lie in [1, {m}], got {sig_dim}")
-    kind_map = {
-        FilterKind.LCMV_R: FilterKind.EIG_LCMV_R,
-        FilterKind.LCMV_N: FilterKind.EIG_LCMV_N,
-    }
-    if base.spec.kind not in kind_map:
+    kind = next((k for k, b in EIG_BASE.items() if b is base.spec.kind), None)
+    if kind is None:
         raise ValueError("base filter must be LCMV_R or LCMV_N")
     top = data.eigvec[:, m - sig_dim :]
     weights = (base.weights @ top) @ top.T
-    return SpatialFilter(
-        weights=weights,
-        spec=FilterSpec(kind=kind_map[base.spec.kind], sig_dim=sig_dim),
-        diagnostics=FilterDiagnostics(None, _numerical_rank(weights)),
-    )
+    return _entry(weights, FilterSpec(kind=kind, sig_dim=sig_dim))
 
 
 def mv_pure(
@@ -339,22 +335,24 @@ def mv_pure(
         variant 2:  W_R R W_R'
         variant 3:  W_N N W_N'
 
-    Each variant projects the filter that MVP_BASE pairs it with: F
-    variants the matching LCMV filter, I variants the
+    MVP_RECIPE gives each variant's selection matrix and the filter it
+    projects: F variants the matching LCMV filter, I variants the
     interference-nulling filter.  Only the filters a variant reads
     are needed; the others may be None.  Eigenvalue ties are resolved
     by the ascending output order of the symmetric eigendecomposition,
     which is deterministic for a given input matrix.
     """
-    if kind not in MVP_KINDS:
+    if kind not in MVP_RECIPE:
         raise ValueError(f"not an MV-PURE kind: {kind}")
-    variant = int(kind.value.split("_")[2])
-    w = (lcmv_n if variant == 3 else lcmv_r).weights
+    selector, subtract_q, base = MVP_RECIPE[kind]
+    inputs = {FilterKind.LCMV_R: lcmv_r, FilterKind.LCMV_N: lcmv_n, FilterKind.NL: nl}
+    w = inputs[selector].weights
     l = w.shape[0]
     if not 1 <= rank <= l:
         raise ValueError(f"rank must lie in [1, {l}], got {rank}")
-    selection = w @ (cov_set.noise_cov if variant == 3 else cov_set.data_cov) @ w.T
-    if variant == 1:
+    cov = cov_set.noise_cov if selector is FilterKind.LCMV_N else cov_set.data_cov
+    selection = w @ cov @ w.T
+    if subtract_q:
         selection -= 2.0 * cov_set.source_cov
     selection = 0.5 * (selection + selection.T)
     try:
@@ -362,14 +360,8 @@ def mv_pure(
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionFailure(str(exc)) from exc
     low = eigvec[:, :rank]
-    projector = low @ low.T
-    bases = {FilterKind.LCMV_R: lcmv_r, FilterKind.LCMV_N: lcmv_n, FilterKind.NL: nl}
-    weights = projector @ bases[MVP_BASE[kind]].weights
-    return SpatialFilter(
-        weights=weights,
-        spec=FilterSpec(kind=kind, rank=rank),
-        diagnostics=FilterDiagnostics(None, _numerical_rank(weights)),
-    )
+    weights = low @ low.T @ inputs[base].weights
+    return _entry(weights, FilterSpec(kind=kind, rank=rank))
 
 
 def randn_baseline(n_interest: int, m: int, rng: np.random.Generator) -> SpatialFilter:
@@ -377,11 +369,7 @@ def randn_baseline(n_interest: int, m: int, rng: np.random.Generator) -> Spatial
     if n_interest < 1 or m < 1:
         raise ValueError("n_interest and m must be positive")
     weights = rng.standard_normal((n_interest, m)) / np.sqrt(m)
-    return SpatialFilter(
-        weights=weights,
-        spec=FilterSpec(kind=FilterKind.RANDN),
-        diagnostics=FilterDiagnostics(None, _numerical_rank(weights)),
-    )
+    return _entry(weights, FilterSpec(kind=FilterKind.RANDN))
 
 
 def reconstruct(filt: SpatialFilter, sensors: np.ndarray) -> np.ndarray:
@@ -434,28 +422,25 @@ def build_filter_bank(
     m = lf.filter_interest.shape[0]
     cache: dict[FilterKind, SpatialFilter] = {}
 
+    # The filters other entries derive from, in mv_pure's argument order.
+    shared = (FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL)
+
     def base(kind: FilterKind) -> SpatialFilter:
         if kind not in cache:
-            if kind is FilterKind.LCMV_R:
-                cache[kind] = lcmv(lf.filter_interest, cov_set.data, kind)
-            elif kind is FilterKind.LCMV_N:
-                cache[kind] = lcmv(lf.filter_interest, cov_set.noise, kind)
-            else:
+            if kind is FilterKind.NL:
                 cache[kind] = nulling(lf.composite, cov_set.data, l)
+            else:
+                cov = cov_set.data if kind is FilterKind.LCMV_R else cov_set.noise
+                cache[kind] = lcmv(lf.filter_interest, cov, kind)
         return cache[kind]
 
     bank: list[SpatialFilter] = []
     for spec in specs:
         kind = spec.kind
-        if kind in (FilterKind.LCMV_R, FilterKind.LCMV_N):
+        if kind in shared:
             built = base(kind)
-        elif kind in EIG_KINDS:
-            parent = base(
-                FilterKind.LCMV_R if kind is FilterKind.EIG_LCMV_R else FilterKind.LCMV_N
-            )
-            built = eig_lcmv(parent, cov_set.data, spec.sig_dim or l)
-        elif kind is FilterKind.NL:
-            built = base(FilterKind.NL)
+        elif kind in EIG_BASE:
+            built = eig_lcmv(base(EIG_BASE[kind]), cov_set.data, spec.sig_dim or l)
         elif kind in (FilterKind.MMSE_F, FilterKind.MMSE_I):
             built = wiener(cov_set, lf, kind)
         elif kind is FilterKind.ZF:
@@ -465,15 +450,13 @@ def build_filter_bank(
         elif (spec.rank or l) == l:
             built = replace(base(MVP_BASE[kind]), spec=FilterSpec(kind=kind, rank=l))
         else:
-            # Variant 3 selects with LCMV_N, the others with LCMV_R.
-            selector = FilterKind.LCMV_N if kind.value.endswith("_3") else FilterKind.LCMV_R
-            read = {selector, MVP_BASE[kind]}
-            inputs = (FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL)
+            selector, _, parent = MVP_RECIPE[kind]
+            read = {selector, parent}
             built = mv_pure(
                 kind,
                 spec.rank,
                 cov_set,
-                *(base(k) if k in read else None for k in inputs),
+                *(base(k) if k in read else None for k in shared),
             )
         bank.append(built)
     return bank

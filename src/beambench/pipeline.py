@@ -57,12 +57,11 @@ from .sources import (
 
 
 def _filter_specs(config: SetupConfig) -> list[FilterSpec]:
-    l = config.n_interest
     specs = []
     for name in config.filters:
         kind = FilterKind(name)
-        rank = (config.mvp_rank or l) if kind in MVP_KINDS else None
-        sig_dim = (config.eig_dim or l) if kind in EIG_KINDS else None
+        rank = config.mvp_rank if kind in MVP_KINDS else None
+        sig_dim = config.eig_dim if kind in EIG_KINDS else None
         specs.append(FilterSpec(kind=kind, rank=rank, sig_dim=sig_dim))
     return specs
 

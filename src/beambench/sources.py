@@ -296,29 +296,18 @@ def generate_source_signals(
     n = config.n_samples
     total = 2 * n
 
-    interest_model = sample_stable_mvar(
-        l,
-        config.order_interest,
-        make_mask(l, config.frac_ones, rng),
-        config.stab_limit,
-        config.coeff_range,
-        config.iter_limit,
-        rng,
-    )
-    interest = simulate(interest_model, total, rng)
+    def stable_series(dim: int, order: int) -> tuple[MvarModel, np.ndarray]:
+        mask = make_mask(dim, config.frac_ones, rng)
+        model = sample_stable_mvar(
+            dim, order, mask, config.stab_limit, config.coeff_range,
+            config.iter_limit, rng,
+        )
+        return model, simulate(model, total, rng)
 
+    interest_model, interest = stable_series(l, config.order_interest)
     background = np.zeros((0, total))
     if n_background > 0:
-        background_model = sample_stable_mvar(
-            n_background,
-            config.order_background,
-            make_mask(n_background, config.frac_ones, rng),
-            config.stab_limit,
-            config.coeff_range,
-            config.iter_limit,
-            rng,
-        )
-        background = simulate(background_model, total, rng)
+        _, background = stable_series(n_background, config.order_background)
 
     noise = rng.standard_normal((k, total))
     interference = np.zeros((k, total))

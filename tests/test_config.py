@@ -154,6 +154,13 @@ class TestValidation:
         with pytest.raises(InvalidValue, match="interest"):
             SetupConfig(sources=(0, 2, 10))
 
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(InvalidValue, match="SEED"):
+            SetupConfig(seed=-1)
+        with pytest.raises(InvalidValue, match="SEED must be >= 0"):
+            load_config(write_config(tmp_path, "SEED = -1\n"))
+        SetupConfig(seed=0)  # the boundary itself is legal
+
     def test_negative_counts_rejected(self):
         with pytest.raises(InvalidValue, match="non-negative"):
             SetupConfig(sources=(3, -1, 10))

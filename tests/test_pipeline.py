@@ -273,6 +273,21 @@ class TestFilterSelectionAndDumps:
         reduced = load_matrix(out / "filters" / "MVP_F_2_r1.csv")
         assert np.linalg.matrix_rank(reduced, tol=1e-10) == 1
 
+    def test_auto_rank_dump_is_the_full_rank_base(self, tmp_path):
+        config = small_config(
+            filters=("LCMV_R", "MVP_F_1", "EIG_LCMV_R"),
+            dump_filters=True,
+            n_realizations=1,
+        )
+        assert config.mvp_rank is None and config.eig_dim is None
+        out = run(config, out_dir=tmp_path / "auto")
+        dumped = out / "filters"
+        assert sorted(p.name for p in dumped.iterdir()) == [
+            "EIG_LCMV_R.csv", "LCMV_R.csv", "MVP_F_1_r2.csv"
+        ]
+        base = (dumped / "LCMV_R.csv").read_bytes()
+        assert (dumped / "MVP_F_1_r2.csv").read_bytes() == base
+
     def test_no_dump_directory_by_default(self, run_dir):
         assert not (run_dir / "filters").exists()
 
@@ -445,6 +460,12 @@ class TestCli:
     def test_bad_jobs_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--out", str(tmp_path / "x"), "--jobs", "0"]) == 1
         assert "--jobs" in capsys.readouterr().err
+
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
+        assert main(["run", "--out", str(tmp_path / "x"), "--seed", "-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "SEED must be >= 0" in err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_run_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nowhere")]) == 1
