@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import InvalidValue, ParseError, UnknownKey
-from .filters import FilterKind, parse_filter_list
+from .filters import MVP_BASE, FilterKind, parse_filter_list
 
 # Recognized-but-rejected legacy keys (sweep ranges, plotting, I/O
 # paths and similar host-environment concerns with no meaning here).
@@ -98,85 +98,85 @@ class SetupConfig:
     def n_interference(self) -> int:
         return self.sources[1] + self.deep_sources[1]
 
-    @property
-    def n_background(self) -> int:
-        return self.sources[2] + self.deep_sources[2]
-
     def validate(self) -> None:
-        def bad(message: str) -> InvalidValue:
-            return InvalidValue(message)
-
         if len(self.sources) != 3 or len(self.deep_sources) != 3:
-            raise bad("SRCS and DEEP must each hold three counts")
+            raise InvalidValue("SRCS and DEEP must each hold three counts")
         if any(c < 0 for c in self.sources + self.deep_sources):
-            raise bad("source counts must be non-negative")
+            raise InvalidValue("source counts must be non-negative")
         if self.n_interest < 1:
-            raise bad("at least one source of interest is required")
+            raise InvalidValue("at least one source of interest is required")
         if self.order_interest < 1 or self.order_background < 1:
-            raise bad("P00 and R00 must be >= 1")
+            raise InvalidValue("P00 and R00 must be >= 1")
         if self.n_samples < 8 * self.order_interest:
-            raise bad("n00 must be at least 8 times P00")
+            raise InvalidValue("n00 must be at least 8 times P00")
         fit_floor = self.order_interest * self.n_interest + self.n_interest
         if self.n_samples <= fit_floor:
-            raise bad(
+            raise InvalidValue(
                 f"n00 must exceed {fit_floor} so the model refit is determined"
             )
         if self.n_realizations < 1:
-            raise bad("K00 must be >= 1")
+            raise InvalidValue("K00 must be >= 1")
         if not 0.0 <= self.frac_ones <= 1.0:
-            raise bad("FRAC must lie in [0, 1]")
+            raise InvalidValue("FRAC must lie in [0, 1]")
         if not 0.0 < self.stab_limit <= 1.0:
-            raise bad("STAB must lie in (0, 1]")
+            raise InvalidValue("STAB must lie in (0, 1]")
+        if not math.isfinite(self.coeff_range[1] - self.coeff_range[0]):
+            raise InvalidValue("RNG bounds must be finite, and so must their distance")
         if not self.coeff_range[0] <= self.coeff_range[1]:
-            raise bad("RNG bounds must be ordered")
+            raise InvalidValue("RNG bounds must be ordered")
         if self.iter_limit < 1:
-            raise bad("ITER must be >= 1")
+            raise InvalidValue("ITER must be >= 1")
         if self.pdc_resolution < 2:
-            raise bad("PDC_RES must be >= 2")
+            raise InvalidValue("PDC_RES must be >= 2")
         if self.seed < 0:
-            raise bad("SEED must be >= 0")
+            raise InvalidValue("SEED must be >= 0")
         for name in ("sinr_db", "sbnr_db", "smnr_db"):
             if not math.isfinite(getattr(self, name)):
-                raise bad(f"{name} must be finite")
-        if self.cube_edge < 0.0:
-            raise bad("CUBE must be >= 0")
+                raise InvalidValue(f"{name} must be finite")
+        if not math.isfinite(self.cube_edge) or self.cube_edge < 0.0:
+            raise InvalidValue("CUBE must be finite and >= 0")
         if not 0.0 <= self.cone_half_angle < math.pi / 2.0:
-            raise bad("CONE must lie in [0, pi/2)")
+            raise InvalidValue("CONE must lie in [0, pi/2)")
         if self.n_electrodes < 4:
-            raise bad("M00 must be >= 4")
+            raise InvalidValue("M00 must be >= 4")
         if self.eig_dim is not None and not 1 <= self.eig_dim <= self.n_electrodes:
-            raise bad("RANK_EIG must lie in [1, M00]")
+            raise InvalidValue("RANK_EIG must lie in [1, M00]")
         if self.mvp_rank is not None and not 1 <= self.mvp_rank <= self.n_interest:
-            raise bad("MVP_RANK must lie in [1, number of interest sources]")
+            raise InvalidValue("MVP_RANK must lie in [1, number of interest sources]")
         if self.interference_rank is not None:
             limit = min(self.n_electrodes, self.n_interference)
             if limit < 1:
-                raise bad("IntLfgRANK needs interference sources to act on")
+                raise InvalidValue("IntLfgRANK needs interference sources to act on")
             if not 1 <= self.interference_rank <= limit:
-                raise bad(f"IntLfgRANK must lie in [1, {limit}]")
+                raise InvalidValue(f"IntLfgRANK must lie in [1, {limit}]")
         if not self.filters:
-            raise bad("FILTERS must select at least one filter")
-        valid = set(_ALL_FILTERS)
-        for name in self.filters:
-            if name not in valid:
-                raise bad(f"unknown filter {name!r} in FILTERS")
+            raise InvalidValue("FILTERS must select at least one filter")
+        for i, name in enumerate(self.filters):
+            if name not in _ALL_FILTERS:
+                raise InvalidValue(f"unknown filter {name!r} in FILTERS")
+            if name in self.filters[:i]:
+                raise InvalidValue(f"filter {name!r} is listed twice in FILTERS")
+        rank = self.interference_rank
+        if rank is not None and rank < self.n_interference:
+            # NL, and every MV-PURE variant that projects it, needs the
+            # composite [H H_i] at full column rank.
+            kinds = [FilterKind(name) for name in self.filters]
+            nl = [k.value for k in kinds if FilterKind.NL in (k, MVP_BASE.get(k))]
+            if nl:
+                raise InvalidValue(
+                    f"IntLfgRANK {rank} below the {self.n_interference} interference "
+                    f"sources leaves [H H_i] rank-deficient, so {', '.join(nl)} "
+                    "cannot be built; drop them from FILTERS or raise IntLfgRANK"
+                )
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-def _parse_int(text: str) -> int:
-    return int(text.strip())
-
-
-def _parse_float(text: str) -> float:
-    return float(text.strip())
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:
@@ -195,31 +195,28 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 
 def _parse_opt_int(text: str) -> int | None:
-    lowered = text.strip().lower()
-    if lowered in ("none", "auto", ""):
-        return None
-    return int(text.strip())
+    return None if text.lower() in ("none", "auto", "") else int(text)
 
 
-# Config-file key -> (dataclass field, value parser).
+# Config-file key -> (dataclass field, parser of the stripped value text).
 _KEY_TABLE: dict[str, tuple[str, object]] = {
     "SRCS": ("sources", _parse_triple),
     "DEEP": ("deep_sources", _parse_triple),
-    "n00": ("n_samples", _parse_int),
-    "K00": ("n_realizations", _parse_int),
-    "P00": ("order_interest", _parse_int),
-    "R00": ("order_background", _parse_int),
-    "FRAC": ("frac_ones", _parse_float),
-    "STAB": ("stab_limit", _parse_float),
+    "n00": ("n_samples", int),
+    "K00": ("n_realizations", int),
+    "P00": ("order_interest", int),
+    "R00": ("order_background", int),
+    "FRAC": ("frac_ones", float),
+    "STAB": ("stab_limit", float),
     "RNG": ("coeff_range", _parse_pair),
-    "ITER": ("iter_limit", _parse_int),
-    "PDC_RES": ("pdc_resolution", _parse_int),
-    "SEED": ("seed", _parse_int),
-    "SINR": ("sinr_db", _parse_float),
-    "SBNR": ("sbnr_db", _parse_float),
-    "SMNR": ("smnr_db", _parse_float),
-    "CUBE": ("cube_edge", _parse_float),
-    "CONE": ("cone_half_angle", _parse_float),
+    "ITER": ("iter_limit", int),
+    "PDC_RES": ("pdc_resolution", int),
+    "SEED": ("seed", int),
+    "SINR": ("sinr_db", float),
+    "SBNR": ("sbnr_db", float),
+    "SMNR": ("smnr_db", float),
+    "CUBE": ("cube_edge", float),
+    "CONE": ("cone_half_angle", float),
     "H_Src_pert": ("use_interest_pert", _parse_bool),
     "H_Int_pert": ("use_interference_pert", _parse_bool),
     "IntLfgRANK": ("interference_rank", _parse_opt_int),
@@ -235,8 +232,8 @@ _KEY_TABLE: dict[str, tuple[str, object]] = {
     "BcgPst": ("background_pst", _parse_bool),
     "MesPst": ("noise_pst", _parse_bool),
     "FILTERS": ("filters", parse_filter_list),
-    "M00": ("n_electrodes", _parse_int),
-    "OUT_DIR": ("out_dir", str.strip),
+    "M00": ("n_electrodes", int),
+    "OUT_DIR": ("out_dir", str),
     "DUMP_FILTERS": ("dump_filters", _parse_bool),
 }
 
@@ -267,8 +264,6 @@ def load_config(path: str | Path) -> SetupConfig:
                 raise InvalidValue(f"{path}:{lineno}: key {key!r}: {exc}") from exc
     try:
         return replace(SetupConfig(), **overrides)
-    except InvalidValue:
-        raise
     except (TypeError, ValueError) as exc:
         raise InvalidValue(f"{path}: {exc}") from exc
 

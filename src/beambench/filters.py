@@ -24,7 +24,7 @@ from .errors import (
     ShapeMismatch,
     SingularCovariance,
 )
-from .forward import LeadfieldSet, Recording
+from .forward import Recording
 from .sources import SourceSignals
 
 _COND_LIMIT = 1e12
@@ -272,17 +272,21 @@ def nulling(
     return _entry(weights, FilterSpec(kind=FilterKind.NL), composite)
 
 
-def wiener(cov_set: CovarianceSet, lf: LeadfieldSet, kind: FilterKind) -> SpatialFilter:
+def wiener(
+    cov_set: CovarianceSet, composite: np.ndarray, kind: FilterKind
+) -> SpatialFilter:
     """Minimum mean-square error reconstruction.
 
-    MMSE_F ignores interference structure: W = Q H' R^-1.  MMSE_I uses
-    the joint source block: W = E[q q_c'] H_c' R^-1.  With no
-    interference sources both coincide.
+    MMSE_F ignores interference structure: W = Q H' R^-1, with H the
+    leading l columns of the composite H_c = [H H_i].  MMSE_I uses the
+    joint source block: W = E[q q_c'] H_c' R^-1.  With no interference
+    sources both coincide.
     """
     if kind is FilterKind.MMSE_F:
-        weights = cov_set.source_cov @ lf.filter_interest.T @ cov_set.data.inverse
+        l = cov_set.source_cov.shape[0]
+        weights = cov_set.source_cov @ composite[:, :l].T @ cov_set.data.inverse
     elif kind is FilterKind.MMSE_I:
-        weights = cov_set.cross_cov @ lf.composite.T @ cov_set.data.inverse
+        weights = cov_set.cross_cov @ composite.T @ cov_set.data.inverse
     else:
         raise ValueError(f"not a Wiener filter kind: {kind}")
     return _entry(weights, FilterSpec(kind=kind))
@@ -404,11 +408,13 @@ def parse_filter_list(text: str) -> tuple[str, ...]:
 def build_filter_bank(
     specs: list[FilterSpec],
     cov_set: CovarianceSet,
-    lf: LeadfieldSet,
+    composite: np.ndarray,
     rng: np.random.Generator,
 ) -> list[SpatialFilter]:
     """Construct the requested filters, sharing the LCMV/NL bases.
 
+    composite is [H H_i]: the l = cov_set.source_cov.shape[0] interest
+    columns H, then the interference columns H_i.
     Specs are built in the order given; the random baseline draws from
     rng only when requested.  Every filter reads the factorizations
     cached on cov_set, so each sensor covariance is decomposed at most
@@ -418,8 +424,8 @@ def build_filter_bank(
     shares that filter's weights array and diagnostics instead of
     recomputing them up to rounding; its spec still carries rank l.
     """
-    l = lf.filter_interest.shape[1]
-    m = lf.filter_interest.shape[0]
+    l = cov_set.source_cov.shape[0]
+    h = composite[:, :l]
     cache: dict[FilterKind, SpatialFilter] = {}
 
     # The filters other entries derive from, in mv_pure's argument order.
@@ -428,10 +434,10 @@ def build_filter_bank(
     def base(kind: FilterKind) -> SpatialFilter:
         if kind not in cache:
             if kind is FilterKind.NL:
-                cache[kind] = nulling(lf.composite, cov_set.data, l)
+                cache[kind] = nulling(composite, cov_set.data, l)
             else:
                 cov = cov_set.data if kind is FilterKind.LCMV_R else cov_set.noise
-                cache[kind] = lcmv(lf.filter_interest, cov, kind)
+                cache[kind] = lcmv(h, cov, kind)
         return cache[kind]
 
     bank: list[SpatialFilter] = []
@@ -442,11 +448,11 @@ def build_filter_bank(
         elif kind in EIG_BASE:
             built = eig_lcmv(base(EIG_BASE[kind]), cov_set.data, spec.sig_dim or l)
         elif kind in (FilterKind.MMSE_F, FilterKind.MMSE_I):
-            built = wiener(cov_set, lf, kind)
+            built = wiener(cov_set, composite, kind)
         elif kind is FilterKind.ZF:
-            built = zero_forcing(lf.filter_interest)
+            built = zero_forcing(h)
         elif kind is FilterKind.RANDN:
-            built = randn_baseline(l, m, rng)
+            built = randn_baseline(l, composite.shape[0], rng)
         elif (spec.rank or l) == l:
             built = replace(base(MVP_BASE[kind]), spec=FilterSpec(kind=kind, rank=l))
         else:

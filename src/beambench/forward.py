@@ -146,17 +146,15 @@ def dipole_potentials(
 
 @dataclass(frozen=True)
 class LeadfieldSet:
-    """Role-split lead-fields, their Grams, the perturbed twins, and the
-    filter view.
+    """Role-split lead-fields, their Grams and the perturbed twins.
 
     Data generation always reads the unperturbed `interest`,
     `interference` and `background` matrices and their Grams H'H
     (`grams`, in that order); a run builds these once, from its fixed
     geometry.  `interest_pert` and `interference_pert` come from the
     jittered geometry; for a plain geometry they are the unperturbed
-    arrays themselves.  The filters see `filter_interest` and
-    `composite`, the stack of `filter_interest` and the filter-side
-    interference matrix (possibly perturbed, possibly rank-reduced).
+    arrays themselves.  What the filters see is chosen from these by
+    select_filter_leadfields.
     """
 
     interest: np.ndarray
@@ -165,8 +163,6 @@ class LeadfieldSet:
     grams: tuple[np.ndarray, np.ndarray, np.ndarray]
     interest_pert: np.ndarray
     interference_pert: np.ndarray
-    filter_interest: np.ndarray
-    composite: np.ndarray
 
     def __post_init__(self) -> None:
         m = self.interest.shape[0]
@@ -177,8 +173,6 @@ class LeadfieldSet:
 
 def _referenced(matrix: np.ndarray) -> np.ndarray:
     """Average reference: remove the electrode mean from every column."""
-    if matrix.shape[1] == 0:
-        return matrix
     return matrix - matrix.mean(axis=0, keepdims=True)
 
 
@@ -194,8 +188,7 @@ def leadfield_sphere(
     since its geometry stays fixed.  A PerturbedGeometry takes the plain
     set of its base geometry as `plain` and evaluates only the jittered
     interest and interference columns (no slot holds perturbed
-    background columns).  The filter view starts unperturbed; see
-    select_filter_leadfields.  The conductivity is DEFAULT_SIGMA.
+    background columns).  The conductivity is DEFAULT_SIGMA.
     """
     base = geom.base if isinstance(geom, PerturbedGeometry) else geom
     radius = base.head_radius
@@ -234,8 +227,6 @@ def leadfield_sphere(
         grams=tuple(h.T @ h for h in blocks.values()),
         interest_pert=blocks["interest"],
         interference_pert=blocks["interference"],
-        filter_interest=blocks["interest"],
-        composite=np.hstack([blocks["interest"], blocks["interference"]]),
     )
 
 
@@ -254,21 +245,15 @@ def select_filter_leadfields(
     use_interest_pert: bool,
     use_interference_pert: bool,
     interference_rank: int | None = None,
-) -> LeadfieldSet:
-    """Choose what the filters see: perturbed twins and rank reduction."""
-    filter_interest = lf.interest_pert if use_interest_pert else lf.interest
-    filter_interference = (
-        lf.interference_pert if use_interference_pert else lf.interference
-    )
+) -> np.ndarray:
+    """The composite [H H_i] the filters see: the interest columns, then
+    the interference columns, each perturbed when its flag is set, the
+    interference rank-reduced when interference_rank is given."""
+    interest = lf.interest_pert if use_interest_pert else lf.interest
+    interference = lf.interference_pert if use_interference_pert else lf.interference
     if interference_rank is not None:
-        if filter_interference.shape[1] == 0:
-            raise ValueError("cannot rank-reduce an empty interference lead-field")
-        filter_interference = reduce_rank(filter_interference, interference_rank)
-    return replace(
-        lf,
-        filter_interest=filter_interest,
-        composite=np.hstack([filter_interest, filter_interference]),
-    )
+        interference = reduce_rank(interference, interference_rank)
+    return np.hstack([interest, interference])
 
 
 def _snr_gain(reference_norm: float, target_norm: float, snr_db: float) -> float:
@@ -327,7 +312,7 @@ def compose_measurement(
     lf: LeadfieldSet,
     cfg: SetupConfig,
     rng: np.random.Generator,
-) -> tuple[Recording, LeadfieldSet]:
+) -> tuple[Recording, np.ndarray]:
     """Project sources to the sensors at the configured levels.
 
     The interference, background and noise gains are set over the
@@ -335,7 +320,7 @@ def compose_measurement(
     to the interest term meets the configured SINR, SBNR and SMNR.  A
     term switched off in a segment, or with zero power, gets gain 0.0
     there.  The noise is one (m, 2n) standard-normal draw from rng.
-    The returned LeadfieldSet is the filter view selected by the
+    Also returns the composite [H H_i] the filters see, selected by the
     perturbation flags and the optional interference rank.
     """
     roles = SegmentGains._fields[:3]
@@ -373,10 +358,10 @@ def compose_measurement(
     sensors_pre, gains_pre = segment("pre", slice(None, n))
     sensors_pst, gains_pst = segment("pst", slice(n, None))
     recording = Recording(sensors_pre, sensors_pst, gains_pre, gains_pst)
-    selected = select_filter_leadfields(
+    composite = select_filter_leadfields(
         lf, cfg.use_interest_pert, cfg.use_interference_pert, cfg.interference_rank
     )
-    return recording, selected
+    return recording, composite
 
 
 def save_leadfield(matrix: np.ndarray, path: str | Path) -> None:

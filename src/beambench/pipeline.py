@@ -118,10 +118,10 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
             stage = "leadfields"
             lf = leadfield_sphere(perturbed, montage, plain)
             stage = "measurement"
-            recording, lf_view = compose_measurement(signals, lf, config, rng_noise)
+            recording, composite = compose_measurement(signals, lf, config, rng_noise)
             cov_set = estimate_covariances(recording, signals)
             stage = "filters"
-            bank = build_filter_bank(specs, cov_set, lf_view, rng_filters)
+            bank = build_filter_bank(specs, cov_set, composite, rng_filters)
             if config.dump_filters and index == 1:
                 filter_dir = out / "filters"
                 filter_dir.mkdir(exist_ok=True)

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from beambench import config
 from beambench.config import SetupConfig, UNSUPPORTED_KEYS, load_config, to_manifest
 from beambench.errors import InvalidValue, ParseError, UnknownKey
 from beambench.filters import FilterKind
@@ -33,7 +39,6 @@ class TestDefaults:
         cfg = SetupConfig(sources=(3, 2, 10), deep_sources=(1, 0, 2))
         assert cfg.n_interest == 4
         assert cfg.n_interference == 2
-        assert cfg.n_background == 12
 
 
 class TestParsing:
@@ -202,6 +207,50 @@ class TestValidation:
         with pytest.raises(InvalidValue, match="IntLfgRANK"):
             SetupConfig(sources=(3, 0, 10), interference_rank=1)
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_sub_count_interference_rank_rejects_the_nulling_filters(self, rank):
+        # NL and every MVP_I_* variant need [H H_i] at full column rank.
+        with pytest.raises(
+            InvalidValue, match="IntLfgRANK .*NL, MVP_I_1, MVP_I_2, MVP_I_3 cannot"
+        ):
+            SetupConfig(sources=(3, 3, 10), interference_rank=rank)
+        with pytest.raises(InvalidValue, match="so MVP_I_3 cannot be built"):
+            SetupConfig(
+                sources=(3, 3, 10), interference_rank=rank, filters=("ZF", "MVP_I_3")
+            )
+        SetupConfig(
+            sources=(3, 3, 10),
+            interference_rank=rank,
+            filters=("LCMV_R", "MMSE_I", "ZF", "MVP_F_1"),
+        )
+        SetupConfig(sources=(3, 3, 10), interference_rank=3)
+
+    @pytest.mark.parametrize("edge", [math.nan, math.inf, -math.inf])
+    def test_cube_edge_must_be_finite(self, edge):
+        with pytest.raises(InvalidValue, match="CUBE must be finite"):
+            SetupConfig(cube_edge=edge)
+
+    @pytest.mark.parametrize(
+        "bounds", [(-math.inf, 0.3), (-0.3, math.inf), (math.nan, 0.3), (-1e308, 1e308)]
+    )
+    def test_coeff_range_must_be_finite(self, bounds):
+        with pytest.raises(InvalidValue, match="RNG bounds must be finite"):
+            SetupConfig(coeff_range=bounds)
+
+    @pytest.mark.parametrize(
+        "line", ["CUBE = nan", "CUBE = inf", "RNG = -inf, 0.3", "RNG = -1e308, 1e308"]
+    )
+    def test_non_finite_file_values_are_rejected(self, tmp_path, line):
+        with pytest.raises(InvalidValue, match="must be finite"):
+            load_config(write_config(tmp_path, line + "\n"))
+
+    def test_filters_must_be_distinct(self, tmp_path):
+        with pytest.raises(InvalidValue, match="'LCMV_R' is listed twice"):
+            SetupConfig(filters=("LCMV_R", "NL", "LCMV_R"))
+        path = write_config(tmp_path, "FILTERS = LCMV_R, NL, LCMV_R\n")
+        with pytest.raises(InvalidValue, match="listed twice"):
+            load_config(path)
+
     def test_filters_must_be_known_and_non_empty(self):
         with pytest.raises(InvalidValue, match="at least one"):
             SetupConfig(filters=())
@@ -230,3 +279,35 @@ class TestManifest:
         import json
 
         json.dumps(to_manifest(SetupConfig()))
+
+
+class TestPackageSurface:
+    def test_config_import_stays_light(self):
+        src = Path(config.__file__).resolve().parents[1]
+        heavy = (
+            "beambench.pipeline",
+            "beambench.metrics",
+            "beambench.connectivity",
+            "concurrent.futures",
+        )
+        probe = (
+            "import sys, beambench.config; "
+            f"print([name for name in {heavy!r} if name in sys.modules])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
+    def test_readme_config_table_lists_every_key(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        table = readme.read_text().split("| key | default | meaning |", 1)[1]
+        rows = table.split("\n\n", 1)[0].splitlines()[2:]
+        keys = {
+            key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])
+        }
+        assert keys == set(config._KEY_TABLE)

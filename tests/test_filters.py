@@ -35,7 +35,6 @@ from beambench.filters import (
     zero_forcing,
 )
 from beambench.forward import (
-    LeadfieldSet,
     compose_measurement,
     fibonacci_montage,
     leadfield_sphere,
@@ -46,21 +45,6 @@ from beambench.sources import generate_source_signals, sample_geometry
 def random_spd(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((dim, dim))
     return a @ a.T / dim + np.eye(dim)
-
-
-def scalar_lf(h: float) -> LeadfieldSet:
-    h_f = np.array([[h]])
-    empty = np.zeros((1, 0))
-    return LeadfieldSet(
-        interest=h_f,
-        interference=empty,
-        background=empty,
-        grams=(h_f.T @ h_f, np.zeros((0, 0)), np.zeros((0, 0))),
-        interest_pert=h_f,
-        interference_pert=empty,
-        filter_interest=h_f,
-        composite=h_f.copy(),
-    )
 
 
 def identity_covs(dim: int, data: np.ndarray, noise: np.ndarray, source: np.ndarray) -> CovarianceSet:
@@ -198,8 +182,7 @@ class TestWiener:
             noise=np.array([[0.5]]),
             source=np.array([[3.0]]),
         )
-        lf = scalar_lf(2.0)
-        filt = wiener(covs, lf, FilterKind.MMSE_F)
+        filt = wiener(covs, np.array([[2.0]]), FilterKind.MMSE_F)
         assert filt.weights[0, 0] == pytest.approx(0.48, abs=1e-12)
 
     def test_silent_sources_give_zero_weights(self):
@@ -209,7 +192,7 @@ class TestWiener:
             noise=np.array([[0.5]]),
             source=np.zeros((1, 1)),
         )
-        filt = wiener(covs, scalar_lf(2.0), FilterKind.MMSE_F)
+        filt = wiener(covs, np.array([[2.0]]), FilterKind.MMSE_F)
         assert np.all(filt.weights == 0.0)
 
     def test_variants_coincide_without_interference(self):
@@ -219,9 +202,9 @@ class TestWiener:
             noise=np.array([[0.5]]),
             source=np.array([[3.0]]),
         )
-        lf = scalar_lf(2.0)
-        f = wiener(covs, lf, FilterKind.MMSE_F)
-        i = wiener(covs, lf, FilterKind.MMSE_I)
+        composite = np.array([[2.0]])
+        f = wiener(covs, composite, FilterKind.MMSE_F)
+        i = wiener(covs, composite, FilterKind.MMSE_I)
         assert np.allclose(f.weights, i.weights, atol=1e-12)
 
     @staticmethod
@@ -252,7 +235,7 @@ class TestWiener:
             1, data=np.eye(1), noise=np.eye(1), source=np.eye(1)
         )
         with pytest.raises(ValueError, match="Wiener"):
-            wiener(covs, scalar_lf(1.0), FilterKind.ZF)
+            wiener(covs, np.array([[1.0]]), FilterKind.ZF)
 
 
 class TestZeroForcing:
@@ -376,10 +359,10 @@ class TestMvPure:
 
     def test_full_rank_reproduces_base(self, mini_bench):
         covs, view, _, _ = mini_bench
-        l = view.filter_interest.shape[1]
-        lcmv_r = lcmv(view.filter_interest, covs.data, FilterKind.LCMV_R)
-        lcmv_n = lcmv(view.filter_interest, covs.noise, FilterKind.LCMV_N)
-        nl = nulling(view.composite, covs.data, l)
+        l = covs.source_cov.shape[0]
+        lcmv_r = lcmv(view[:, :l], covs.data, FilterKind.LCMV_R)
+        lcmv_n = lcmv(view[:, :l], covs.noise, FilterKind.LCMV_N)
+        nl = nulling(view, covs.data, l)
         expected = {
             FilterKind.MVP_F_1: lcmv_r,
             FilterKind.MVP_F_2: lcmv_r,
@@ -395,10 +378,10 @@ class TestMvPure:
 
     def test_weight_rank_bounded_by_requested_rank(self, mini_bench):
         covs, view, _, _ = mini_bench
-        l = view.filter_interest.shape[1]
-        lcmv_r = lcmv(view.filter_interest, covs.data, FilterKind.LCMV_R)
-        lcmv_n = lcmv(view.filter_interest, covs.noise, FilterKind.LCMV_N)
-        nl = nulling(view.composite, covs.data, l)
+        l = covs.source_cov.shape[0]
+        lcmv_r = lcmv(view[:, :l], covs.data, FilterKind.LCMV_R)
+        lcmv_n = lcmv(view[:, :l], covs.noise, FilterKind.LCMV_N)
+        nl = nulling(view, covs.data, l)
         for rank in (1, 2):
             filt = mv_pure(FilterKind.MVP_F_2, rank, covs, lcmv_r, lcmv_n, nl)
             assert filt.diagnostics.numerical_rank <= rank
@@ -420,17 +403,7 @@ class TestMvPure:
         l, k, m = 3, 2, 8
         rng = np.random.default_rng(31)
         composite = well_conditioned(m, l + k, rng)
-        h, h_i = composite[:, :l], composite[:, l:]
-        lf = LeadfieldSet(
-            interest=h,
-            interference=h_i,
-            background=np.zeros((m, 0)),
-            grams=(h.T @ h, h_i.T @ h_i, np.zeros((0, 0))),
-            interest_pert=h,
-            interference_pert=h_i,
-            filter_interest=h,
-            composite=composite,
-        )
+        h = composite[:, :l]
         source = random_spd(l, rng)
         covs = CovarianceSet(
             data_cov=random_spd(m, rng),
@@ -443,12 +416,12 @@ class TestMvPure:
             "LCMV_N": lcmv(h, covs.noise, FilterKind.LCMV_N),
             "NL": nulling(composite, covs.data, l),
         }
-        return covs, lf, bases
+        return covs, composite, bases
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("kind", list(RECIPES))
     def test_reduced_rank_matches_the_docstring_recipe(self, kind, rank):
-        covs, lf, bases = self.general_setup()
+        covs, composite, bases = self.general_setup()
         weights = {name: f.weights for name, f in bases.items()}
         for a, b in (("LCMV_R", "LCMV_N"), ("LCMV_R", "NL"), ("LCMV_N", "NL")):
             assert np.linalg.norm(weights[a] - weights[b]) > 1e-2
@@ -471,11 +444,10 @@ class TestMvPure:
             kind, rank, covs, bases["LCMV_R"], bases["LCMV_N"], bases["NL"]
         )
         assert np.linalg.norm(direct.weights - expected) <= 1e-10 * scale
-        built = build_filter_bank(
-            [FilterSpec(kind=kind, rank=rank)], covs, lf, np.random.default_rng(0)
-        )[0]
+        spec = FilterSpec(kind=kind, rank=rank)
+        built = build_filter_bank([spec], covs, composite, np.random.default_rng(0))[0]
         assert np.linalg.norm(built.weights - expected) <= 1e-10 * scale
-        assert built.spec == FilterSpec(kind=kind, rank=rank)
+        assert built.spec == spec
 
     def test_bad_inputs_rejected(self):
         covs, lcmv_r, lcmv_n, nl = self.diagonal_setup(
@@ -541,7 +513,7 @@ class TestEstimateCovariances:
     def test_cross_covariance_leads_with_source_block(self, mini_bench):
         covs, view, _, _ = mini_bench
         l = covs.source_cov.shape[0]
-        assert covs.cross_cov.shape == (l, view.composite.shape[1])
+        assert covs.cross_cov.shape == (l, view.shape[1])
         assert np.allclose(covs.cross_cov[:, :l], covs.source_cov, atol=1e-12)
 
     def test_cross_covariance_scales_interference_by_the_post_gain(self, mini_bench):
@@ -633,17 +605,7 @@ class TestBuildFilterBank:
             m = l + k + extra
             rng = np.random.default_rng(seed)
             composite = well_conditioned(m, l + k, rng)
-            h, h_i = composite[:, :l], composite[:, l:]
-            lf = LeadfieldSet(
-                interest=h,
-                interference=h_i,
-                background=np.zeros((m, 0)),
-                grams=(h.T @ h, h_i.T @ h_i, np.zeros((0, 0))),
-                interest_pert=h,
-                interference_pert=h_i,
-                filter_interest=h,
-                composite=composite,
-            )
+            h = composite[:, :l]
             covs = CovarianceSet(
                 data_cov=random_spd(m, rng),
                 noise_cov=random_spd(m, rng),
@@ -655,7 +617,7 @@ class TestBuildFilterBank:
                 FilterSpec(kind=kind, sig_dim=m) for kind in EIG_KINDS
             ]
             lcmv_r, lcmv_n, nl, eig_r, eig_n = build_filter_bank(
-                specs, covs, lf, np.random.default_rng(seed)
+                specs, covs, composite, np.random.default_rng(seed)
             )
             for filt in (lcmv_r, lcmv_n):
                 assert np.linalg.norm(filt.weights @ h - np.eye(l)) <= 1e-8

@@ -293,16 +293,15 @@ class TestLeadfieldSphere:
         # the pert slots hold the unperturbed arrays themselves, not copies
         assert lf.interest_pert is lf.interest
         assert lf.interference_pert is lf.interference
-        assert lf.filter_interest is lf.interest
-        assert np.array_equal(lf.composite, np.hstack([lf.interest, lf.interference]))
 
     def test_perturbed_geometry_fills_pert_slots(self):
         geom, montage, _, plain = small_setup(seed=3)
         pert = perturb_geometry(geom, 0.01, np.pi / 32.0, np.random.default_rng(4))
         lf = leadfield_sphere(pert, montage, plain)
         assert not np.array_equal(lf.interest, lf.interest_pert)
-        # data-facing and filter-facing matrices still use the original
-        assert np.array_equal(lf.filter_interest, lf.interest)
+        # data-facing matrices and the unflagged filter view keep the original
+        composite = select_filter_leadfields(lf, False, False)
+        assert np.array_equal(composite, np.hstack([lf.interest, lf.interference]))
 
     @pytest.mark.parametrize("order", ["by_role", "interleaved"])
     def test_perturbed_background_is_never_evaluated(self, monkeypatch, order):
@@ -399,25 +398,24 @@ class TestSelectFilterLeadfields:
         pert = perturb_geometry(geom, 0.01, np.pi / 32.0, np.random.default_rng(8))
         lf = leadfield_sphere(pert, montage, plain)
         chosen = select_filter_leadfields(lf, True, False)
-        assert np.array_equal(chosen.filter_interest, lf.interest_pert)
-        assert np.array_equal(
-            chosen.composite, np.hstack([lf.interest_pert, lf.interference])
-        )
+        assert np.array_equal(chosen, np.hstack([lf.interest_pert, lf.interference]))
+        chosen = select_filter_leadfields(lf, False, True)
+        assert np.array_equal(chosen, np.hstack([lf.interest, lf.interference_pert]))
 
     def test_interference_rank_reduction(self):
         geom, montage, _, lf = small_setup(seed=9, counts=(2, 3, 0))
         chosen = select_filter_leadfields(lf, False, False, interference_rank=1)
-        filter_interference = chosen.composite[:, lf.interest.shape[1] :]
+        assert np.array_equal(chosen[:, : lf.interest.shape[1]], lf.interest)
+        filter_interference = chosen[:, lf.interest.shape[1] :]
         assert filter_interference.shape == lf.interference.shape
         assert np.linalg.matrix_rank(filter_interference, tol=1e-10) == 1
         # data-facing interference stays full
-        assert np.array_equal(chosen.interference, lf.interference)
+        assert np.linalg.matrix_rank(lf.interference, tol=1e-10) == 3
 
     def test_no_flags_reproduce_input_views(self):
         _, _, _, lf = small_setup(seed=10)
         chosen = select_filter_leadfields(lf, False, False)
-        assert np.array_equal(chosen.filter_interest, lf.filter_interest)
-        assert np.array_equal(chosen.composite, lf.composite)
+        assert np.array_equal(chosen, np.hstack([lf.interest, lf.interference]))
 
 
 class TestAdjustSnr:
@@ -527,7 +525,7 @@ class TestComposeMeasurement:
         signals = generate_source_signals(geom, params, np.random.default_rng(21))
         cfg = SetupConfig(use_interest_pert=True)
         _, view = compose_measurement(signals, lf, cfg, np.random.default_rng(22))
-        assert np.array_equal(view.filter_interest, lf.interest_pert)
+        assert np.array_equal(view, np.hstack([lf.interest_pert, lf.interference]))
 
     def test_dimension_mismatch_rejected(self):
         _, _, signals, lf = small_setup(seed=23)

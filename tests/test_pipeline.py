@@ -371,6 +371,24 @@ class TestFailureModes:
             with pytest.raises(PipelineError, match="realization 1, stage filters"):
                 run(small_config(filters=(kind,), **silent_pre), out_dir=tmp_path / kind)
 
+    def test_sub_count_interference_rank_runs_without_nulling(self, tmp_path):
+        # Rank 1 of 3 interference columns: NL and MVP_I_* are rejected
+        # up front, and a bank that does not build NL runs through.
+        out = run(
+            small_config(
+                sources=(2, 3, 3),
+                interference_rank=1,
+                n_realizations=1,
+                filters=("LCMV_R", "MMSE_I", "ZF", "MVP_F_1"),
+            ),
+            out_dir=tmp_path / "ok",
+        )
+        summary = load_summary_csv(out / "summary.csv")
+        names = list(dict.fromkeys(row.filter_name for row in summary))
+        assert names == ["LCMV_R", "MMSE_I", "ZF", "MVP_F_1"]
+        corr = [row.mean for row in summary if row.measure == "signal_corr"]
+        assert len(corr) == 4 and np.all(np.isfinite(corr))
+
     def test_bad_jobs_count(self, tmp_path):
         with pytest.raises(ValueError, match="jobs"):
             run(small_config(), out_dir=tmp_path / "never", jobs=0)
@@ -466,6 +484,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "SEED must be >= 0" in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("line", ["CUBE = nan", "RNG = -1e308, 1e308"])
+    def test_non_finite_config_value_fails_cleanly(self, tmp_path, capsys, line):
+        path = tmp_path / "setup.cfg"
+        path.write_text(line + "\n")
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
+        assert not out.exists()
+
+    def test_duplicate_filter_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["run", "--out", str(out), "--filters", "LCMV_R,NL,LCMV_R"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "listed twice" in err
+        assert not out.exists()
 
     def test_missing_run_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nowhere")]) == 1
