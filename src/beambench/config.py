@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import InvalidValue, ParseError, UnknownKey
-from .filters import MVP_BASE, FilterKind, parse_filter_list
+from .filters import FULL_RANK_H, FULL_RANK_HC, FilterKind, parse_filter_list
 
 # Recognized-but-rejected legacy keys (sweep ranges, plotting, I/O
 # paths and similar host-environment concerns with no meaning here).
@@ -156,18 +156,38 @@ class SetupConfig:
                 raise InvalidValue(f"unknown filter {name!r} in FILTERS")
             if name in self.filters[:i]:
                 raise InvalidValue(f"filter {name!r} is listed twice in FILTERS")
-        rank = self.interference_rank
-        if rank is not None and rank < self.n_interference:
-            # NL, and every MV-PURE variant that projects it, needs the
-            # composite [H H_i] at full column rank.
-            kinds = [FilterKind(name) for name in self.filters]
-            nl = [k.value for k in kinds if FilterKind.NL in (k, MVP_BASE.get(k))]
-            if nl:
+
+        def unbuildable(needs: tuple[FilterKind, ...], why: str, remedy: str) -> None:
+            names = [name for name in self.filters if name in needs]
+            if names:
                 raise InvalidValue(
-                    f"IntLfgRANK {rank} below the {self.n_interference} interference "
-                    f"sources leaves [H H_i] rank-deficient, so {', '.join(nl)} "
-                    "cannot be built; drop them from FILTERS or raise IntLfgRANK"
+                    f"{why}, so {', '.join(names)} cannot be built; "
+                    f"drop them from FILTERS or {remedy}"
                 )
+
+        l, k, m = self.n_interest, self.n_interference, self.n_electrodes
+        rank = self.interference_rank
+        if rank is not None and rank < k:
+            unbuildable(
+                FULL_RANK_HC,
+                f"IntLfgRANK {rank} below the {k} interference sources leaves "
+                "[H H_i] rank-deficient",
+                "raise IntLfgRANK",
+            )
+        columns = (
+            f"M00 = {m} average-referenced electrodes give at most {m - 1} "
+            "independent lead-field columns"
+        )
+        if l >= m:
+            unbuildable(
+                FULL_RANK_H, f"{columns}, fewer than the {l} interest sources", "raise M00"
+            )
+        if l + k >= m:
+            unbuildable(
+                FULL_RANK_HC,
+                f"{columns}, fewer than the {l + k} interest and interference sources",
+                "raise M00",
+            )
 
 
 def _parse_bool(text: str) -> bool:

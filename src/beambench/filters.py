@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
-from typing import NamedTuple
+from functools import cache, cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,6 +73,12 @@ MVP_RECIPE = {
 EIG_KINDS = tuple(EIG_BASE)
 MVP_BASE = {kind: base for kind, (_, _, base) in MVP_RECIPE.items()}
 MVP_KINDS = tuple(MVP_RECIPE)
+# The filters other kinds derive from; a bank builds each at most once.
+BASE_KINDS = tuple(dict.fromkeys(MVP_BASE.values()))
+# The kinds whose weights need H, respectively H_c = [H H_i], at full
+# column rank.
+FULL_RANK_H = tuple(k for k in FilterKind if k not in ("MMSE_F", "MMSE_I", "RANDN"))
+FULL_RANK_HC = tuple(k for k in FilterKind if FilterKind.NL in (k, MVP_BASE.get(k)))
 
 
 @dataclass(frozen=True)
@@ -216,30 +222,29 @@ def regularized_inverse(matrix: np.ndarray) -> CovarianceFactor:
     return CovarianceFactor(eigvec, (eigvec / eigval) @ eigvec.T)
 
 
-def _numerical_rank(weights: np.ndarray) -> int:
-    sv = np.linalg.svd(weights, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > _RANK_RTOL * sv[0]))
-
-
 def _entry(
     weights: np.ndarray, spec: FilterSpec, constrained: np.ndarray | None = None
 ) -> SpatialFilter:
-    """A bank entry with its diagnostics.  When the weights pass the
-    leading columns of a lead-field H distortionless and null the rest,
-    `constrained` is H and the residual is ||W H - [I 0]||."""
+    """A bank entry with its diagnostics: the numerical rank of the
+    weights and, when they pass the leading columns of a lead-field H
+    distortionless and null the rest (`constrained` is then H), the
+    residual ||W H - [I 0]||."""
     residual = None
     if constrained is not None:
         target = np.eye(weights.shape[0], constrained.shape[1])
         residual = float(np.linalg.norm(weights @ constrained - target))
-    return SpatialFilter(
-        weights, spec, FilterDiagnostics(residual, _numerical_rank(weights))
-    )
+    sv = np.linalg.svd(weights, compute_uv=False)
+    rank = int(np.sum(sv > _RANK_RTOL * sv[0])) if sv.size and sv[0] > 0.0 else 0
+    return SpatialFilter(weights, spec, FilterDiagnostics(residual, rank))
 
 
-def _constrained_weights(leadfield: np.ndarray, cov: CovarianceFactor) -> np.ndarray:
-    """W = (H' M^-1 H)^-1 H' M^-1 for a full-column-rank H."""
+def lcmv(leadfield: np.ndarray, cov: CovarianceFactor) -> np.ndarray:
+    """Distortionless minimum-variance beamformer against the factored
+    cov M: W = (H' M^-1 H)^-1 H' M^-1 for a full-column-rank H.
+
+    Over a composite [H H_i], the leading rows of W pass H
+    distortionless while placing exact nulls on H_i (the NL filter).
+    """
     lf_cov_inv = leadfield.T @ cov.inverse
     gram = lf_cov_inv @ leadfield
     gram = 0.5 * (gram + gram.T)
@@ -251,30 +256,9 @@ def _constrained_weights(leadfield: np.ndarray, cov: CovarianceFactor) -> np.nda
     return np.linalg.solve(gram, lf_cov_inv)
 
 
-def lcmv(
-    leadfield: np.ndarray,
-    cov: CovarianceFactor,
-    kind: FilterKind = FilterKind.LCMV_R,
-) -> SpatialFilter:
-    """Distortionless minimum-variance beamformer against the factored cov."""
-    weights = _constrained_weights(leadfield, cov)
-    return _entry(weights, FilterSpec(kind=kind), leadfield)
-
-
-def nulling(
-    composite: np.ndarray, cov: CovarianceFactor, n_interest: int
-) -> SpatialFilter:
-    """LCMV over [H H_i] keeping the interest rows: passes the interest
-    columns distortionless while placing exact nulls on interference."""
-    if not 1 <= n_interest <= composite.shape[1]:
-        raise ValueError("n_interest must address a prefix of the composite columns")
-    weights = _constrained_weights(composite, cov)[:n_interest]
-    return _entry(weights, FilterSpec(kind=FilterKind.NL), composite)
-
-
 def wiener(
     cov_set: CovarianceSet, composite: np.ndarray, kind: FilterKind
-) -> SpatialFilter:
+) -> np.ndarray:
     """Minimum mean-square error reconstruction.
 
     MMSE_F ignores interference structure: W = Q H' R^-1, with H the
@@ -284,27 +268,22 @@ def wiener(
     """
     if kind is FilterKind.MMSE_F:
         l = cov_set.source_cov.shape[0]
-        weights = cov_set.source_cov @ composite[:, :l].T @ cov_set.data.inverse
-    elif kind is FilterKind.MMSE_I:
-        weights = cov_set.cross_cov @ composite.T @ cov_set.data.inverse
-    else:
-        raise ValueError(f"not a Wiener filter kind: {kind}")
-    return _entry(weights, FilterSpec(kind=kind))
+        return cov_set.source_cov @ composite[:, :l].T @ cov_set.data.inverse
+    if kind is FilterKind.MMSE_I:
+        return cov_set.cross_cov @ composite.T @ cov_set.data.inverse
+    raise ValueError(f"not a Wiener filter kind: {kind}")
 
 
-def zero_forcing(leadfield: np.ndarray) -> SpatialFilter:
+def zero_forcing(leadfield: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of the interest lead-field."""
     sv = np.linalg.svd(leadfield, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0 or sv[-1] <= _GRAM_RTOL * sv[0]:
         raise RankDeficientLeadfield("lead-field does not have full column rank")
-    weights = np.linalg.pinv(leadfield, rcond=_GRAM_RTOL)
-    return _entry(weights, FilterSpec(kind=FilterKind.ZF), leadfield)
+    return np.linalg.pinv(leadfield, rcond=_GRAM_RTOL)
 
 
-def eig_lcmv(
-    base: SpatialFilter, data: CovarianceFactor, sig_dim: int
-) -> SpatialFilter:
-    """Project an LCMV filter onto the top-sig_dim eigenspace of the
+def eig_lcmv(base: np.ndarray, data: CovarianceFactor, sig_dim: int) -> np.ndarray:
+    """Project LCMV weights onto the top-sig_dim eigenspace of the
     factored data covariance (the presumed signal subspace).
 
     Eigenvalue ties are resolved by the ascending output order of the
@@ -314,22 +293,16 @@ def eig_lcmv(
     m = data.eigvec.shape[0]
     if not 1 <= sig_dim <= m:
         raise ValueError(f"sig_dim must lie in [1, {m}], got {sig_dim}")
-    kind = next((k for k, b in EIG_BASE.items() if b is base.spec.kind), None)
-    if kind is None:
-        raise ValueError("base filter must be LCMV_R or LCMV_N")
     top = data.eigvec[:, m - sig_dim :]
-    weights = (base.weights @ top) @ top.T
-    return _entry(weights, FilterSpec(kind=kind, sig_dim=sig_dim))
+    return (base @ top) @ top.T
 
 
 def mv_pure(
     kind: FilterKind,
     rank: int,
     cov_set: CovarianceSet,
-    lcmv_r: SpatialFilter | None,
-    lcmv_n: SpatialFilter | None,
-    nl: SpatialFilter | None,
-) -> SpatialFilter:
+    weights_of: Callable[[FilterKind], np.ndarray],
+) -> np.ndarray:
     """Reduced-rank MV-PURE variants.
 
     The projection collects the eigenvectors of the rank-selection
@@ -341,16 +314,15 @@ def mv_pure(
 
     MVP_RECIPE gives each variant's selection matrix and the filter it
     projects: F variants the matching LCMV filter, I variants the
-    interference-nulling filter.  Only the filters a variant reads
-    are needed; the others may be None.  Eigenvalue ties are resolved
-    by the ascending output order of the symmetric eigendecomposition,
+    interference-nulling filter.  weights_of(kind) is asked only for
+    the variant's selector and base.  Eigenvalue ties are resolved by
+    the ascending output order of the symmetric eigendecomposition,
     which is deterministic for a given input matrix.
     """
     if kind not in MVP_RECIPE:
         raise ValueError(f"not an MV-PURE kind: {kind}")
     selector, subtract_q, base = MVP_RECIPE[kind]
-    inputs = {FilterKind.LCMV_R: lcmv_r, FilterKind.LCMV_N: lcmv_n, FilterKind.NL: nl}
-    w = inputs[selector].weights
+    w = weights_of(selector)
     l = w.shape[0]
     if not 1 <= rank <= l:
         raise ValueError(f"rank must lie in [1, {l}], got {rank}")
@@ -364,16 +336,14 @@ def mv_pure(
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionFailure(str(exc)) from exc
     low = eigvec[:, :rank]
-    weights = low @ low.T @ inputs[base].weights
-    return _entry(weights, FilterSpec(kind=kind, rank=rank))
+    return low @ low.T @ weights_of(base)
 
 
-def randn_baseline(n_interest: int, m: int, rng: np.random.Generator) -> SpatialFilter:
+def randn_baseline(n_interest: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian weights scaled by 1/sqrt(m); the comparison floor."""
     if n_interest < 1 or m < 1:
         raise ValueError("n_interest and m must be positive")
-    weights = rng.standard_normal((n_interest, m)) / np.sqrt(m)
-    return _entry(weights, FilterSpec(kind=FilterKind.RANDN))
+    return rng.standard_normal((n_interest, m)) / np.sqrt(m)
 
 
 def reconstruct(filt: SpatialFilter, sensors: np.ndarray) -> np.ndarray:
@@ -426,43 +396,41 @@ def build_filter_bank(
     """
     l = cov_set.source_cov.shape[0]
     h = composite[:, :l]
-    cache: dict[FilterKind, SpatialFilter] = {}
 
-    # The filters other entries derive from, in mv_pure's argument order.
-    shared = (FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL)
+    @cache
+    def weights_of(kind: FilterKind) -> np.ndarray:
+        """LCMV_R, LCMV_N or NL, computed on first read."""
+        if kind is FilterKind.NL:
+            return lcmv(composite, cov_set.data)[:l]
+        return lcmv(h, cov_set.data if kind is FilterKind.LCMV_R else cov_set.noise)
 
-    def base(kind: FilterKind) -> SpatialFilter:
-        if kind not in cache:
-            if kind is FilterKind.NL:
-                cache[kind] = nulling(composite, cov_set.data, l)
-            else:
-                cov = cov_set.data if kind is FilterKind.LCMV_R else cov_set.noise
-                cache[kind] = lcmv(h, cov, kind)
-        return cache[kind]
-
+    bases: dict[FilterKind, SpatialFilter] = {}
     bank: list[SpatialFilter] = []
     for spec in specs:
-        kind = spec.kind
-        if kind in shared:
-            built = base(kind)
-        elif kind in EIG_BASE:
-            built = eig_lcmv(base(EIG_BASE[kind]), cov_set.data, spec.sig_dim or l)
-        elif kind in (FilterKind.MMSE_F, FilterKind.MMSE_I):
-            built = wiener(cov_set, composite, kind)
-        elif kind is FilterKind.ZF:
-            built = zero_forcing(h)
-        elif kind is FilterKind.RANDN:
-            built = randn_baseline(l, composite.shape[0], rng)
-        elif (spec.rank or l) == l:
-            built = replace(base(MVP_BASE[kind]), spec=FilterSpec(kind=kind, rank=l))
-        else:
-            selector, _, parent = MVP_RECIPE[kind]
-            read = {selector, parent}
-            built = mv_pure(
-                kind,
-                spec.rank,
-                cov_set,
-                *(base(k) if k in read else None for k in shared),
-            )
+        kind, rank, sig_dim, constrained = spec.kind, None, None, None
+        if kind in MVP_BASE and (spec.rank or l) == l:
+            kind = MVP_BASE[kind]  # shared below, then given the variant's spec
+        built = bases.get(kind)
+        if built is None:
+            if kind in BASE_KINDS:
+                weights = weights_of(kind)
+                constrained = composite if kind is FilterKind.NL else h
+            elif kind in EIG_BASE:
+                sig_dim = spec.sig_dim or l
+                weights = eig_lcmv(weights_of(EIG_BASE[kind]), cov_set.data, sig_dim)
+            elif kind in (FilterKind.MMSE_F, FilterKind.MMSE_I):
+                weights = wiener(cov_set, composite, kind)
+            elif kind is FilterKind.ZF:
+                weights, constrained = zero_forcing(h), h
+            elif kind is FilterKind.RANDN:
+                weights = randn_baseline(l, composite.shape[0], rng)
+            else:
+                rank = spec.rank
+                weights = mv_pure(kind, rank, cov_set, weights_of)
+            built = _entry(weights, FilterSpec(kind, rank, sig_dim), constrained)
+            if kind in BASE_KINDS:
+                bases[kind] = built
+        if kind is not spec.kind:
+            built = replace(built, spec=FilterSpec(kind=spec.kind, rank=l))
         bank.append(built)
     return bank

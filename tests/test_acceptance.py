@@ -20,7 +20,6 @@ from beambench.filters import (
     FilterKind,
     lcmv,
     mv_pure,
-    nulling,
     regularized_inverse,
     zero_forcing,
 )
@@ -76,15 +75,15 @@ def test_criterion_1_constraint_suite():
         h, h_i, data_cov, noise_cov = constraint_instance(seed)
         composite = np.hstack([h, h_i])
         eye = np.eye(5)
-        for filt in (
-            lcmv(h, regularized_inverse(data_cov), FilterKind.LCMV_R),
-            lcmv(h, regularized_inverse(noise_cov), FilterKind.LCMV_N),
-            nulling(composite, regularized_inverse(data_cov), 5),
+        nl = lcmv(composite, regularized_inverse(data_cov))[:5]
+        for weights in (
+            lcmv(h, regularized_inverse(data_cov)),
+            lcmv(h, regularized_inverse(noise_cov)),
+            nl,
             zero_forcing(h),
         ):
-            worst_gain = max(worst_gain, np.linalg.norm(filt.weights @ h - eye))
-        nl = nulling(composite, regularized_inverse(data_cov), 5)
-        worst_null = max(worst_null, np.linalg.norm(nl.weights @ h_i))
+            worst_gain = max(worst_gain, np.linalg.norm(weights @ h - eye))
+        worst_null = max(worst_null, np.linalg.norm(nl @ h_i))
     elapsed = time.perf_counter() - start
     ok = worst_gain <= 1e-8 and worst_null <= 1e-8 and elapsed < 10.0
     _criterion(
@@ -172,9 +171,10 @@ def test_criterion_4_mv_pure_degeneracy():
             source_cov=composite_cov[:l, :l],
             cross_cov=composite_cov[:l, :],
         )
-        lcmv_r = lcmv(h, regularized_inverse(data_cov), FilterKind.LCMV_R)
-        lcmv_n = lcmv(h, regularized_inverse(noise_cov), FilterKind.LCMV_N)
-        nl = nulling(np.hstack([h, h_i]), regularized_inverse(data_cov), l)
+        lcmv_r = lcmv(h, regularized_inverse(data_cov))
+        lcmv_n = lcmv(h, regularized_inverse(noise_cov))
+        nl = lcmv(np.hstack([h, h_i]), regularized_inverse(data_cov))[:l]
+        bases = {FilterKind.LCMV_R: lcmv_r, FilterKind.LCMV_N: lcmv_n, FilterKind.NL: nl}
         pairs = {
             FilterKind.MVP_F_1: lcmv_r,
             FilterKind.MVP_F_2: lcmv_r,
@@ -184,8 +184,8 @@ def test_criterion_4_mv_pure_degeneracy():
             FilterKind.MVP_I_3: nl,
         }
         for kind, base in pairs.items():
-            reduced = mv_pure(kind, l, cov_set, lcmv_r, lcmv_n, nl)
-            worst = max(worst, float(np.linalg.norm(reduced.weights - base.weights)))
+            reduced = mv_pure(kind, l, cov_set, bases.__getitem__)
+            worst = max(worst, float(np.linalg.norm(reduced - base)))
     ok = worst <= 1e-8
     _criterion(
         4,

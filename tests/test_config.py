@@ -225,6 +225,31 @@ class TestValidation:
         )
         SetupConfig(sources=(3, 3, 10), interference_rank=3)
 
+    @pytest.mark.parametrize("electrodes", [4, 5])
+    def test_too_few_electrodes_reject_the_nulling_filters(self, electrodes):
+        # The average reference leaves at most M00 - 1 independent
+        # columns, fewer than the 5 of [H H_i] at the default 3/2 sources.
+        with pytest.raises(
+            InvalidValue, match=f"M00 = {electrodes} .*NL, MVP_I_1, MVP_I_2, MVP_I_3 cannot"
+        ):
+            SetupConfig(n_electrodes=electrodes)
+        with pytest.raises(InvalidValue, match="so MVP_I_2 cannot be built"):
+            SetupConfig(n_electrodes=electrodes, filters=("LCMV_R", "MVP_I_2"))
+        SetupConfig(n_electrodes=electrodes, filters=("LCMV_R", "ZF", "MVP_F_3"))
+        SetupConfig(n_electrodes=6)
+
+    def test_too_few_electrodes_reject_the_interest_filters(self):
+        with pytest.raises(
+            InvalidValue, match="fewer than the 4 interest sources, so LCMV_R, ZF cannot"
+        ):
+            SetupConfig(
+                sources=(4, 0, 2),
+                n_electrodes=4,
+                filters=("LCMV_R", "MMSE_F", "ZF", "RANDN"),
+            )
+        SetupConfig(sources=(4, 0, 2), n_electrodes=4, filters=("MMSE_F", "RANDN"))
+        SetupConfig(sources=(4, 0, 2), n_electrodes=5)
+
     @pytest.mark.parametrize("edge", [math.nan, math.inf, -math.inf])
     def test_cube_edge_must_be_finite(self, edge):
         with pytest.raises(InvalidValue, match="CUBE must be finite"):

@@ -373,21 +373,24 @@ class TestFailureModes:
 
     def test_sub_count_interference_rank_runs_without_nulling(self, tmp_path):
         # Rank 1 of 3 interference columns: NL and MVP_I_* are rejected
-        # up front, and a bank that does not build NL runs through.
-        out = run(
-            small_config(
-                sources=(2, 3, 3),
-                interference_rank=1,
-                n_realizations=1,
-                filters=("LCMV_R", "MMSE_I", "ZF", "MVP_F_1"),
-            ),
-            out_dir=tmp_path / "ok",
-        )
-        summary = load_summary_csv(out / "summary.csv")
-        names = list(dict.fromkeys(row.filter_name for row in summary))
-        assert names == ["LCMV_R", "MMSE_I", "ZF", "MVP_F_1"]
-        corr = [row.mean for row in summary if row.measure == "signal_corr"]
-        assert len(corr) == 4 and np.all(np.isfinite(corr))
+        # up front, and a bank that does not build NL runs through, also
+        # with MVP_F_1 below full rank (it reads LCMV_R only).
+        for mvp_rank in (None, 1):
+            out = run(
+                small_config(
+                    sources=(2, 3, 3),
+                    interference_rank=1,
+                    mvp_rank=mvp_rank,
+                    n_realizations=1,
+                    filters=("LCMV_R", "MMSE_I", "ZF", "MVP_F_1"),
+                ),
+                out_dir=tmp_path / f"rank_{mvp_rank}",
+            )
+            summary = load_summary_csv(out / "summary.csv")
+            names = list(dict.fromkeys(row.filter_name for row in summary))
+            assert names == ["LCMV_R", "MMSE_I", "ZF", "MVP_F_1"]
+            corr = [row.mean for row in summary if row.measure == "signal_corr"]
+            assert len(corr) == 4 and np.all(np.isfinite(corr))
 
     def test_bad_jobs_count(self, tmp_path):
         with pytest.raises(ValueError, match="jobs"):
@@ -500,6 +503,16 @@ class TestCli:
         assert main(["run", "--out", str(out), "--filters", "LCMV_R,NL,LCMV_R"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "listed twice" in err
+        assert not out.exists()
+
+    def test_too_few_electrodes_fail_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "setup.cfg"
+        path.write_text("M00 = 5\n")
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at most 4 independent" in err
+        assert "NL, MVP_I_1, MVP_I_2, MVP_I_3 cannot be built" in err
         assert not out.exists()
 
     def test_missing_run_dir_fails_cleanly(self, tmp_path, capsys):
