@@ -135,17 +135,29 @@ class TestLcmv:
         with pytest.raises(RankDeficientLeadfield):
             lcmv(h, regularized_inverse(np.eye(6)))
 
+    def test_kind_is_recorded(self):
+        h = np.eye(3)
+        filt = single_entry(FilterSpec(kind=FilterKind.LCMV_N), h, np.eye(3), 3)
+        assert filt.spec.kind is FilterKind.LCMV_N
+        assert np.array_equal(filt.weights, lcmv(h, regularized_inverse(np.eye(3))))
 
-def nulling(composite: np.ndarray, cov: np.ndarray, l: int) -> np.ndarray:
-    """The NL weights the bank builds over composite against cov."""
+
+def single_entry(
+    spec: FilterSpec, composite: np.ndarray, cov: np.ndarray, l: int
+) -> SpatialFilter:
+    """The one entry the bank builds for spec over composite against cov."""
     covs = CovarianceSet(
         data_cov=cov,
         noise_cov=cov,
         source_cov=np.eye(l),
         cross_cov=np.eye(l, composite.shape[1]),
     )
-    spec = FilterSpec(kind=FilterKind.NL)
-    return build_filter_bank([spec], covs, composite, np.random.default_rng(0))[0].weights
+    return build_filter_bank([spec], covs, composite, np.random.default_rng(0))[0]
+
+
+def nulling(composite: np.ndarray, cov: np.ndarray, l: int) -> np.ndarray:
+    """The NL weights the bank builds over composite against cov."""
+    return single_entry(FilterSpec(kind=FilterKind.NL), composite, cov, l).weights
 
 
 class TestNulling:
@@ -287,6 +299,17 @@ class TestEigLcmv:
         white = regularized_inverse(np.eye(3))
         base = lcmv(np.eye(3), white)
         assert np.array_equal(eig_lcmv(base, white, 2), eig_lcmv(base, white, 2))
+
+    def test_kind_mapping_and_sig_dim_recorded(self):
+        matrix = np.diag([3.0, 2.0, 1.0])
+        cov = regularized_inverse(matrix)
+        expected = eig_lcmv(lcmv(np.eye(3), cov), cov, 2)
+        for kind in (FilterKind.EIG_LCMV_R, FilterKind.EIG_LCMV_N):
+            spec = FilterSpec(kind=kind, sig_dim=2)
+            projected = single_entry(spec, np.eye(3), matrix, 3)
+            assert projected.spec.kind is kind
+            assert projected.spec.sig_dim == 2
+            assert np.allclose(projected.weights, expected, atol=1e-12)
 
     def test_bad_inputs_rejected(self):
         white = regularized_inverse(np.eye(3))
