@@ -21,7 +21,6 @@ from .errors import ZeroColumn, ZeroRow
 from .mvar import MvarModel
 
 _SINGULAR_RTOL = 1e-12
-DEFAULT_RESOLUTION = 129
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class ConnectivitySpectrum:
                 raise ValueError(f"{name} must have shape (dim, dim, {nf})")
 
 
-def default_freqs(resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
+def default_freqs(resolution: int) -> np.ndarray:
     """Uniform grid of normalized frequencies over [0, 0.5]."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
@@ -144,11 +143,9 @@ def _row_normalize(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return mags / scale[:, None, :]
 
 
-def connectivity_spectrum(
-    model: MvarModel, freqs: np.ndarray | None = None
-) -> ConnectivitySpectrum:
+def connectivity_spectrum(model: MvarModel, freqs: np.ndarray) -> ConnectivitySpectrum:
     """PDC and DTF on a grid from one evaluation of A(f) and H(f)."""
-    freqs = default_freqs() if freqs is None else _check_freqs(freqs)
+    freqs = _check_freqs(freqs)
     coeff_transform, transfer_mat = spectral_transform(model, freqs)
     return ConnectivitySpectrum(
         freqs=freqs,

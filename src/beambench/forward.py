@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import ShapeMismatch, SourceOutsideHead, ZeroTargetSignal
-from .sources import PerturbedGeometry, SourceGeometry, SourceSignals
+from .sources import ROLES, PerturbedGeometry, SourceGeometry, SourceSignals
 
 if TYPE_CHECKING:
     from .config import SetupConfig
@@ -190,43 +190,34 @@ def leadfield_sphere(
     interest and interference columns (no slot holds perturbed
     background columns).  The conductivity is DEFAULT_SIGMA.
     """
-    base = geom.base if isinstance(geom, PerturbedGeometry) else geom
+    perturbed = isinstance(geom, PerturbedGeometry)
+    base = geom.base if perturbed else geom
     radius = base.head_radius
     if abs(montage.head_radius - radius) > 1e-9:
         raise ShapeMismatch("montage radius does not match the head radius")
+    if perturbed and plain is None:
+        raise ValueError("a perturbed geometry needs the plain set of its base")
 
-    def split(
-        positions: np.ndarray, orientations: np.ndarray, roles: tuple[str, ...]
-    ) -> dict[str, np.ndarray]:
-        picked = [i for i, tag in enumerate(base.roles) if tag in roles]
-        full = _referenced(
-            dipole_potentials(
-                positions[picked], orientations[picked], montage.positions, radius
-            )
-        )
-        tags = [base.roles[i] for i in picked]
-        return {
-            role: full[:, [j for j, tag in enumerate(tags) if tag == role]]
-            for role in roles
-        }
-
-    if isinstance(geom, PerturbedGeometry):
-        if plain is None:
-            raise ValueError("a perturbed geometry needs the plain set of its base")
-        pert = split(geom.positions, geom.orientations, ("interest", "interference"))
-        return replace(
-            plain,
-            interest_pert=pert["interest"],
-            interference_pert=pert["interference"],
-        )
-    blocks = split(
-        geom.positions, geom.orientations, ("interest", "interference", "background")
+    l, k, _ = base.counts
+    n_read = l + k if perturbed else base.n_sources
+    positions, orientations = geom.positions[:n_read], geom.orientations[:n_read]
+    full = _referenced(
+        dipole_potentials(positions, orientations, montage.positions, radius)
     )
+    # Fortran-ordered copies: the BLAS products downstream round
+    # differently on a C-ordered layout, so the layout is part of what
+    # fixes the output bytes.
+    blocks = [
+        np.asfortranarray(full[:, start:stop])
+        for start, stop in ((0, l), (l, l + k), (l + k, None))
+    ]
+    if perturbed:
+        return replace(plain, interest_pert=blocks[0], interference_pert=blocks[1])
     return LeadfieldSet(
-        **blocks,
-        grams=tuple(h.T @ h for h in blocks.values()),
-        interest_pert=blocks["interest"],
-        interference_pert=blocks["interference"],
+        *blocks,
+        grams=tuple(h.T @ h for h in blocks),
+        interest_pert=blocks[0],
+        interference_pert=blocks[1],
     )
 
 
@@ -323,10 +314,9 @@ def compose_measurement(
     Also returns the composite [H H_i] the filters see, selected by the
     perturbation flags and the optional interference rank.
     """
-    roles = SegmentGains._fields[:3]
-    leadfields = [getattr(lf, role) for role in roles]
-    blocks = [getattr(signals, role) for role in roles]
-    for role, leadfield, block in zip(roles, leadfields, blocks):
+    leadfields = [getattr(lf, role) for role in ROLES]
+    blocks = [getattr(signals, role) for role in ROLES]
+    for role, leadfield, block in zip(ROLES, leadfields, blocks):
         if leadfield.shape[1] != block.shape[0]:
             raise ShapeMismatch(f"{role} lead-field and signal dimensions disagree")
     m, n = lf.interest.shape[0], signals.interest.shape[1] // 2

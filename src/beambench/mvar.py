@@ -19,12 +19,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import RankDeficientRegressor, StabilitySearchExhausted, UnstableModel
 
-# Source role tags, in the order geometries list the roles.
-ROLE_INTEREST = "interest"
-ROLE_INTERFERENCE = "interference"
-ROLE_BACKGROUND = "background"
-ROLES = (ROLE_INTEREST, ROLE_INTERFERENCE, ROLE_BACKGROUND)
-
 _SYM_TOL = 1e-12
 _EIG_FLOOR = -1e-10
 _GRAM_RTOL = 1e-10

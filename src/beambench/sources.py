@@ -19,16 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ShapeMismatch
-from .mvar import (
-    ROLE_BACKGROUND,
-    ROLE_INTEREST,
-    ROLE_INTERFERENCE,
-    ROLES,
-    MvarModel,
-    make_mask,
-    sample_stable_mvar,
-    simulate,
-)
+from .mvar import MvarModel, make_mask, sample_stable_mvar, simulate
 
 if TYPE_CHECKING:
     from .config import SetupConfig
@@ -41,14 +32,22 @@ HEAD_RADIUS = 0.09
 CORTEX_RADIUS = 0.8 * HEAD_RADIUS
 DEEP_RADIUS = 0.3 * HEAD_RADIUS
 
+# Source roles, in the order of a geometry's dipole blocks.
+ROLES = ("interest", "interference", "background")
+
 
 @dataclass(frozen=True)
 class SourceGeometry:
-    """Positions, unit orientations and role tags of all dipoles."""
+    """Positions and unit orientations of all dipoles, in role blocks.
+
+    `counts` = (l, k, b): the first l rows are the sources of interest,
+    the next k the interference sources and the last b the background
+    sources.
+    """
 
     positions: np.ndarray
     orientations: np.ndarray
-    roles: tuple[str, ...]
+    counts: tuple[int, int, int]
     deep: np.ndarray
     head_radius: float
 
@@ -56,14 +55,14 @@ class SourceGeometry:
         positions = np.asarray(self.positions, dtype=float)
         orientations = np.asarray(self.orientations, dtype=float)
         deep = np.asarray(self.deep, dtype=bool)
-        n = len(self.roles)
+        counts = tuple(int(c) for c in self.counts)
+        n = len(positions)
+        if len(counts) != 3 or min(counts) < 0 or sum(counts) != n:
+            raise ValueError(f"counts must be 3 non-negative sizes summing to {n}")
         if positions.shape != (n, 3) or orientations.shape != (n, 3):
             raise ValueError("positions and orientations must have shape (n, 3)")
         if deep.shape != (n,):
             raise ValueError("deep must have one flag per source")
-        for role in self.roles:
-            if role not in ROLES:
-                raise ValueError(f"unknown source role {role!r}")
         norms = np.linalg.norm(orientations, axis=1)
         if np.max(np.abs(norms - 1.0), initial=0.0) > _UNIT_TOL:
             raise ValueError("orientations must be unit vectors")
@@ -72,22 +71,16 @@ class SourceGeometry:
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "orientations", orientations)
         object.__setattr__(self, "deep", deep)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n_sources(self) -> int:
-        return len(self.roles)
+        return sum(self.counts)
 
     @property
-    def n_interest(self) -> int:
-        return self.roles.count(ROLE_INTEREST)
-
-    @property
-    def n_interference(self) -> int:
-        return self.roles.count(ROLE_INTERFERENCE)
-
-    @property
-    def n_background(self) -> int:
-        return self.roles.count(ROLE_BACKGROUND)
+    def roles(self) -> tuple[str, ...]:
+        """The role name of every dipole, in row order."""
+        return tuple(role for role, c in zip(ROLES, self.counts) for _ in range(c))
 
 
 @dataclass(frozen=True)
@@ -148,11 +141,10 @@ def sample_geometry(
 
     positions: list[np.ndarray] = []
     orientations: list[np.ndarray] = []
-    roles: list[str] = []
     deep_flags: list[bool] = []
     seen: set[bytes] = set()
 
-    for role, n_cortical, n_deep in zip(ROLES, counts, deep):
+    for n_cortical, n_deep in zip(counts, deep):
         for is_deep in (False,) * n_cortical + (True,) * n_deep:
             while True:
                 direction = _random_unit(rng)
@@ -169,13 +161,12 @@ def sample_geometry(
                     break
             positions.append(pos)
             orientations.append(orient)
-            roles.append(role)
             deep_flags.append(is_deep)
 
     return SourceGeometry(
         positions=np.array(positions),
         orientations=np.array(orientations),
-        roles=tuple(roles),
+        counts=tuple(c + d for c, d in zip(counts, deep)),
         deep=np.array(deep_flags),
         head_radius=HEAD_RADIUS,
     )
@@ -288,9 +279,7 @@ def generate_source_signals(
     added to the interest post segment after interference is built,
     centered on the segment's middle sample with width n/16.
     """
-    l = geom.n_interest
-    k = geom.n_interference
-    n_background = geom.n_background
+    l, k, n_background = geom.counts
     if l < 1:
         raise ValueError("geometry must contain at least one source of interest")
     n = config.n_samples
@@ -309,20 +298,17 @@ def generate_source_signals(
     if n_background > 0:
         _, background = stable_series(n_background, config.order_background)
 
+    # Row means along the contiguous axis sum pairwise, exactly as a
+    # mean over each row on its own would.
     noise = rng.standard_normal((k, total))
-    interference = np.zeros((k, total))
-    n_mirrored = min(k, l)
-    for row in range(n_mirrored):
-        target_power = np.mean(interest[row] ** 2)
-        scale = np.sqrt(target_power / np.mean(noise[row] ** 2))
-        interference[row] = -interest[row] + scale * noise[row]
-    if k > n_mirrored:
-        pad_power = np.mean(
-            [np.mean(interference[row] ** 2) for row in range(n_mirrored)]
-        )
-        for row in range(n_mirrored, k):
-            scale = np.sqrt(pad_power / np.mean(noise[row] ** 2))
-            interference[row] = scale * noise[row]
+    noise_power = np.mean(noise**2, axis=1, keepdims=True)
+    m = min(k, l)
+    target_power = np.mean(interest[:m] ** 2, axis=1, keepdims=True)
+    interference = -interest[:m] + np.sqrt(target_power / noise_power[:m]) * noise[:m]
+    if k > m:
+        pad_power = np.mean(np.mean(interference**2, axis=1))
+        padded = np.sqrt(pad_power / noise_power[m:]) * noise[m:]
+        interference = np.vstack([interference, padded])
 
     erp = np.zeros((l, n))
     if config.erp_enabled:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from beambench.connectivity import (
-    DEFAULT_RESOLUTION,
     _column_normalize,
     _invert,
     _row_normalize,
@@ -43,8 +42,8 @@ def random_stable(seed: int, dim: int, order: int) -> MvarModel:
 
 class TestDefaultFreqs:
     def test_grid_spans_zero_to_half(self):
-        freqs = default_freqs()
-        assert freqs.shape == (DEFAULT_RESOLUTION,)
+        freqs = default_freqs(129)
+        assert freqs.shape == (129,)
         assert freqs[0] == 0.0
         assert freqs[-1] == 0.5
         assert np.all(np.diff(freqs) > 0.0)
@@ -308,10 +307,6 @@ class TestConnectivitySpectrum:
         assert np.array_equal(spectrum.pdc, pdc)
         assert np.array_equal(spectrum.dtf, _row_normalize(np.abs(transfer), freqs))
         assert spectrum.pdc.shape == (4, 4, 21)
-
-    def test_default_grid_is_129_points(self):
-        spectrum = connectivity_spectrum(random_stable(9, 2, 1))
-        assert spectrum.freqs.shape == (129,)
 
     def test_axes_are_to_from_frequency(self):
         spectrum = connectivity_spectrum(triangular_model(), default_freqs(9))

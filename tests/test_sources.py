@@ -43,9 +43,7 @@ class TestSampleGeometry:
         assert geom.roles == ("interest",) * 3 + ("interference",) * 2 + (
             "background",
         ) * 4
-        assert geom.n_interest == 3
-        assert geom.n_interference == 2
-        assert geom.n_background == 4
+        assert geom.counts == (3, 2, 4)
 
     def test_cortical_sources_sit_on_shell_pointing_outward(self):
         geom = small_geometry()
@@ -90,7 +88,7 @@ class TestGeometryType:
             SourceGeometry(
                 positions=np.array([[0.0, 0.0, 0.05]]),
                 orientations=np.array([[0.0, 0.0, 1.1]]),
-                roles=("interest",),
+                counts=(1, 0, 0),
                 deep=np.array([False]),
                 head_radius=0.09,
             )
@@ -100,7 +98,19 @@ class TestGeometryType:
             SourceGeometry(
                 positions=np.array([[0.0, 0.0, 0.09]]),
                 orientations=np.array([[0.0, 0.0, 1.0]]),
-                roles=("interest",),
+                counts=(1, 0, 0),
+                deep=np.array([False]),
+                head_radius=0.09,
+            )
+
+
+    @pytest.mark.parametrize("counts", [(1, 0), (1, 0, 0, 0), (2, -1, 0), (1, 1, 0)])
+    def test_counts_must_be_three_sizes_summing_to_the_rows(self, counts):
+        with pytest.raises(ValueError, match="counts"):
+            SourceGeometry(
+                positions=np.array([[0.0, 0.0, 0.05]]),
+                orientations=np.array([[0.0, 0.0, 1.0]]),
+                counts=counts,
                 deep=np.array([False]),
                 head_radius=0.09,
             )
@@ -205,6 +215,32 @@ class TestGenerateSourceSignals:
             # padding rows carry no mirrored signal
             corr = np.corrcoef(full_qi[row], signals.interest[0])[0, 1]
             assert abs(corr) < 0.2
+
+    @pytest.mark.parametrize("counts", [(3, 2, 0), (2, 4, 0), (2, 0, 0)])
+    def test_interference_rows_follow_the_per_row_recipe(self, counts):
+        l, k, _ = counts
+        geom = small_geometry(seed=37, counts=counts)
+        n = 333
+        params = SetupConfig(n_samples=n, order_interest=3)
+        signals = generate_source_signals(geom, params, np.random.default_rng(38))
+        # replay the draws up to the interference noise
+        rng = np.random.default_rng(38)
+        mask = make_mask(l, params.frac_ones, rng)
+        model = sample_stable_mvar(
+            l, 3, mask, params.stab_limit, params.coeff_range, params.iter_limit, rng
+        )
+        interest = simulate(model, 2 * n, rng)
+        noise = rng.standard_normal((k, 2 * n))
+        expected = np.zeros((k, 2 * n))
+        for row in range(min(k, l)):
+            scale = np.sqrt(np.mean(interest[row] ** 2) / np.mean(noise[row] ** 2))
+            expected[row] = -interest[row] + scale * noise[row]
+        if k > l:
+            pad_power = np.mean([np.mean(expected[row] ** 2) for row in range(l)])
+            for row in range(l, k):
+                scale = np.sqrt(pad_power / np.mean(noise[row] ** 2))
+                expected[row] = scale * noise[row]
+        assert np.array_equal(signals.interference, expected)
 
     def test_erp_disabled_means_zero_block(self):
         geom = small_geometry(seed=25, counts=(2, 1, 0))
