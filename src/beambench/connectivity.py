@@ -1,6 +1,6 @@
 """Frequency-domain connectivity measures for MVAR models.
 
-Given a fitted or generated model, evaluates the coefficient transform
+Given fitted or generated models, evaluates the coefficient transform
 
     A(f) = I - sum_{s=1..p} A_s exp(-2*pi*1j*s*f)
 
@@ -59,31 +59,38 @@ def _check_freqs(freqs: np.ndarray) -> np.ndarray:
 
 
 def spectral_transform(
-    model: MvarModel, freqs: np.ndarray
+    coeffs: np.ndarray, freqs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate A(f) and H(f) = A(f)^-1 on the grid; both (dim, dim, nfreq).
+    """Evaluate A(f) and H(f) = A(f)^-1 for k models at once.
 
-    All frequencies go through one batched inverse.  A matrix counts as
-    singular when its smallest singular value is at most 1e-12 times
-    max(largest, 1); those fall back to the Moore-Penrose pseudoinverse
-    with one warning instead of failing the whole spectrum.  Most
-    matrices are certified regular without an SVD: sigma_max(A) <=
-    |A|_F and sigma_min(A) >= 1 / |A^-1|_F, so any slice with
-    |A^-1|_F * 1e3 * 1e-12 * max(|A|_F, 1) < 1 passes the test, the
-    factor 1e3 absorbing rounding in the computed inverse.  Only the
-    other slices (NaN or inf inverses included), or every slice when
-    the batched inverse meets an exactly singular one, get the exact
-    SVD test.  Each slice of H equals what a per-frequency inverse
-    gives, bit for bit.
+    coeffs stacks k coefficient tensors, shape (k, order, dim, dim);
+    both results have shape (k, nfreq, dim, dim), one matrix per model
+    and frequency.  All k * nfreq matrices go through one batched
+    inverse.  A matrix counts as singular when its smallest singular
+    value is at most 1e-12 times max(largest, 1); those fall back to
+    the Moore-Penrose pseudoinverse with one warning per call instead
+    of failing the whole stack.  Most matrices are certified regular
+    without an SVD: sigma_max(A) <= |A|_F and sigma_min(A) >= 1 /
+    |A^-1|_F, so any slice with |A^-1|_F * 1e3 * 1e-12 * max(|A|_F, 1)
+    < 1 passes the test, the factor 1e3 absorbing rounding in the
+    computed inverse.  Only the other slices (NaN or inf inverses
+    included), or every slice when the batched inverse meets an
+    exactly singular one, get the exact SVD test.  Each slice of H
+    equals what a per-matrix inverse gives, bit for bit.
     """
     freqs = _check_freqs(freqs)
-    d, p = model.dim, model.order
-    phases = np.exp(-2j * np.pi * np.outer(np.arange(1, p + 1), freqs))
-    coeff_transform = np.repeat(
-        np.eye(d, dtype=complex)[:, :, None], freqs.size, axis=2
-    )
-    coeff_transform -= np.einsum("sij,sf->ijf", model.coeffs, phases)
-    inverse, singular = _invert(coeff_transform.transpose(2, 0, 1))
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 4 or coeffs.shape[2] != coeffs.shape[3]:
+        raise ValueError(
+            f"coeffs must have shape (k, order, dim, dim), got {coeffs.shape}"
+        )
+    k, p, d, _ = coeffs.shape
+    phases = np.exp(-2j * np.pi * np.outer(freqs, np.arange(1, p + 1)))
+    coeff_transform = np.matmul(phases, coeffs.reshape(k, p, d * d))
+    np.negative(coeff_transform, out=coeff_transform)
+    coeff_transform[:, :, :: d + 1] += 1.0
+    coeff_transform = coeff_transform.reshape(k, freqs.size, d, d)
+    inverse, singular = _invert(coeff_transform.reshape(k * freqs.size, d, d))
     if singular:
         warnings.warn(
             "singular coefficient transform; "
@@ -91,7 +98,7 @@ def spectral_transform(
             RuntimeWarning,
             stacklevel=2,
         )
-    return coeff_transform, np.ascontiguousarray(inverse.transpose(1, 2, 0))
+    return coeff_transform, inverse.reshape(coeff_transform.shape)
 
 
 def _invert(base: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -105,9 +112,9 @@ def _invert(base: np.ndarray) -> tuple[np.ndarray, bool]:
         unproven = np.ones(base.shape[0], dtype=bool)
     else:
         bound = (
-            np.linalg.norm(inverse, axis=(1, 2))
+            _frobenius(inverse)
             * (1e3 * _SINGULAR_RTOL)
-            * np.maximum(np.linalg.norm(base, axis=(1, 2)), 1.0)
+            * np.maximum(_frobenius(base), 1.0)
         )
         unproven = ~(bound < 1.0)
     singular = np.zeros(base.shape[0], dtype=bool)
@@ -122,33 +129,58 @@ def _invert(base: np.ndarray) -> tuple[np.ndarray, bool]:
     return inverse, bool(singular.any())
 
 
+def _frobenius(batch: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the slices of a (n, d, d) batch, through one
+    real temporary."""
+    mags = np.abs(batch)
+    mags *= mags
+    return np.sqrt(np.sum(mags, axis=(1, 2)))
+
+
 def _column_normalize(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    scale = np.sqrt(np.sum(mags**2, axis=0))
+    """Scale each column of every (to, from) matrix of a (..., nfreq,
+    dim, dim) stack to unit Euclidean norm, in place."""
+    scale = np.sqrt(np.sum(mags**2, axis=-2))
     if np.any(scale == 0.0):
-        j, k = np.argwhere(scale == 0.0)[0]
+        *_, f, j = np.argwhere(scale == 0.0)[0]
         raise ZeroColumn(
             f"column {j} of the coefficient transform vanishes at "
-            f"frequency {freqs[k]:g}"
+            f"frequency {freqs[f]:g}"
         )
-    return mags / scale[None, :, :]
+    mags /= scale[..., None, :]
+    return mags
 
 
 def _row_normalize(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    scale = np.sqrt(np.sum(mags**2, axis=1))
+    """Scale each row of every (to, from) matrix of a (..., nfreq, dim,
+    dim) stack to unit Euclidean norm, in place."""
+    scale = np.sqrt(np.sum(mags**2, axis=-1))
     if np.any(scale == 0.0):
-        j, k = np.argwhere(scale == 0.0)[0]
+        *_, f, j = np.argwhere(scale == 0.0)[0]
         raise ZeroRow(
-            f"row {j} of the transfer matrix vanishes at frequency {freqs[k]:g}"
+            f"row {j} of the transfer matrix vanishes at frequency {freqs[f]:g}"
         )
-    return mags / scale[:, None, :]
+    mags /= scale[..., :, None]
+    return mags
+
+
+def connectivity_spectra(
+    coeffs: np.ndarray, freqs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """PDC and DTF of k models (coeffs shape (k, order, dim, dim)) from
+    one spectral_transform; each has shape (k, nfreq, to, from)."""
+    freqs = _check_freqs(freqs)
+    coeff_transform, transfer_mat = spectral_transform(coeffs, freqs)
+    pdc = _column_normalize(np.abs(coeff_transform), freqs)
+    del coeff_transform
+    return pdc, _row_normalize(np.abs(transfer_mat), freqs)
 
 
 def connectivity_spectrum(model: MvarModel, freqs: np.ndarray) -> ConnectivitySpectrum:
-    """PDC and DTF on a grid from one evaluation of A(f) and H(f)."""
+    """PDC and DTF of one model: connectivity_spectra on a stack of one,
+    with the axes in (to, from, frequency) order."""
     freqs = _check_freqs(freqs)
-    coeff_transform, transfer_mat = spectral_transform(model, freqs)
+    pdc, dtf = connectivity_spectra(model.coeffs[None], freqs)
     return ConnectivitySpectrum(
-        freqs=freqs,
-        pdc=_column_normalize(np.abs(coeff_transform), freqs),
-        dtf=_row_normalize(np.abs(transfer_mat), freqs),
+        freqs=freqs, pdc=pdc[0].transpose(1, 2, 0), dtf=dtf[0].transpose(1, 2, 0)
     )

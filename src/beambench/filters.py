@@ -346,15 +346,30 @@ def randn_baseline(n_interest: int, m: int, rng: np.random.Generator) -> np.ndar
     return rng.standard_normal((n_interest, m)) / np.sqrt(m)
 
 
-def reconstruct(filt: SpatialFilter, sensors: np.ndarray) -> np.ndarray:
-    """Apply the filter: estimated sources = W @ sensors."""
+def reconstruct(
+    weights: np.ndarray, sensors: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Apply k stacked filters at once: out[i] = weights[i] @ sensors.
+
+    weights has shape (k, l, m) and sensors (m, n); the result, shape
+    (k, l, n), is one (k*l, m) @ (m, n) product written into `out`
+    when given (which must then be C-contiguous).
+    """
+    weights = np.asarray(weights, dtype=float)
     sensors = np.asarray(sensors, dtype=float)
-    if sensors.ndim != 2 or sensors.shape[0] != filt.weights.shape[1]:
+    if weights.ndim != 3 or sensors.ndim != 2 or sensors.shape[0] != weights.shape[2]:
         raise ShapeMismatch(
-            f"filter expects {filt.weights.shape[1]} sensor rows, "
-            f"got {sensors.shape}"
+            f"filters of shape {weights.shape} expect (m, n) sensors with "
+            f"m = {weights.shape[-1]}, got {sensors.shape}"
         )
-    return filt.weights @ sensors
+    k, l, m = weights.shape
+    shape = (k, l, sensors.shape[1])
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ShapeMismatch(f"out must be a C-contiguous {shape} array")
+    np.matmul(weights.reshape(k * l, m), sensors, out=out.reshape(k * l, -1))
+    return out
 
 
 def parse_filter_list(text: str) -> tuple[str, ...]:

@@ -4,25 +4,32 @@ Every (filter, realization) pair yields one EvalRow holding the
 relative Frobenius reconstruction error, per-source and mean Pearson
 correlations, and errors of the MVAR coefficients and PDC/DTF spectra
 refitted from the reconstruction against the generating model and its
-refit.  The truth side is one Truth per realization, refitted once and
-read by every filter's score.
+refit.  One evaluate call scores all distinct estimates of a
+realization together with its truth, in batched passes.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .connectivity import ConnectivitySpectrum, connectivity_spectrum
-from .errors import ParseError, RankDeficientRegressor, ShapeMismatch
+# fit and connectivity_spectrum are bound here because bench/tracing.py
+# wraps metrics.fit and metrics.connectivity_spectrum by name.
+from .connectivity import connectivity_spectra, connectivity_spectrum  # noqa: F401
+from .errors import ParseError, ShapeMismatch
 from .filters import FilterKind
-from .mvar import MvarModel, fit
+from .mvar import MvarModel, fit, fit_coefficients  # noqa: F401
 
 SCALAR_MEASURES = ("signal_euclid", "signal_corr", "mvar_coeff_err", "pdc_err", "dtf_err")
+
+# evaluate works through the series stack in groups whose largest
+# per-series temporary (a complex spectrum or a signal-sized copy)
+# totals at most this many bytes, so its extra memory does not grow
+# with the number of estimates.
+_GROUP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -48,117 +55,155 @@ class SummaryRow:
     std: float
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Centered correlation; 0.0 when either input has no variance.
+@dataclass(frozen=True)
+class Truth:
+    """The generating side of one realization: its source model, the
+    order of every refit, and the frequency grid of the spectra.  The
+    true signal itself is row 0 of the stack that evaluate scores."""
+
+    model: MvarModel
+    fit_order: int
+    freqs: np.ndarray
+
+
+@dataclass(frozen=True)
+class Scores:
+    """The measures of k estimates of one realization; entry i of each
+    array belongs to estimate i.  `failed` marks rows whose refit, or
+    the truth's, was rank-deficient."""
+
+    realization: int
+    signal_euclid: np.ndarray
+    source_correlations: np.ndarray
+    mvar_coeff_err: np.ndarray
+    pdc_err: np.ndarray
+    dtf_err: np.ndarray
+    failed: np.ndarray
+
+    @property
+    def fit_failed(self) -> int:
+        """Number of failed rows."""
+        return int(np.count_nonzero(self.failed))
+
+    def row(self, index: int, filter_name: str) -> EvalRow:
+        correlations = tuple(float(value) for value in self.source_correlations[index])
+        return EvalRow(
+            filter_name=filter_name,
+            realization=self.realization,
+            signal_euclid=float(self.signal_euclid[index]),
+            source_correlations=correlations,
+            signal_corr=float(np.mean(correlations)),
+            mvar_coeff_err=float(self.mvar_coeff_err[index]),
+            pdc_err=float(self.pdc_err[index]),
+            dtf_err=float(self.dtf_err[index]),
+            fit_failed=bool(self.failed[index]),
+        )
+
+
+def _pearson(truth_centered: np.ndarray, truth_norms: np.ndarray, series: np.ndarray):
+    """Centered per-source correlations of a (g, l, n) stack with the
+    truth, shape (g, l); 0.0 where either side has no variance.
 
     Values within a few ulps of +/-1 are snapped onto the bound: the
     true correlation cannot leave [-1, 1], so the excess is rounding
     noise and perfect reconstructions must score exactly 1.
     """
-    a = a - a.mean()
-    b = b - b.mean()
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    value = float(a @ b / (norm_a * norm_b))
-    if abs(value) >= 1.0 - 8.0 * np.finfo(float).eps:
-        return 1.0 if value > 0.0 else -1.0
-    return value
+    centered = series - series.mean(axis=-1, keepdims=True)
+    norms = np.sqrt(np.sum(centered * centered, axis=-1))
+    dots = np.sum(centered * truth_centered, axis=-1)
+    silent = (norms == 0.0) | (truth_norms == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = dots / (truth_norms * norms)
+    snapped = np.abs(values) >= 1.0 - 8.0 * np.finfo(float).eps
+    values = np.where(snapped, np.sign(values), values)
+    return np.where(silent, 0.0, values)
 
 
-def _padded_stack(model: MvarModel, order: int) -> np.ndarray:
-    stack = np.zeros((model.dim, order * model.dim))
-    stack[:, : model.order * model.dim] = model.coeff_stack()
-    return stack
+def _coeff_distance(coeffs: np.ndarray, true_coeffs: np.ndarray) -> np.ndarray:
+    """Frobenius distances of (g, p, d, d) coefficient tensors from one
+    (q, d, d) tensor, the shorter one padded with zero lags."""
+    order = max(coeffs.shape[1], true_coeffs.shape[0])
+    diff = np.zeros((len(coeffs), order) + true_coeffs.shape[1:])
+    diff[:, : coeffs.shape[1]] = coeffs
+    diff[:, : true_coeffs.shape[0]] -= true_coeffs
+    return np.sqrt(np.sum(diff * diff, axis=(1, 2, 3)))
 
 
-@dataclass(frozen=True)
-class Truth:
-    """The ground truth of one realization, shared by every filter's score.
-
-    `refit` (None when the fit is rank-deficient) and its `spectrum`
-    are computed on first read, so one realization refits its truth at
-    most once however many filters are scored against it.
-    """
-
-    signal: np.ndarray
-    model: MvarModel
-    fit_order: int
-    freqs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signal", np.asarray(self.signal, dtype=float))
-
-    @cached_property
-    def refit(self) -> MvarModel | None:
-        try:
-            return fit(self.signal, self.fit_order)
-        except RankDeficientRegressor:
-            return None
-
-    @cached_property
-    def spectrum(self) -> ConnectivitySpectrum:
-        return connectivity_spectrum(self.refit, self.freqs)
+def _group_size(length: int, dim: int, n_freqs: int) -> int:
+    """Series per group: as many as keep the largest per-series
+    temporary of evaluate within _GROUP_BYTES, and at least one."""
+    per_series = max(
+        16 * n_freqs * dim * dim,  # complex coefficient transform
+        8 * dim * length,  # centered copy, difference to the truth
+    )
+    return max(1, _GROUP_BYTES // per_series)
 
 
-def evaluate(
-    truth: Truth,
-    estimate: np.ndarray,
-    filter_name: str = "",
-    realization: int = 0,
-) -> EvalRow:
-    """Score one reconstruction against the generating ground truth.
+def evaluate(truth: Truth, series: np.ndarray, realization: int = 0) -> Scores:
+    """Score k reconstructions against the generating ground truth.
 
-    The coefficient error compares the generating model's stack with a
-    model refitted on the estimate.  The PDC/DTF errors compare the
-    spectra of two refits, the truth's and the estimate's, so both
+    series has shape (k + 1, l, n): row 0 is the true signal and rows
+    1 .. k the estimates; the caller writes both into one buffer.  The
+    coefficient error compares the generating model's coefficients
+    with those refitted on each estimate.  The PDC/DTF errors compare
+    the spectra of two refits, the truth's and the estimate's, so both
     pass through the same estimator and a perfect reconstruction
-    scores exactly zero.  The truth is refitted only once the
-    estimate's fit has succeeded.  A rank-deficient refit is flagged
-    rather than fatal: the model and spectrum errors become NaN and
-    fit_failed is set.
+    scores exactly zero.  The truth and the estimates are refitted and
+    transformed together, a group of rows at a time (_group_size).  A
+    rank-deficient refit is flagged rather than fatal: that row's
+    model and spectrum errors become NaN and it counts as failed; a
+    rank-deficient truth fails every row.
     """
-    signal = truth.signal
-    estimate = np.asarray(estimate, dtype=float)
-    if signal.shape != estimate.shape:
+    series = np.asarray(series, dtype=float)
+    if series.ndim != 3 or series.shape[0] < 1:
         raise ShapeMismatch(
-            f"truth shape {signal.shape} differs from estimate shape {estimate.shape}"
+            f"series must stack the truth and its estimates as (k + 1, l, n), "
+            f"got shape {series.shape}"
         )
-    denom = float(np.linalg.norm(signal))
+    signal = series[0]
+    denom = float(np.sqrt(np.sum(signal * signal)))
     if denom == 0.0:
         raise ValueError("ground truth signal is identically zero")
-    euclid = float(np.linalg.norm(estimate - signal)) / denom
-    correlations = tuple(_pearson(signal[i], estimate[i]) for i in range(signal.shape[0]))
+    truth_centered = signal - signal.mean(axis=-1, keepdims=True)
+    truth_norms = np.sqrt(np.sum(truth_centered * truth_centered, axis=-1))
 
-    try:
-        fitted = fit(estimate, truth.fit_order)
-    except RankDeficientRegressor:
-        fitted = None
-    fit_failed = fitted is None or truth.refit is None
+    rows, dim, length = series.shape
+    euclid = np.empty(rows)
+    correlations = np.empty((rows, dim))
+    coeff_err = np.empty(rows)
+    pdc_err = np.full(rows, np.nan)
+    dtf_err = np.full(rows, np.nan)
+    regular = np.empty(rows, dtype=bool)
+    group = _group_size(length, dim, len(truth.freqs))
+    for start in range(0, rows, group):
+        chunk = series[start : start + group]
+        span = slice(start, start + len(chunk))
+        diff = (chunk - signal).reshape(len(chunk), -1)
+        euclid[span] = np.sqrt(np.sum(diff * diff, axis=1)) / denom
+        del diff
+        correlations[span] = _pearson(truth_centered, truth_norms, chunk)
+        coeffs, regular[span] = fit_coefficients(chunk, truth.fit_order)
+        coeff_err[span] = _coeff_distance(coeffs, truth.model.coeffs)
+        usable = regular[span] & regular[0]
+        if usable.any():
+            pdc, dtf = connectivity_spectra(coeffs[usable], truth.freqs)
+            if start == 0:
+                true_pdc, true_dtf = pdc[0].copy(), dtf[0].copy()
+            pdc -= true_pdc
+            dtf -= true_dtf
+            pdc_err[span][usable] = np.sqrt(np.sum(pdc * pdc, axis=(1, 2, 3)))
+            dtf_err[span][usable] = np.sqrt(np.sum(dtf * dtf, axis=(1, 2, 3)))
+    failed = ~(regular & regular[0])
+    coeff_err[failed] = np.nan
 
-    if fit_failed:
-        coeff_err = pdc_err = dtf_err = float("nan")
-    else:
-        order = max(truth.model.order, fitted.order)
-        coeff_err = float(
-            np.linalg.norm(_padded_stack(truth.model, order) - _padded_stack(fitted, order))
-        )
-        spec_true = truth.spectrum
-        spec_fit = connectivity_spectrum(fitted, truth.freqs)
-        pdc_err = float(np.linalg.norm(spec_true.pdc - spec_fit.pdc))
-        dtf_err = float(np.linalg.norm(spec_true.dtf - spec_fit.dtf))
-
-    return EvalRow(
-        filter_name=filter_name,
+    return Scores(
         realization=realization,
-        signal_euclid=euclid,
-        source_correlations=correlations,
-        signal_corr=float(np.mean(correlations)),
-        mvar_coeff_err=coeff_err,
-        pdc_err=pdc_err,
-        dtf_err=dtf_err,
-        fit_failed=fit_failed,
+        signal_euclid=euclid[1:],
+        source_correlations=correlations[1:],
+        mvar_coeff_err=coeff_err[1:],
+        pdc_err=pdc_err[1:],
+        dtf_err=dtf_err[1:],
+        failed=failed[1:],
     )
 
 

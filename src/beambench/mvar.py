@@ -219,7 +219,8 @@ def simulate(
     with T the lower block-Toeplitz matrix of the impulse responses
     Psi_0 .. Psi_{B-1} and G the map of the last p samples into the
     block (see _block_maps).  The innovation term of every block is one
-    matrix product over the whole zero-padded series; only the state
+    matrix product over the whole zero-padded series (a copy when T is
+    the identity, at B = 1); only the state
     term G x stays sequential, one product per block.  B is the largest
     block length <= 32 with B * dim <= 128 (_block_size), so B = 1, the
     plain per-step recursion, for dim > 64.  Returns shape (dim,
@@ -247,10 +248,12 @@ def simulate(
     # Time-major series whose first p rows are the zero initial state;
     # each block of B rows is one B*d vector.
     out = np.zeros((p + n_blocks * block, d))
-    innov = np.zeros((n_blocks * block, d))
-    np.matmul(factor, rng.standard_normal((d, total)), out=innov[:total].T)
     blocks = out[p:].reshape(n_blocks, block * d)
-    np.matmul(innov.reshape(n_blocks, block * d), toeplitz.T, out=blocks)
+    # At B = 1, T is the identity: the innovations are the blocks.
+    innov = out[p:] if block == 1 else np.zeros((n_blocks * block, d))
+    np.matmul(factor, rng.standard_normal((d, total)), out=innov[:total].T)
+    if block > 1:
+        np.matmul(innov.reshape(n_blocks, block * d), toeplitz.T, out=blocks)
     del innov  # not held next to the result copy
     # states[b] is x[t0-p .. t0-1] of block b, a view of out, so every
     # block sees the blocks written before it.
@@ -263,17 +266,55 @@ def simulate(
     return out[p + burn_in : p + total].T.copy()
 
 
-def fit(series: np.ndarray, order: int) -> MvarModel:
-    """Least-squares MVAR fit without an intercept.
+def _lagged_moments(x: np.ndarray, order: int) -> np.ndarray:
+    """Moment matrices of the regression rows of a (k, d, n) stack.
 
-    Stacks the order lagged copies of the series as the regressor block
-    and solves the normal equations; the innovation covariance is the
-    residual outer-product average over the n - order regression rows.
+    Row block s (0 .. p, p = order) of series i is x[i, :, p-s : n-s]:
+    block 0 is the regression target and blocks 1 .. p its lagged
+    copies.  Returns their products with themselves, shape (k, (p+1)*d,
+    (p+1)*d), without copying the rows: the first block row M[0, t] is
+    one product per lag, and every other block follows from the block
+    above-left of it, whose window starts one sample later,
+
+        M[s, t] = M[s-1, t-1] + x[p-s] x[p-t]^T - x[n-s] x[n-t]^T.
+    """
+    k, d, n = x.shape
+    p = order
+    # head[..., i] = x[p-1-i] and tail[..., i] = x[n-1-i], i = 0 .. p-1;
+    # edges[:, i, j] = head_i head_j^T - tail_i tail_j^T
+    head, tail = x[:, :, p - 1 :: -1], x[:, :, n - 1 : n - 1 - p : -1]
+    edges = np.einsum("gai,gbj->gijab", head, head)
+    edges -= np.einsum("gai,gbj->gijab", tail, tail)
+    out = np.empty((k, p + 1, d, p + 1, d))
+    for lag in range(p + 1):
+        first = x[:, :, p:] @ x[:, :, p - lag : n - lag].transpose(0, 2, 1)
+        steps = np.diagonal(edges, offset=lag, axis1=1, axis2=2)
+        # blocks[..., s] = M[s, s + lag], s = 0 .. p - lag
+        blocks = np.cumsum(np.concatenate([first[..., None], steps], axis=-1), axis=-1)
+        s = np.arange(p + 1 - lag)
+        out[:, s, :, s + lag] = blocks.transpose(3, 0, 1, 2)
+        out[:, s + lag, :, s] = blocks.transpose(3, 0, 2, 1)
+    return out.reshape(k, (p + 1) * d, (p + 1) * d)
+
+
+def fit_coefficients(series: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares MVAR coefficients of k series at once, no intercept.
+
+    series has shape (k, dim, n).  Each series is regressed on its
+    order lagged copies through the normal equations; the lagged Gram
+    matrix and the cross moments with the target come from
+    _lagged_moments.  Returns the coefficient tensors, shape (k, order,
+    dim, dim), and a (k,) mask of the regular fits.  A fit is
+    rank-deficient when the smallest singular value of its Gram matrix
+    is at most 1e-10 times the largest (or the largest is not
+    positive); its coefficients are NaN and only the regular Grams
+    reach the solver.  Raises ValueError when a regular fit has
+    non-finite coefficients.
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"series must be 2-d, got shape {x.shape}")
-    d, n = x.shape
+    if x.ndim != 3:
+        raise ValueError(f"series stack must be 3-d, got shape {x.shape}")
+    k, d, n = x.shape
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if n <= order * d + d:
@@ -281,18 +322,33 @@ def fit(series: np.ndarray, order: int) -> MvarModel:
             f"series length {n} is too short for dim {d} at order {order}"
         )
 
-    target = x[:, order:]
-    lagged = np.vstack([x[:, order - s : n - s] for s in range(1, order + 1)])
-    gram = lagged @ lagged.T
+    moments = _lagged_moments(x, order)
+    gram, cross = moments[:, d:, d:], moments[:, d:, :d]
     sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[0] <= 0.0 or sv[-1] <= _GRAM_RTOL * sv[0]:
-        raise RankDeficientRegressor(
-            f"lagged Gram matrix is numerically singular "
-            f"(smallest/largest singular value = {sv[-1]:.3e}/{sv[0]:.3e})"
-        )
-    stack = np.linalg.solve(gram, lagged @ target.T).T
-    resid = target - stack @ lagged
+    regular = ~((sv[:, 0] <= 0.0) | (sv[:, -1] <= _GRAM_RTOL * sv[:, 0]))
+    stacks = np.full((k, order * d, d), np.nan)
+    if regular.any():
+        stacks[regular] = np.linalg.solve(gram[regular], cross[regular])
+        if not np.all(np.isfinite(stacks[regular])):
+            raise ValueError("refitted MVAR coefficients are not finite")
+    # stacks[i] is [A_1 ... A_order]^T of series i
+    return stacks.reshape(k, order, d, d).transpose(0, 1, 3, 2), regular
+
+
+def fit(series: np.ndarray, order: int) -> MvarModel:
+    """Least-squares MVAR fit of one (dim, n) series: fit_coefficients
+    on a stack of one, plus the innovation covariance, the residual
+    outer-product average over the n - order regression rows."""
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"series must be 2-d, got shape {x.shape}")
+    coeffs, regular = fit_coefficients(x[None], order)
+    if not regular[0]:
+        raise RankDeficientRegressor("lagged Gram matrix is numerically singular")
+    d, n = x.shape
+    resid = x[:, order:] - sum(
+        coeffs[0, s - 1] @ x[:, order - s : n - s] for s in range(1, order + 1)
+    )
     noise_cov = resid @ resid.T / (n - order)
     noise_cov = 0.5 * (noise_cov + noise_cov.T)
-    coeffs = stack.reshape(d, order, d).transpose(1, 0, 2)
-    return MvarModel(dim=d, order=order, coeffs=coeffs, noise_cov=noise_cov)
+    return MvarModel(dim=d, order=order, coeffs=coeffs[0], noise_cov=noise_cov)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -86,9 +85,10 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     The geometry is fixed for the run, so its plain lead-field set and
     Grams are built once; each realization evaluates only the jittered
     interest and interference columns.
-    Each distinct weights array of the bank is scored once, against one
-    Truth per realization; entries that share it (full-rank MV-PURE and
-    its base filter) copy that row.
+    Each distinct weights array of the bank is scored once: one
+    reconstruct call writes every estimate, next to the truth, into one
+    stack that one evaluate call scores; entries that share a weights
+    array (full-rank MV-PURE and its base filter) copy that row.
     A BenchError or ValueError (numpy's LinAlgError included) inside a
     realization is re-raised as a PipelineError that names the
     realization and stage.  Returns the run directory path.
@@ -130,24 +130,20 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
                         built.weights, filter_dir / f"{built.spec.export_name}.csv"
                     )
             stage = "evaluation"
-            truth = Truth(
-                signals.interest[:, config.n_samples :],
-                signals.interest_model,
-                config.order_interest,
-                freqs,
+            distinct = {id(built.weights): built.weights for built in bank}
+            slots = {key: slot for slot, key in enumerate(distinct)}
+            truth_signal = signals.interest[:, config.n_samples :]
+            series = np.empty((len(distinct) + 1, *truth_signal.shape))
+            series[0] = truth_signal
+            weights = np.stack(list(distinct.values()))
+            reconstruct(weights, recording.sensors_pst, out=series[1:])
+            scores = evaluate(
+                Truth(signals.interest_model, config.order_interest, freqs),
+                series,
+                realization=index,
             )
-            scored: dict[int, EvalRow] = {}
-            for built in bank:
-                if id(built.weights) not in scored:
-                    scored[id(built.weights)] = evaluate(
-                        truth,
-                        reconstruct(built, recording.sensors_pst),
-                        filter_name=built.spec.name,
-                        realization=index,
-                    )
             return [
-                replace(scored[id(built.weights)], filter_name=built.spec.name)
-                for built in bank
+                scores.row(slots[id(built.weights)], built.spec.name) for built in bank
             ]
         except (BenchError, ValueError) as exc:
             raise PipelineError(f"realization {index}, stage {stage}: {exc}") from exc

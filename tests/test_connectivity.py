@@ -11,6 +11,7 @@ from beambench.connectivity import (
     _column_normalize,
     _invert,
     _row_normalize,
+    connectivity_spectra,
     connectivity_spectrum,
     default_freqs,
     spectral_transform,
@@ -31,6 +32,13 @@ def triangular_model() -> MvarModel:
     # influence flows only from channel 0 to channel 1
     a1 = np.array([[0.5, 0.0], [0.4, 0.5]])
     return MvarModel(2, 1, a1[None], np.eye(2))
+
+
+def transform_of(model: MvarModel, freqs) -> tuple[np.ndarray, np.ndarray]:
+    """spectral_transform of a stack of one model: A(f) and H(f), each
+    (nfreq, dim, dim)."""
+    coeff, transfer = spectral_transform(model.coeffs[None], freqs)
+    return coeff[0], transfer[0]
 
 
 def random_stable(seed: int, dim: int, order: int) -> MvarModel:
@@ -56,17 +64,17 @@ class TestDefaultFreqs:
 class TestSpectralTransform:
     def test_zero_coefficients_give_identity(self):
         freqs = default_freqs(9)
-        coeff, transfer = spectral_transform(zero_model(3), freqs)
+        coeff, transfer = transform_of(zero_model(3), freqs)
         for k in range(9):
-            assert np.allclose(coeff[:, :, k], np.eye(3), atol=1e-15)
-            assert np.allclose(transfer[:, :, k], np.eye(3), atol=1e-15)
+            assert np.allclose(coeff[k], np.eye(3), atol=1e-15)
+            assert np.allclose(transfer[k], np.eye(3), atol=1e-15)
 
     def test_scalar_value_at_zero_frequency(self):
-        coeff, _ = spectral_transform(scalar_model(0.5), np.array([0.0]))
+        coeff, _ = transform_of(scalar_model(0.5), np.array([0.0]))
         assert coeff[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_scalar_value_at_quarter_frequency(self):
-        coeff, _ = spectral_transform(scalar_model(0.5), np.array([0.25]))
+        coeff, _ = transform_of(scalar_model(0.5), np.array([0.25]))
         # 1 - 0.5 * exp(-i pi / 2) = 1 + 0.5i
         assert coeff[0, 0, 0] == pytest.approx(1.0 + 0.5j, abs=1e-15)
         assert abs(coeff[0, 0, 0]) == pytest.approx(np.sqrt(1.25), abs=1e-15)
@@ -74,27 +82,25 @@ class TestSpectralTransform:
     def test_transfer_is_inverse_of_coeff_transform(self):
         model = random_stable(1, 4, 3)
         freqs = default_freqs(17)
-        coeff, transfer = spectral_transform(model, freqs)
+        coeff, transfer = transform_of(model, freqs)
         for k in range(17):
-            assert np.allclose(
-                coeff[:, :, k] @ transfer[:, :, k], np.eye(4), atol=1e-10
-            )
+            assert np.allclose(coeff[k] @ transfer[k], np.eye(4), atol=1e-10)
 
     def test_real_endpoints(self):
         model = random_stable(2, 3, 2)
-        coeff, _ = spectral_transform(model, np.array([0.0, 0.5]))
+        coeff, _ = transform_of(model, np.array([0.0, 0.5]))
         assert np.max(np.abs(coeff.imag)) <= 1e-12
 
     def test_frequencies_outside_band_rejected(self):
         with pytest.raises(ValueError, match="0, 0.5"):
-            spectral_transform(zero_model(2), np.array([0.6]))
+            transform_of(zero_model(2), np.array([0.6]))
 
 
 def loop_transfer(coeff_transform: np.ndarray) -> np.ndarray:
-    """Reference: invert A(f) one frequency at a time."""
+    """Reference: invert A(f) one matrix at a time."""
     out = np.empty_like(coeff_transform)
-    for k in range(coeff_transform.shape[2]):
-        out[:, :, k] = np.linalg.inv(coeff_transform[:, :, k])
+    for index in np.ndindex(coeff_transform.shape[:-2]):
+        out[index] = np.linalg.inv(coeff_transform[index])
     return out
 
 
@@ -134,7 +140,7 @@ class TestBatchedInverse:
     )
     def test_equals_per_frequency_loop(self, seed, dim, order):
         model = random_stable(seed, dim, order)
-        coeff, transfer = spectral_transform(model, default_freqs(129))
+        coeff, transfer = transform_of(model, default_freqs(129))
         assert np.array_equal(transfer, loop_transfer(coeff))
 
     def test_pinv_only_at_singular_frequencies_with_one_warning(self, monkeypatch):
@@ -145,27 +151,27 @@ class TestBatchedInverse:
         calls = spy_on_pinv(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            coeff, transfer = spectral_transform(model, freqs)
+            coeff, transfer = transform_of(model, freqs)
         assert [w.category for w in caught] == [RuntimeWarning]
         assert calls == [(2, 2, 2)]
         for k in (0, 4):
-            assert np.allclose(transfer[:, :, k], np.diag([0.0, 2.0]), atol=1e-12)
+            assert np.allclose(transfer[k], np.diag([0.0, 2.0]), atol=1e-12)
         regular = [1, 2, 3]
-        expected = loop_transfer(coeff[:, :, regular])
-        assert np.array_equal(transfer[:, :, regular], expected)
+        expected = loop_transfer(coeff[regular])
+        assert np.array_equal(transfer[regular], expected)
 
     def test_no_pinv_and_no_warning_when_regular(self, monkeypatch):
         calls = spy_on_pinv(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            spectral_transform(random_stable(15, 4, 3), default_freqs(33))
+            transform_of(random_stable(15, 4, 3), default_freqs(33))
         assert calls == []
 
 
 class TestRegularCertificate:
     def test_regular_slices_skip_the_svd(self, monkeypatch):
         calls = spy_on(monkeypatch, "svd", np.shape)
-        coeff, transfer = spectral_transform(random_stable(15, 4, 3), default_freqs(33))
+        coeff, transfer = transform_of(random_stable(15, 4, 3), default_freqs(33))
         assert calls == []
         assert np.array_equal(transfer, loop_transfer(coeff))
 
@@ -282,7 +288,7 @@ class TestDtf:
         freqs = np.array([0.0])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _, transfer = spectral_transform(scalar_model(1.0), freqs)
+            _, transfer = transform_of(scalar_model(1.0), freqs)
             with pytest.raises(ZeroRow):
                 _row_normalize(np.abs(transfer), freqs)
         assert [w.category for w in caught] == [RuntimeWarning]
@@ -302,11 +308,22 @@ class TestConnectivitySpectrum:
         model = random_stable(8, 4, 3)
         freqs = default_freqs(21)
         spectrum = connectivity_spectrum(model, freqs)
-        coeff_transform, transfer = spectral_transform(model, freqs)
+        coeff_transform, transfer = transform_of(model, freqs)
         pdc = _column_normalize(np.abs(coeff_transform), freqs)
-        assert np.array_equal(spectrum.pdc, pdc)
-        assert np.array_equal(spectrum.dtf, _row_normalize(np.abs(transfer), freqs))
+        dtf = _row_normalize(np.abs(transfer), freqs)
+        assert np.array_equal(spectrum.pdc, pdc.transpose(1, 2, 0))
+        assert np.array_equal(spectrum.dtf, dtf.transpose(1, 2, 0))
         assert spectrum.pdc.shape == (4, 4, 21)
+
+    def test_stack_rows_equal_single_model_spectra(self):
+        models = [random_stable(seed, 3, 2) for seed in (21, 22, 23)]
+        freqs = default_freqs(25)
+        pdc, dtf = connectivity_spectra(np.stack([m.coeffs for m in models]), freqs)
+        assert pdc.shape == dtf.shape == (3, 25, 3, 3)
+        for i, model in enumerate(models):
+            spectrum = connectivity_spectrum(model, freqs)
+            assert np.array_equal(pdc[i], spectrum.pdc.transpose(2, 0, 1))
+            assert np.array_equal(dtf[i], spectrum.dtf.transpose(2, 0, 1))
 
     def test_axes_are_to_from_frequency(self):
         spectrum = connectivity_spectrum(triangular_model(), default_freqs(9))

@@ -19,7 +19,6 @@ from beambench.filters import (
     MVP_BASE,
     MVP_KINDS,
     CovarianceSet,
-    FilterDiagnostics,
     FilterKind,
     FilterSpec,
     SpatialFilter,
@@ -488,28 +487,43 @@ class TestRandnBaseline:
             randn_baseline(0, 10, np.random.default_rng(14))
 
 
-def bank_entry(weights: np.ndarray) -> SpatialFilter:
-    return SpatialFilter(
-        weights, FilterSpec(kind=FilterKind.RANDN), FilterDiagnostics(None, 0)
-    )
-
-
 class TestReconstruct:
     def test_applies_weight_matrix(self):
         rng = np.random.default_rng(15)
-        filt = bank_entry(randn_baseline(2, 5, rng))
+        weights = np.stack([randn_baseline(2, 5, rng) for _ in range(4)])
         sensors = rng.standard_normal((5, 7))
-        assert np.array_equal(reconstruct(filt, sensors), filt.weights @ sensors)
+        estimates = reconstruct(weights, sensors)
+        assert estimates.shape == (4, 2, 7)
+        for got, w in zip(estimates, weights):
+            assert np.allclose(got, w @ sensors, rtol=1e-14, atol=0.0)
+
+    def test_writes_into_the_given_buffer(self):
+        rng = np.random.default_rng(16)
+        weights = np.stack([randn_baseline(3, 4, rng) for _ in range(2)])
+        sensors = rng.standard_normal((4, 6))
+        buffer = np.full((3, 3, 6), np.nan)
+        result = reconstruct(weights, sensors, out=buffer[1:])
+        assert np.shares_memory(result, buffer)
+        assert np.array_equal(buffer[1:], reconstruct(weights, sensors))
+        assert np.all(np.isnan(buffer[0]))
 
     def test_zero_filter_gives_silence(self):
-        filt = bank_entry(lcmv(np.eye(3), regularized_inverse(np.eye(3))))
-        silent = reconstruct(filt, np.zeros((3, 9)))
+        weights = lcmv(np.eye(3), regularized_inverse(np.eye(3)))[None]
+        silent = reconstruct(weights, np.zeros((3, 9)))
         assert np.all(silent == 0.0)
 
     def test_sensor_count_mismatch_rejected(self):
-        filt = bank_entry(lcmv(np.eye(3), regularized_inverse(np.eye(3))))
+        weights = lcmv(np.eye(3), regularized_inverse(np.eye(3)))[None]
         with pytest.raises(ShapeMismatch):
-            reconstruct(filt, np.zeros((4, 9)))
+            reconstruct(weights, np.zeros((4, 9)))
+
+    @pytest.mark.parametrize(
+        "out", [np.empty((1, 3, 8)), np.empty((1, 9, 3)).transpose(0, 2, 1)]
+    )
+    def test_wrong_or_strided_buffer_rejected(self, out):
+        weights = lcmv(np.eye(3), regularized_inverse(np.eye(3)))[None]
+        with pytest.raises(ShapeMismatch):
+            reconstruct(weights, np.zeros((3, 9)), out=out)
 
 
 class TestEstimateCovariances:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -16,8 +17,6 @@ from beambench.metrics import (
     SCALAR_MEASURES,
     SummaryRow,
     Truth,
-    _padded_stack,
-    _pearson,
     aggregate,
     evaluate,
     load_summary_csv,
@@ -26,7 +25,9 @@ from beambench.metrics import (
     write_results_csv,
     write_summary_csv,
 )
-from beambench.mvar import fit, make_mask, sample_stable_mvar, simulate
+from beambench.mvar import MvarModel, fit, make_mask, sample_stable_mvar, simulate
+
+RTOL, ATOL = 1e-12, 1e-14
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +39,18 @@ def truth_setup():
     return model, truth
 
 
+def stack(truth, estimates) -> np.ndarray:
+    """The (k + 1, l, n) series that evaluate scores: truth first."""
+    return np.stack([truth, *estimates])
+
+
+def rows_of(scores, names) -> list[EvalRow]:
+    return [scores.row(i, name) for i, name in enumerate(names)]
+
+
 def score(truth, estimate, model, name="F", realization=1):
-    return evaluate(
-        Truth(truth, model, model.order, default_freqs(33)), estimate, name, realization
-    )
+    truth_side = Truth(model, model.order, default_freqs(33))
+    return evaluate(truth_side, stack(truth, [estimate]), realization).row(0, name)
 
 
 class TestEvaluate:
@@ -85,8 +94,8 @@ class TestEvaluate:
 
     def test_coefficient_error_pads_to_common_order(self, truth_setup):
         model, truth = truth_setup
-        higher = Truth(truth, model, model.order + 2, default_freqs(33))
-        row = evaluate(higher, truth.copy())
+        higher = Truth(model, model.order + 2, default_freqs(33))
+        row = evaluate(higher, stack(truth, [truth.copy()])).row(0, "F")
         # refit at a higher order: extra taps are near zero, so the
         # coefficient error stays close to the fit noise floor
         assert row.mvar_coeff_err < 0.5
@@ -94,18 +103,54 @@ class TestEvaluate:
     def test_shape_mismatch_rejected(self, truth_setup):
         model, truth = truth_setup
         with pytest.raises(ShapeMismatch):
-            score(truth, truth[:, :-1], model)
+            evaluate(Truth(model, model.order, default_freqs(33)), truth)
 
     def test_zero_truth_rejected(self, truth_setup):
         model, truth = truth_setup
         with pytest.raises(ValueError, match="zero"):
             score(np.zeros_like(truth), truth, model)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_refit_raises(self, truth_setup):
+        model, truth = truth_setup
+        broken = truth.copy()
+        broken[0, 100] = np.inf
+        with pytest.raises(ValueError):
+            score(truth, broken, model)
+
+    def test_fit_failed_counts_the_failed_rows(self, truth_setup):
+        model, truth = truth_setup
+        series = stack(truth, [truth, np.zeros_like(truth), 0.0 * truth])
+        scores = evaluate(Truth(model, model.order, default_freqs(9)), series, 4)
+        assert scores.fit_failed == 2
+        assert isinstance(scores.fit_failed, int)
+        assert list(scores.failed) == [False, True, True]
+
+
+def _padded_stack(model: MvarModel, order: int) -> np.ndarray:
+    stack = np.zeros((model.dim, order * model.dim))
+    stack[:, : model.order * model.dim] = model.coeff_stack()
+    return stack
+
+
+def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+    a = a - a.mean()
+    b = b - b.mean()
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    value = float(a @ b / (norm_a * norm_b))
+    if abs(value) >= 1.0 - 8.0 * np.finfo(float).eps:
+        return 1.0 if value > 0.0 else -1.0
+    return value
+
 
 def per_call_reference(
     truth, estimate, true_model, fit_order, freqs, name, realization
 ):
-    """The scoring body as it was when every call refitted the truth."""
+    """The scoring body as it was when every call scored one estimate
+    and refitted the truth."""
     truth = np.asarray(truth, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
     euclid = float(np.linalg.norm(estimate - truth)) / float(np.linalg.norm(truth))
@@ -141,14 +186,32 @@ def per_call_reference(
     )
 
 
-def assert_same_row(row, expected):
-    """Field by field with ==; a NaN matches only a NaN."""
+def assert_close_row(row, expected):
+    """Field by field to RTOL/ATOL; flags exactly, a NaN only matches a NaN."""
     for field in fields(EvalRow):
         got, want = getattr(row, field.name), getattr(expected, field.name)
         if isinstance(want, float) and math.isnan(want):
             assert math.isnan(got), field.name
+        elif isinstance(want, float):
+            assert not math.isnan(got), field.name
+            assert math.isclose(got, want, rel_tol=RTOL, abs_tol=ATOL), field.name
+        elif isinstance(want, tuple):
+            assert np.allclose(got, want, rtol=RTOL, atol=ATOL), field.name
         else:
             assert got == want, field.name
+
+
+def counting_rows(monkeypatch) -> list[np.ndarray]:
+    """Record every series the stacked fit receives, row by row."""
+    seen: list[np.ndarray] = []
+    original = metrics.fit_coefficients
+
+    def spy(series, order):
+        seen.extend(np.array(row) for row in series)
+        return original(series, order)
+
+    monkeypatch.setattr(metrics, "fit_coefficients", spy)
+    return seen
 
 
 class TestSharedTruth:
@@ -162,35 +225,25 @@ class TestSharedTruth:
             "zeros": np.zeros_like(truth),
         }
 
-    @staticmethod
-    def counting_fit(monkeypatch) -> list[np.ndarray]:
-        seen: list[np.ndarray] = []
-        original = metrics.fit
-
-        def spy(series, order):
-            seen.append(series)
-            return original(series, order)
-
-        monkeypatch.setattr(metrics, "fit", spy)
-        return seen
-
     def test_rows_equal_a_refit_per_call(self, truth_setup, monkeypatch):
         model, truth = truth_setup
         freqs = default_freqs(33)
-        shared = Truth(truth, model, model.order, freqs)
-        fitted = self.counting_fit(monkeypatch)
-        rows = {
-            name: evaluate(shared, estimate, name, 3)
-            for name, estimate in self.estimates(truth).items()
-        }
-        assert sum(series is shared.signal for series in fitted) == 1
+        estimates = self.estimates(truth)
+        fitted = counting_rows(monkeypatch)
+        scores = evaluate(
+            Truth(model, model.order, freqs), stack(truth, estimates.values()), 3
+        )
+        rows = dict(zip(estimates, rows_of(scores, estimates)))
+        assert len(fitted) == 1 + len(estimates)
+        assert np.array_equal(fitted[0], truth)
         assert rows["zeros"].fit_failed
         assert not any(rows[name].fit_failed for name in ("copy", "double", "noise"))
-        for name, estimate in self.estimates(truth).items():
+        assert scores.fit_failed == 1
+        for name, estimate in estimates.items():
             expected = per_call_reference(
                 truth, estimate, model, model.order, freqs, name, 3
             )
-            assert_same_row(rows[name], expected)
+            assert_close_row(rows[name], expected)
 
     def test_rank_deficient_truth_fails_every_row_and_is_fitted_once(
         self, truth_setup, monkeypatch
@@ -198,13 +251,125 @@ class TestSharedTruth:
         model, truth = truth_setup
         constant = truth.copy()
         constant[1] = 1.0
-        shared = Truth(constant, model, model.order, default_freqs(33))
-        fitted = self.counting_fit(monkeypatch)
-        rows = [evaluate(shared, estimate) for estimate in self.estimates(truth).values()]
+        fitted = counting_rows(monkeypatch)
+        estimates = self.estimates(truth)
+        scores = evaluate(
+            Truth(model, model.order, default_freqs(33)),
+            stack(constant, estimates.values()),
+        )
+        rows = rows_of(scores, estimates)
         assert all(row.fit_failed for row in rows)
+        assert scores.fit_failed == len(estimates)
         assert all(math.isnan(row.pdc_err) and math.isnan(row.dtf_err) for row in rows)
-        assert sum(series is shared.signal for series in fitted) == 1
-        assert shared.refit is None
+        assert all(math.isnan(row.mvar_coeff_err) for row in rows)
+        assert sum(np.array_equal(series, constant) for series in fitted) == 1
+
+
+class TestBatchedScoringProperty:
+    """One evaluate call over a stack scores each estimate as if alone."""
+
+    @staticmethod
+    def random_case(rng, dim, order, count):
+        model = sample_stable_mvar(
+            dim, order, make_mask(dim, 0.5, rng), 0.9, (-0.3, 0.3), 1000, rng
+        )
+        truth = simulate(model, 40 * order * dim + 200, rng)
+        estimates = []
+        for kind in rng.integers(0, 5, size=count):
+            if kind == 0:  # an exact copy of the truth
+                estimates.append(truth.copy())
+            elif kind == 1:  # a scaled copy
+                estimates.append(rng.uniform(-3.0, 3.0) * truth)
+            elif kind == 2:  # a constant row makes the refit rank-deficient
+                estimate = truth + 0.5 * rng.standard_normal(truth.shape)
+                # a nonzero constant is a regular regressor at order 1
+                estimate[rng.integers(dim)] = 0.0 if order == 1 else 1.5
+                estimates.append(estimate)
+            elif kind == 3:  # a random mixture plus noise
+                mixing = rng.standard_normal((dim, dim))
+                estimates.append(mixing @ truth + rng.standard_normal(truth.shape))
+            else:  # white noise
+                estimates.append(rng.standard_normal(truth.shape))
+        return model, truth, estimates
+
+    def test_rows_equal_single_and_per_call_scores(self, monkeypatch):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=25, deadline=None)
+        @hyp.given(
+            dim=st.integers(1, 4),
+            order=st.integers(1, 4),
+            count=st.integers(1, 6),
+            rank_deficient_truth=st.booleans(),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(dim, order, count, rank_deficient_truth, seed):
+            rng = np.random.default_rng(seed)
+            model, truth, estimates = self.random_case(rng, dim, order, count)
+            if rank_deficient_truth:
+                hyp.assume(dim > 1)  # a zero signal is rejected outright
+                truth[rng.integers(dim)] = 0.0
+            freqs = default_freqs(17)
+            truth_side = Truth(model, order, freqs)
+            names = [f"E{i}" for i in range(count)]
+            series = stack(truth, estimates)
+
+            monkeypatch.setattr(metrics, "_GROUP_BYTES", 1)
+            one_per_group = evaluate(truth_side, series, 5)
+            monkeypatch.setattr(metrics, "_GROUP_BYTES", 1 << 40)
+            whole = evaluate(truth_side, series, 5)
+            rows = rows_of(whole, names)
+            for a, b in zip(rows_of(one_per_group, names), rows):
+                assert_same_bits(a, b)
+            if rank_deficient_truth:
+                assert whole.fit_failed == count
+            for name, estimate, row in zip(names, estimates, rows):
+                alone = evaluate(truth_side, stack(truth, [estimate]), 5).row(0, name)
+                assert_close_row(row, alone)
+                expected = per_call_reference(
+                    truth, estimate, model, order, freqs, name, 5
+                )
+                assert_close_row(row, expected)
+
+        check()
+
+
+def assert_same_bits(a: EvalRow, b: EvalRow) -> None:
+    """Rows equal field by field, a NaN matching only a NaN."""
+    for field in fields(EvalRow):
+        got, want = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(want, float) and math.isnan(want):
+            assert math.isnan(got), field.name
+        else:
+            assert got == want, field.name
+
+
+class TestScoringMemory:
+    def test_peak_does_not_grow_with_the_estimate_count(self):
+        # spectral_heavy shapes: 6 sources, order 8, 1025 frequencies
+        l, p, n_freqs, n = 6, 8, 1025, 2000
+        rng = np.random.default_rng(93)
+        mask = make_mask(l, 0.4, rng)
+        model = sample_stable_mvar(l, p, mask, 0.95, (-0.2, 0.2), 1000, rng)
+        truth = simulate(model, n, rng)
+        noise = rng.standard_normal((9, l, n))
+        truth_side = Truth(model, p, default_freqs(n_freqs))
+
+        def peak(k: int) -> int:
+            tracemalloc.start()
+            try:
+                series = np.empty((k + 1, l, n))
+                series[0] = truth
+                np.add(truth, noise[:k], out=series[1:])
+                evaluate(truth_side, series)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)
+        allowance = 10 * l * n * 8 + (1 << 20)
+        assert peak(9) <= peak(1) + allowance
 
 
 class TestRowMeasures:

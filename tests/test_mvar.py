@@ -6,6 +6,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 
 from beambench import mvar
@@ -18,7 +19,9 @@ from beambench.mvar import (
     MvarModel,
     _block_maps,
     _block_size,
+    _lagged_moments,
     fit,
+    fit_coefficients,
     is_stable,
     make_mask,
     sample_stable_mvar,
@@ -425,6 +428,39 @@ class TestSimulateAgainstReference:
         assert out.flags.c_contiguous
 
 
+def product_form_simulate(
+    model: MvarModel, n_samples: int, rng: np.random.Generator, burn_in: int
+) -> np.ndarray:
+    """The block recursion with the innovation term always applied as
+    the product T e_block, identity T (B = 1) included."""
+    d, p = model.dim, model.order
+    total = burn_in + n_samples
+    block = _block_size(d)
+    n_blocks = -(-total // block)
+    toeplitz, gain = _block_maps(model, block)
+    eigval, eigvec = np.linalg.eigh(model.noise_cov)
+    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+    out = np.zeros((p + n_blocks * block, d))
+    innov = np.zeros((n_blocks * block, d))
+    np.matmul(factor, rng.standard_normal((d, total)), out=innov[:total].T)
+    blocks = out[p:].reshape(n_blocks, block * d)
+    np.matmul(innov.reshape(n_blocks, block * d), toeplitz.T, out=blocks)
+    states = sliding_window_view(out.reshape(-1), p * d)[:: block * d]
+    for values, state in zip(blocks, states):
+        values += gain.dot(state)
+    return out[p + burn_in : p + total].T.copy()
+
+
+class TestUnitBlock:
+    @pytest.mark.parametrize("dim", [65, 100])
+    def test_copied_innovations_equal_the_identity_product(self, dim):
+        assert _block_size(dim) == 1
+        model = random_model(11, dim, 2, "full")
+        got = simulate(model, 300, np.random.default_rng(4), burn_in=50)
+        expected = product_form_simulate(model, 300, np.random.default_rng(4), 50)
+        assert np.array_equal(got, expected)
+
+
 class TestBlockForm:
     def test_block_size_rule(self):
         for dim in range(1, 300):
@@ -489,3 +525,59 @@ class TestFit:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="too short"):
             fit(np.random.default_rng(0).standard_normal((3, 12)), 3)
+
+
+def copied_rows_moments(series: np.ndarray, order: int) -> np.ndarray:
+    """Reference: copy the regression rows (target, then lags 1 .. p)
+    and multiply them out."""
+    k, d, n = series.shape
+    rows = np.stack([series[:, :, order - s : n - s] for s in range(order + 1)], axis=1)
+    rows = rows.reshape(k, (order + 1) * d, n - order)
+    return rows @ rows.transpose(0, 2, 1)
+
+
+class TestFitCoefficients:
+    def test_moments_equal_the_copied_rows_product(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=40, deadline=None)
+        @hyp.given(
+            k=st.integers(1, 4),
+            dim=st.integers(1, 5),
+            order=st.integers(1, 8),
+            extra=st.integers(1, 60),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(k, dim, order, extra, seed):
+            rng = np.random.default_rng(seed)
+            series = rng.standard_normal((k, dim, (order + 1) * dim + extra))
+            got = _lagged_moments(series, order)
+            expected = copied_rows_moments(series, order)
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+            assert np.array_equal(got, got.transpose(0, 2, 1))
+            for i in range(k):
+                alone = _lagged_moments(series[i : i + 1], order)[0]
+                assert np.array_equal(alone, got[i])
+
+        check()
+
+    def test_rows_equal_single_series_fits(self):
+        rng = np.random.default_rng(24)
+        mask = make_mask(3, 0.4, rng)
+        model = sample_stable_mvar(3, 2, mask, 0.95, (-0.4, 0.4), 500, rng)
+        series = np.stack([simulate(model, 800, rng) for _ in range(3)])
+        series[1, 2] = 0.0  # a zero row: rank-deficient lagged Gram
+        coeffs, regular = fit_coefficients(series, 2)
+        assert coeffs.shape == (3, 2, 3, 3)
+        assert list(regular) == [True, False, True]
+        assert np.all(np.isnan(coeffs[1]))
+        for i in (0, 2):
+            assert np.array_equal(coeffs[i], fit(series[i], 2).coeffs)
+        with pytest.raises(RankDeficientRegressor):
+            fit(series[1], 2)
+
+    def test_series_must_be_a_stack(self):
+        with pytest.raises(ValueError, match="3-d"):
+            fit_coefficients(np.zeros((3, 100)), 2)

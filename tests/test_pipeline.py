@@ -178,45 +178,53 @@ class TestJobsInvariance:
 
 class TestDistinctFiltersScoredOnce:
     @staticmethod
-    def count_evaluations(monkeypatch) -> list[str]:
-        names: list[str] = []
+    def count_evaluations(monkeypatch) -> list[np.ndarray]:
+        """Record the series stack of every evaluate call."""
+        stacks: list[np.ndarray] = []
         original = pipeline.evaluate
 
-        def counting(*args, **kwargs):
-            names.append(kwargs["filter_name"])
-            return original(*args, **kwargs)
+        def counting(truth, series, **kwargs):
+            stacks.append(np.array(series))
+            return original(truth, series, **kwargs)
 
         monkeypatch.setattr(pipeline, "evaluate", counting)
-        return names
+        return stacks
 
     @pytest.mark.parametrize("mvp_rank, per_realization", [(None, 9), (1, 15)])
     def test_evaluate_calls_per_realization(
         self, tmp_path, monkeypatch, mvp_rank, per_realization
     ):
-        names = self.count_evaluations(monkeypatch)
+        stacks = self.count_evaluations(monkeypatch)
         run(small_config(mvp_rank=mvp_rank), out_dir=tmp_path / "run")
-        assert len(names) == per_realization * SMALL["n_realizations"]
+        assert len(stacks) == SMALL["n_realizations"]
+        assert [len(series) - 1 for series in stacks] == [
+            per_realization
+        ] * SMALL["n_realizations"]
 
     def test_truth_is_refitted_once_per_realization(self, tmp_path, monkeypatch):
-        names = self.count_evaluations(monkeypatch)
-        calls = {"fit": 0, "connectivity_spectrum": 0}
+        stacks = self.count_evaluations(monkeypatch)
+        fitted: list[np.ndarray] = []
+        spectra = [0]
+        fit_coefficients = metrics.fit_coefficients
+        connectivity_spectra = metrics.connectivity_spectra
 
-        def counting(attribute):
-            original = getattr(metrics, attribute)
+        def counted_fit(series, order):
+            fitted.extend(np.array(row) for row in series)
+            return fit_coefficients(series, order)
 
-            def counted(*args, **kwargs):
-                calls[attribute] += 1
-                return original(*args, **kwargs)
+        def counted_spectra(coeffs, freqs):
+            spectra[0] += len(coeffs)
+            return connectivity_spectra(coeffs, freqs)
 
-            return counted
-
-        for attribute in calls:
-            monkeypatch.setattr(metrics, attribute, counting(attribute))
+        monkeypatch.setattr(metrics, "fit_coefficients", counted_fit)
+        monkeypatch.setattr(metrics, "connectivity_spectra", counted_spectra)
         run(small_config(), out_dir=tmp_path / "run")
-        distinct = len(names) // SMALL["n_realizations"]
+        distinct = len(stacks[0]) - 1
         expected = SMALL["n_realizations"] * (distinct + 1)
         assert distinct == 9
-        assert calls == {"fit": expected, "connectivity_spectrum": expected}
+        assert len(fitted) == spectra[0] == expected
+        for series in stacks:
+            assert sum(np.array_equal(row, series[0]) for row in fitted) == 1
 
     def test_full_rank_mv_pure_rows_equal_their_base_rows(self, run_dir):
         with (run_dir / "results.csv").open() as handle:
