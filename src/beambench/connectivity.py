@@ -112,9 +112,9 @@ def _invert(base: np.ndarray) -> tuple[np.ndarray, bool]:
         unproven = np.ones(base.shape[0], dtype=bool)
     else:
         bound = (
-            _frobenius(inverse)
+            np.linalg.norm(inverse, axis=(1, 2))
             * (1e3 * _SINGULAR_RTOL)
-            * np.maximum(_frobenius(base), 1.0)
+            * np.maximum(np.linalg.norm(base, axis=(1, 2)), 1.0)
         )
         unproven = ~(bound < 1.0)
     singular = np.zeros(base.shape[0], dtype=bool)
@@ -127,14 +127,6 @@ def _invert(base: np.ndarray) -> tuple[np.ndarray, bool]:
     if singular.any():
         inverse[singular] = np.linalg.pinv(base[singular])
     return inverse, bool(singular.any())
-
-
-def _frobenius(batch: np.ndarray) -> np.ndarray:
-    """Frobenius norms of the slices of a (n, d, d) batch, through one
-    real temporary."""
-    mags = np.abs(batch)
-    mags *= mags
-    return np.sqrt(np.sum(mags, axis=(1, 2)))
 
 
 def _column_normalize(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -169,7 +161,6 @@ def connectivity_spectra(
 ) -> tuple[np.ndarray, np.ndarray]:
     """PDC and DTF of k models (coeffs shape (k, order, dim, dim)) from
     one spectral_transform; each has shape (k, nfreq, to, from)."""
-    freqs = _check_freqs(freqs)
     coeff_transform, transfer_mat = spectral_transform(coeffs, freqs)
     pdc = _column_normalize(np.abs(coeff_transform), freqs)
     del coeff_transform

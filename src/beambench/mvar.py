@@ -220,13 +220,12 @@ def simulate(
     Psi_0 .. Psi_{B-1} and G the map of the last p samples into the
     block (see _block_maps).  The innovation term of every block is one
     matrix product over the whole zero-padded series (a copy when T is
-    the identity, at B = 1); only the state
-    term G x stays sequential, one product per block.  B is the largest
-    block length <= 32 with B * dim <= 128 (_block_size), so B = 1, the
-    plain per-step recursion, for dim > 64.  Returns shape (dim,
-    n_samples).  Raises UnstableModel when the companion spectral
-    radius is >= 1, since the burn-in would then not converge to
-    stationarity.
+    the identity, at B = 1); only the state term G x stays sequential,
+    one product per block.  B is the largest block length <= 32 with
+    B * dim <= 128 (_block_size), so B = 1, the plain per-step
+    recursion, for dim > 64.  Returns shape (dim, n_samples).  Raises
+    UnstableModel when the companion spectral radius is >= 1, since the
+    burn-in would then not converge to stationarity.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
