@@ -75,6 +75,7 @@ class Scores:
     realization: int
     signal_euclid: np.ndarray
     source_correlations: np.ndarray
+    signal_corr: np.ndarray
     mvar_coeff_err: np.ndarray
     pdc_err: np.ndarray
     dtf_err: np.ndarray
@@ -86,13 +87,12 @@ class Scores:
         return int(np.count_nonzero(self.failed))
 
     def row(self, index: int, filter_name: str) -> EvalRow:
-        correlations = tuple(float(value) for value in self.source_correlations[index])
         return EvalRow(
             filter_name=filter_name,
             realization=self.realization,
             signal_euclid=float(self.signal_euclid[index]),
-            source_correlations=correlations,
-            signal_corr=float(np.mean(correlations)),
+            source_correlations=tuple(self.source_correlations[index].tolist()),
+            signal_corr=float(self.signal_corr[index]),
             mvar_coeff_err=float(self.mvar_coeff_err[index]),
             pdc_err=float(self.pdc_err[index]),
             dtf_err=float(self.dtf_err[index]),
@@ -126,7 +126,17 @@ def _coeff_distance(coeffs: np.ndarray, true_coeffs: np.ndarray) -> np.ndarray:
     diff = np.zeros((len(coeffs), order) + true_coeffs.shape[1:])
     diff[:, : coeffs.shape[1]] = coeffs
     diff[:, : true_coeffs.shape[0]] -= true_coeffs
-    return np.sqrt(np.sum(diff * diff, axis=(1, 2, 3)))
+    return _row_norms(diff)
+
+
+def _row_norms(values: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of values.reshape(len(values), -1).
+
+    A sum along the contiguous last axis adds each row by itself, so a
+    row's norm does not depend on the rows beside it.
+    """
+    rows = values.reshape(len(values), -1)
+    return np.sqrt(np.sum(rows * rows, axis=1))
 
 
 def _group_size(length: int, dim: int, n_freqs: int) -> int:
@@ -161,7 +171,7 @@ def evaluate(truth: Truth, series: np.ndarray, realization: int = 0) -> Scores:
             f"got shape {series.shape}"
         )
     signal = series[0]
-    denom = float(np.sqrt(np.sum(signal * signal)))
+    denom = float(_row_norms(signal[None])[0])
     if denom == 0.0:
         raise ValueError("ground truth signal is identically zero")
     truth_centered = signal - signal.mean(axis=-1, keepdims=True)
@@ -178,9 +188,7 @@ def evaluate(truth: Truth, series: np.ndarray, realization: int = 0) -> Scores:
     for start in range(0, rows, group):
         chunk = series[start : start + group]
         span = slice(start, start + len(chunk))
-        diff = (chunk - signal).reshape(len(chunk), -1)
-        euclid[span] = np.sqrt(np.sum(diff * diff, axis=1)) / denom
-        del diff
+        euclid[span] = _row_norms(chunk - signal) / denom
         correlations[span] = _pearson(truth_centered, truth_norms, chunk)
         coeffs, regular[span] = fit_coefficients(chunk, truth.fit_order)
         coeff_err[span] = _coeff_distance(coeffs, truth.model.coeffs)
@@ -191,8 +199,8 @@ def evaluate(truth: Truth, series: np.ndarray, realization: int = 0) -> Scores:
                 true_pdc, true_dtf = pdc[0].copy(), dtf[0].copy()
             pdc -= true_pdc
             dtf -= true_dtf
-            pdc_err[span][usable] = np.sqrt(np.sum(pdc * pdc, axis=(1, 2, 3)))
-            dtf_err[span][usable] = np.sqrt(np.sum(dtf * dtf, axis=(1, 2, 3)))
+            pdc_err[span][usable] = _row_norms(pdc)
+            dtf_err[span][usable] = _row_norms(dtf)
     failed = ~(regular & regular[0])
     coeff_err[failed] = np.nan
 
@@ -200,6 +208,7 @@ def evaluate(truth: Truth, series: np.ndarray, realization: int = 0) -> Scores:
         realization=realization,
         signal_euclid=euclid[1:],
         source_correlations=correlations[1:],
+        signal_corr=correlations[1:].mean(axis=1),
         mvar_coeff_err=coeff_err[1:],
         pdc_err=pdc_err[1:],
         dtf_err=dtf_err[1:],
