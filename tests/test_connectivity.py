@@ -95,6 +95,10 @@ class TestSpectralTransform:
         with pytest.raises(ValueError, match="0, 0.5"):
             transform_of(zero_model(2), np.array([0.6]))
 
+    def test_coefficients_must_be_a_stack(self):
+        with pytest.raises(ValueError, match="k, order, dim, dim"):
+            spectral_transform(zero_model(2).coeffs, default_freqs(5))
+
 
 def loop_transfer(coeff_transform: np.ndarray) -> np.ndarray:
     """Reference: invert A(f) one matrix at a time."""
