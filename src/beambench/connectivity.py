@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -136,31 +137,26 @@ def _frobenius(batch: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", parts, parts))
 
 
-def _column_normalize(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Scale each column of every (to, from) matrix of a (..., nfreq,
-    dim, dim) stack to unit Euclidean norm, in place."""
-    scale = np.sqrt(np.sum(mags**2, axis=-2))
+def _normalize(
+    mags: np.ndarray, freqs: np.ndarray, axis: int, error: type[Exception], what: str
+) -> np.ndarray:
+    """Scale each column (axis -2) or row (axis -1) of every (to, from)
+    matrix of a (..., nfreq, dim, dim) stack to unit Euclidean norm, in
+    place.  A vanishing one raises error, naming it by what.format(j)."""
+    scale = np.sqrt(np.sum(mags**2, axis=axis))
     if np.any(scale == 0.0):
         *_, f, j = np.argwhere(scale == 0.0)[0]
-        raise ZeroColumn(
-            f"column {j} of the coefficient transform vanishes at "
-            f"frequency {freqs[f]:g}"
-        )
-    mags /= scale[..., None, :]
+        raise error(f"{what.format(j)} vanishes at frequency {freqs[f]:g}")
+    mags /= np.expand_dims(scale, axis)
     return mags
 
 
-def _row_normalize(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Scale each row of every (to, from) matrix of a (..., nfreq, dim,
-    dim) stack to unit Euclidean norm, in place."""
-    scale = np.sqrt(np.sum(mags**2, axis=-1))
-    if np.any(scale == 0.0):
-        *_, f, j = np.argwhere(scale == 0.0)[0]
-        raise ZeroRow(
-            f"row {j} of the transfer matrix vanishes at frequency {freqs[f]:g}"
-        )
-    mags /= scale[..., :, None]
-    return mags
+_column_normalize = partial(
+    _normalize, axis=-2, error=ZeroColumn, what="column {} of the coefficient transform"
+)
+_row_normalize = partial(
+    _normalize, axis=-1, error=ZeroRow, what="row {} of the transfer matrix"
+)
 
 
 def connectivity_spectra(

@@ -1,11 +1,12 @@
 """Reconstruction quality measures, aggregation and report rendering.
 
-Every (filter, realization) pair yields one EvalRow holding the
-relative Frobenius reconstruction error, per-source and mean Pearson
-correlations, and errors of the MVAR coefficients and PDC/DTF spectra
-refitted from the reconstruction against the generating model and its
-refit.  One evaluate call scores all distinct estimates of a
-realization together with its truth, in batched passes.
+A run's scores form one float table with axes (filter, realization,
+measure): the relative Frobenius reconstruction error, the mean and
+per-source Pearson correlations, and errors of the MVAR coefficients
+and PDC/DTF spectra refitted from the reconstruction against the
+generating model and its refit.  One evaluate call scores all distinct
+estimates of a realization together with its truth, in batched
+passes; the writers read the whole table.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 # wraps metrics.fit and metrics.connectivity_spectrum by name.
 from .connectivity import connectivity_spectra, connectivity_spectrum  # noqa: F401
 from .errors import ParseError, ShapeMismatch
-from .filters import FilterKind
 from .mvar import MvarModel, fit, fit_coefficients  # noqa: F401
 
 SCALAR_MEASURES = ("signal_euclid", "signal_corr", "mvar_coeff_err", "pdc_err", "dtf_err")
@@ -32,19 +32,16 @@ SCALAR_MEASURES = ("signal_euclid", "signal_corr", "mvar_coeff_err", "pdc_err", 
 _GROUP_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class EvalRow:
-    """All measures for one filter on one realization."""
+def measure_names(n_sources: int) -> list[str]:
+    """The measures along a score table's last axis, in canonical
+    order: the scalar measures, with the per-source correlations
+    corr_src_0 .. corr_src_{n_sources-1} after signal_corr."""
+    sources = [f"corr_src_{i}" for i in range(n_sources)]
+    return [*SCALAR_MEASURES[:2], *sources, *SCALAR_MEASURES[2:]]
 
-    filter_name: str
-    realization: int
-    signal_euclid: float
-    source_correlations: tuple[float, ...]
-    signal_corr: float
-    mvar_coeff_err: float
-    pdc_err: float
-    dtf_err: float
-    fit_failed: bool = False
+
+def _measures_of(table: np.ndarray) -> list[str]:
+    return measure_names(table.shape[-1] - len(SCALAR_MEASURES))
 
 
 @dataclass(frozen=True)
@@ -68,36 +65,18 @@ class Truth:
 
 @dataclass(frozen=True)
 class Scores:
-    """The measures of k estimates of one realization; entry i of each
-    array belongs to estimate i.  `failed` marks rows whose refit, or
-    the truth's, was rank-deficient."""
+    """The measures of k estimates of one realization: row i of the
+    (k, len(measure_names(l))) table belongs to estimate i.  `failed`
+    marks rows whose refit, or the truth's, was rank-deficient."""
 
     realization: int
-    signal_euclid: np.ndarray
-    source_correlations: np.ndarray
-    signal_corr: np.ndarray
-    mvar_coeff_err: np.ndarray
-    pdc_err: np.ndarray
-    dtf_err: np.ndarray
+    table: np.ndarray
     failed: np.ndarray
 
     @property
     def fit_failed(self) -> int:
         """Number of failed rows."""
         return int(np.count_nonzero(self.failed))
-
-    def row(self, index: int, filter_name: str) -> EvalRow:
-        return EvalRow(
-            filter_name=filter_name,
-            realization=self.realization,
-            signal_euclid=float(self.signal_euclid[index]),
-            source_correlations=tuple(self.source_correlations[index].tolist()),
-            signal_corr=float(self.signal_corr[index]),
-            mvar_coeff_err=float(self.mvar_coeff_err[index]),
-            pdc_err=float(self.pdc_err[index]),
-            dtf_err=float(self.dtf_err[index]),
-            fit_failed=bool(self.failed[index]),
-        )
 
 
 def _pearson(truth_centered: np.ndarray, truth_norms: np.ndarray, series: np.ndarray):
@@ -203,90 +182,42 @@ def evaluate(truth: Truth, series: np.ndarray, realization: int = 0) -> Scores:
             dtf_err[span][usable] = _row_norms(dtf)
     failed = ~(regular & regular[0])
     coeff_err[failed] = np.nan
-
-    return Scores(
-        realization=realization,
-        signal_euclid=euclid[1:],
-        source_correlations=correlations[1:],
-        signal_corr=correlations[1:].mean(axis=1),
-        mvar_coeff_err=coeff_err[1:],
-        pdc_err=pdc_err[1:],
-        dtf_err=dtf_err[1:],
-        failed=failed[1:],
+    table = np.column_stack(
+        [euclid, correlations.mean(axis=1), correlations, coeff_err, pdc_err, dtf_err]
     )
+    return Scores(realization=realization, table=table[1:], failed=failed[1:])
 
 
-def row_measures(row: EvalRow) -> list[tuple[str, float]]:
-    """Flatten a row into (measure, value) pairs in canonical order."""
-    pairs = [
-        ("signal_euclid", row.signal_euclid),
-        ("signal_corr", row.signal_corr),
-    ]
-    pairs.extend(
-        (f"corr_src_{i}", value) for i, value in enumerate(row.source_correlations)
-    )
-    pairs.extend(
-        [
-            ("mvar_coeff_err", row.mvar_coeff_err),
-            ("pdc_err", row.pdc_err),
-            ("dtf_err", row.dtf_err),
-        ]
-    )
-    return pairs
+def aggregate(names: list[str], table: np.ndarray) -> list[SummaryRow]:
+    """Mean and population std of every (filter, measure) series of a
+    (filter, realization, measure) table; names label its first axis.
 
-
-_KNOWN_ORDER = {kind.value: i for i, kind in enumerate(FilterKind)}
-
-
-def _filter_order(names: set[str]) -> list[str]:
-    known = sorted(
-        (name for name in names if name in _KNOWN_ORDER), key=_KNOWN_ORDER.__getitem__
-    )
-    unknown = sorted(name for name in names if name not in _KNOWN_ORDER)
-    return known + unknown
-
-
-def aggregate(rows: list[EvalRow]) -> list[SummaryRow]:
-    """Per-filter mean and population std of every measure.
-
-    Rows are re-sorted internally (filter bank order, then realization)
-    so the result is invariant to the order rows arrive in.
+    Each series is reduced along a contiguous last axis, which adds it
+    exactly as a 1-d np.mean / np.std of that series would.
     """
-    order = _filter_order({row.filter_name for row in rows})
-    out: list[SummaryRow] = []
-    for name in order:
-        mine = sorted(
-            (row for row in rows if row.filter_name == name),
-            key=lambda row: row.realization,
-        )
-        by_measure: dict[str, list[float]] = {}
-        for row in mine:
-            for measure, value in row_measures(row):
-                by_measure.setdefault(measure, []).append(value)
-        for measure, values in by_measure.items():
-            arr = np.asarray(values, dtype=float)
-            out.append(
-                SummaryRow(
-                    filter_name=name,
-                    measure=measure,
-                    mean=float(arr.mean()),
-                    std=float(arr.std()),
-                )
-            )
-    return out
+    series = np.ascontiguousarray(table.transpose(0, 2, 1))
+    means, stds = series.mean(axis=-1).tolist(), series.std(axis=-1).tolist()
+    measures = _measures_of(table)
+    return [
+        SummaryRow(name, measure, mean, std)
+        for name, filter_means, filter_stds in zip(names, means, stds)
+        for measure, mean, std in zip(measures, filter_means, filter_stds)
+    ]
 
 
-def write_results_csv(rows: list[EvalRow], path: str | Path) -> None:
-    """Long format: filter,realization,measure,value."""
-    order = _filter_order({row.filter_name for row in rows})
-    ranked = sorted(rows, key=lambda row: (order.index(row.filter_name), row.realization))
+def write_results_csv(names: list[str], table: np.ndarray, path: str | Path) -> None:
+    """Long format filter,realization,measure,value from a (filter,
+    realization, measure) table: filters in the order of names,
+    realizations from 1, measures in canonical order."""
+    measures = _measures_of(table)
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["filter", "realization", "measure", "value"])
-        for row in ranked:
-            for measure, value in row_measures(row):
-                writer.writerow(
-                    [row.filter_name, row.realization, measure, repr(float(value))]
+        for name, rows in zip(names, table.tolist()):
+            for realization, values in enumerate(rows, start=1):
+                writer.writerows(
+                    [name, realization, measure, repr(value)]
+                    for measure, value in zip(measures, values)
                 )
 
 

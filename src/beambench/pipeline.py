@@ -36,11 +36,11 @@ from .forward import (
     save_leadfield,
 )
 from .metrics import (
-    EvalRow,
     Truth,
     aggregate,
     evaluate,
     load_summary_csv,
+    measure_names,
     render_report,
     write_results_csv,
     write_summary_csv,
@@ -56,9 +56,11 @@ from .sources import (
 
 
 def _filter_specs(config: SetupConfig) -> list[FilterSpec]:
+    """The configured filters in report order, that of FilterKind."""
     specs = []
-    for name in config.filters:
-        kind = FilterKind(name)
+    for kind in FilterKind:
+        if kind.value not in config.filters:
+            continue
         rank = config.mvp_rank if kind in MVP_KINDS else None
         sig_dim = config.eig_dim if kind in EIG_KINDS else None
         specs.append(FilterSpec(kind=kind, rank=rank, sig_dim=sig_dim))
@@ -82,6 +84,9 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
 
     Outputs: geometry.csv, results.csv, summary.csv, manifest.json and
     (optionally) the filter matrices of the first realization.
+    The scores fill one (filter, realization, measure) table, filters
+    in report order; each realization writes its own slice, and the
+    results and summary writers read the whole table.
     The geometry is fixed for the run, so its plain lead-field set and
     Grams are built once; each realization evaluates only the jittered
     interest and interference columns.
@@ -102,8 +107,11 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     plain = leadfield_sphere(geometry, montage)
     specs = _filter_specs(config)
     freqs = default_freqs(config.pdc_resolution)
+    table = np.empty(
+        (len(specs), config.n_realizations, len(measure_names(config.n_interest)))
+    )
 
-    def run_one(index: int) -> list[EvalRow]:
+    def run_one(index: int) -> None:
         stage = "seeding"
         try:
             rng_signals, rng_perturb, rng_noise, rng_filters = _realization_streams(
@@ -142,23 +150,23 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
                 series,
                 realization=index,
             )
-            return [
-                scores.row(slots[id(built.weights)], built.spec.name) for built in bank
-            ]
+            rows = [slots[id(built.weights)] for built in bank]
+            table[:, index - 1] = scores.table[rows]
         except (BenchError, ValueError) as exc:
             raise PipelineError(f"realization {index}, stage {stage}: {exc}") from exc
 
     indices = range(1, config.n_realizations + 1)
     if jobs == 1:
-        batches = [run_one(index) for index in indices]
+        for index in indices:
+            run_one(index)
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(run_one, indices))
+            list(pool.map(run_one, indices))
 
-    rows = [row for batch in batches for row in batch]
+    names = [spec.name for spec in specs]
     write_geometry_csv(geometry, out / "geometry.csv")
-    write_results_csv(rows, out / "results.csv")
-    write_summary_csv(aggregate(rows), out / "summary.csv")
+    write_results_csv(names, table, out / "results.csv")
+    write_summary_csv(aggregate(names, table), out / "summary.csv")
     manifest = {
         "tool": "beambench",
         "version": __version__,

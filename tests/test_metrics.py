@@ -2,30 +2,31 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from beambench import metrics
+from beambench.config import SetupConfig
 from beambench.connectivity import connectivity_spectrum, default_freqs
 from beambench.errors import ParseError, RankDeficientRegressor, ShapeMismatch
+from beambench.filters import FilterKind
 from beambench.metrics import (
-    EvalRow,
     SCALAR_MEASURES,
-    SummaryRow,
     Truth,
     aggregate,
     evaluate,
     load_summary_csv,
+    measure_names,
     render_report,
-    row_measures,
     write_results_csv,
     write_summary_csv,
 )
 from beambench.mvar import MvarModel, fit, make_mask, sample_stable_mvar, simulate
+from beambench.pipeline import _filter_specs
 
 RTOL, ATOL = 1e-12, 1e-14
 
@@ -44,61 +45,69 @@ def stack(truth, estimates) -> np.ndarray:
     return np.stack([truth, *estimates])
 
 
-def rows_of(scores, names) -> list[EvalRow]:
-    return [scores.row(i, name) for i, name in enumerate(names)]
+def rows_of(scores) -> list[dict[str, float]]:
+    """Each row of a Scores table, keyed by measure name."""
+    names = measure_names(scores.table.shape[1] - len(SCALAR_MEASURES))
+    return [dict(zip(names, row)) for row in scores.table.tolist()]
 
 
-def score(truth, estimate, model, name="F", realization=1):
+def correlations(row: dict[str, float]) -> list[float]:
+    return [value for name, value in row.items() if name.startswith("corr_src_")]
+
+
+def score(truth, estimate, model):
+    """The named measures of one estimate, and whether its refit failed."""
     truth_side = Truth(model, model.order, default_freqs(33))
-    return evaluate(truth_side, stack(truth, [estimate]), realization).row(0, name)
+    scores = evaluate(truth_side, stack(truth, [estimate]), 1)
+    return rows_of(scores)[0], bool(scores.failed[0])
 
 
 class TestEvaluate:
     def test_perfect_reconstruction_scores_exactly(self, truth_setup):
         model, truth = truth_setup
-        row = score(truth, truth.copy(), model)
-        assert row.signal_euclid == 0.0
-        assert row.source_correlations == (1.0, 1.0, 1.0)
-        assert row.signal_corr == 1.0
-        assert row.pdc_err == 0.0
-        assert row.dtf_err == 0.0
-        assert not row.fit_failed
+        row, failed = score(truth, truth.copy(), model)
+        assert row["signal_euclid"] == 0.0
+        assert correlations(row) == [1.0, 1.0, 1.0]
+        assert row["signal_corr"] == 1.0
+        assert row["pdc_err"] == 0.0
+        assert row["dtf_err"] == 0.0
+        assert not failed
 
     def test_scaling_preserves_correlation_but_not_distance(self, truth_setup):
         model, truth = truth_setup
-        row = score(truth, 2.0 * truth, model)
-        assert row.source_correlations == (1.0, 1.0, 1.0)
-        assert row.signal_euclid == pytest.approx(1.0, abs=1e-12)
+        row, _ = score(truth, 2.0 * truth, model)
+        assert correlations(row) == [1.0, 1.0, 1.0]
+        assert row["signal_euclid"] == pytest.approx(1.0, abs=1e-12)
 
     def test_sign_flip_gives_minus_one_correlation(self, truth_setup):
         model, truth = truth_setup
-        row = score(truth, -truth, model)
-        assert row.source_correlations == (-1.0, -1.0, -1.0)
+        row, _ = score(truth, -truth, model)
+        assert correlations(row) == [-1.0, -1.0, -1.0]
 
     def test_white_noise_estimate_decorrelates(self, truth_setup):
         model, truth = truth_setup
         noise = np.random.default_rng(91).standard_normal(truth.shape)
-        row = score(truth, noise, model)
-        assert abs(row.signal_corr) <= 0.1
-        assert row.signal_euclid > 0.5
-        assert row.pdc_err > 0.0 and row.dtf_err > 0.0
+        row, _ = score(truth, noise, model)
+        assert abs(row["signal_corr"]) <= 0.1
+        assert row["signal_euclid"] > 0.5
+        assert row["pdc_err"] > 0.0 and row["dtf_err"] > 0.0
 
     def test_constant_estimate_flags_fit_failure(self, truth_setup):
         model, truth = truth_setup
-        row = score(truth, np.zeros_like(truth), model)
-        assert row.fit_failed
-        assert math.isnan(row.mvar_coeff_err)
-        assert math.isnan(row.pdc_err)
-        assert math.isnan(row.dtf_err)
-        assert row.source_correlations == (0.0, 0.0, 0.0)
+        row, failed = score(truth, np.zeros_like(truth), model)
+        assert failed
+        assert math.isnan(row["mvar_coeff_err"])
+        assert math.isnan(row["pdc_err"])
+        assert math.isnan(row["dtf_err"])
+        assert correlations(row) == [0.0, 0.0, 0.0]
 
     def test_coefficient_error_pads_to_common_order(self, truth_setup):
         model, truth = truth_setup
         higher = Truth(model, model.order + 2, default_freqs(33))
-        row = evaluate(higher, stack(truth, [truth.copy()])).row(0, "F")
+        (row,) = rows_of(evaluate(higher, stack(truth, [truth.copy()])))
         # refit at a higher order: extra taps are near zero, so the
         # coefficient error stays close to the fit noise floor
-        assert row.mvar_coeff_err < 0.5
+        assert row["mvar_coeff_err"] < 0.5
 
     def test_shape_mismatch_rejected(self, truth_setup):
         model, truth = truth_setup
@@ -125,6 +134,7 @@ class TestEvaluate:
         assert scores.fit_failed == 2
         assert isinstance(scores.fit_failed, int)
         assert list(scores.failed) == [False, True, True]
+        assert scores.table.shape == (3, len(measure_names(truth.shape[0])))
 
 
 def _padded_stack(model: MvarModel, order: int) -> np.ndarray:
@@ -146,11 +156,9 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return value
 
 
-def per_call_reference(
-    truth, estimate, true_model, fit_order, freqs, name, realization
-):
+def per_call_reference(truth, estimate, true_model, fit_order, freqs):
     """The scoring body as it was when every call scored one estimate
-    and refitted the truth."""
+    and refitted the truth: its table row, and whether the refit failed."""
     truth = np.asarray(truth, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
     euclid = float(np.linalg.norm(estimate - truth)) / float(np.linalg.norm(truth))
@@ -173,32 +181,24 @@ def per_call_reference(
         spec_fit = connectivity_spectrum(fitted, freqs)
         pdc_err = float(np.linalg.norm(spec_true.pdc - spec_fit.pdc))
         dtf_err = float(np.linalg.norm(spec_true.dtf - spec_fit.dtf))
-    return EvalRow(
-        filter_name=name,
-        realization=realization,
-        signal_euclid=euclid,
-        source_correlations=correlations,
-        signal_corr=float(np.mean(correlations)),
-        mvar_coeff_err=coeff_err,
-        pdc_err=pdc_err,
-        dtf_err=dtf_err,
-        fit_failed=fit_failed,
-    )
+    named = {
+        "signal_euclid": euclid,
+        "signal_corr": float(np.mean(correlations)),
+        **{f"corr_src_{i}": value for i, value in enumerate(correlations)},
+        "mvar_coeff_err": coeff_err,
+        "pdc_err": pdc_err,
+        "dtf_err": dtf_err,
+    }
+    row = np.array([named[measure] for measure in measure_names(len(truth))])
+    return row, fit_failed
 
 
-def assert_close_row(row, expected):
-    """Field by field to RTOL/ATOL; flags exactly, a NaN only matches a NaN."""
-    for field in fields(EvalRow):
-        got, want = getattr(row, field.name), getattr(expected, field.name)
-        if isinstance(want, float) and math.isnan(want):
-            assert math.isnan(got), field.name
-        elif isinstance(want, float):
-            assert not math.isnan(got), field.name
-            assert math.isclose(got, want, rel_tol=RTOL, abs_tol=ATOL), field.name
-        elif isinstance(want, tuple):
-            assert np.allclose(got, want, rtol=RTOL, atol=ATOL), field.name
-        else:
-            assert got == want, field.name
+def assert_close_row(scores, index, expected):
+    """Row index of scores against an expected (row, failed) pair: the
+    values to RTOL/ATOL, a NaN only matching a NaN, the flag exactly."""
+    row, failed = expected
+    np.testing.assert_allclose(scores.table[index], row, rtol=RTOL, atol=ATOL)
+    assert bool(scores.failed[index]) == failed
 
 
 def counting_rows(monkeypatch) -> list[np.ndarray]:
@@ -233,17 +233,13 @@ class TestSharedTruth:
         scores = evaluate(
             Truth(model, model.order, freqs), stack(truth, estimates.values()), 3
         )
-        rows = dict(zip(estimates, rows_of(scores, estimates)))
         assert len(fitted) == 1 + len(estimates)
         assert np.array_equal(fitted[0], truth)
-        assert rows["zeros"].fit_failed
-        assert not any(rows[name].fit_failed for name in ("copy", "double", "noise"))
+        assert list(scores.failed) == [name == "zeros" for name in estimates]
         assert scores.fit_failed == 1
-        for name, estimate in estimates.items():
-            expected = per_call_reference(
-                truth, estimate, model, model.order, freqs, name, 3
-            )
-            assert_close_row(rows[name], expected)
+        for index, estimate in enumerate(estimates.values()):
+            expected = per_call_reference(truth, estimate, model, model.order, freqs)
+            assert_close_row(scores, index, expected)
 
     def test_rank_deficient_truth_fails_every_row_and_is_fitted_once(
         self, truth_setup, monkeypatch
@@ -257,11 +253,11 @@ class TestSharedTruth:
             Truth(model, model.order, default_freqs(33)),
             stack(constant, estimates.values()),
         )
-        rows = rows_of(scores, estimates)
-        assert all(row.fit_failed for row in rows)
+        rows = rows_of(scores)
+        assert scores.failed.all()
         assert scores.fit_failed == len(estimates)
-        assert all(math.isnan(row.pdc_err) and math.isnan(row.dtf_err) for row in rows)
-        assert all(math.isnan(row.mvar_coeff_err) for row in rows)
+        for measure in ("mvar_coeff_err", "pdc_err", "dtf_err"):
+            assert all(math.isnan(row[measure]) for row in rows)
         assert sum(np.array_equal(series, constant) for series in fitted) == 1
 
 
@@ -312,37 +308,28 @@ class TestBatchedScoringProperty:
                 truth[rng.integers(dim)] = 0.0
             freqs = default_freqs(17)
             truth_side = Truth(model, order, freqs)
-            names = [f"E{i}" for i in range(count)]
             series = stack(truth, estimates)
 
             monkeypatch.setattr(metrics, "_GROUP_BYTES", 1)
             one_per_group = evaluate(truth_side, series, 5)
             monkeypatch.setattr(metrics, "_GROUP_BYTES", 1 << 40)
             whole = evaluate(truth_side, series, 5)
-            rows = rows_of(whole, names)
-            for a, b in zip(rows_of(one_per_group, names), rows):
-                assert_same_bits(a, b)
+            assert_same_bits(one_per_group, whole)
             if rank_deficient_truth:
                 assert whole.fit_failed == count
-            for name, estimate, row in zip(names, estimates, rows):
-                alone = evaluate(truth_side, stack(truth, [estimate]), 5).row(0, name)
-                assert_close_row(row, alone)
-                expected = per_call_reference(
-                    truth, estimate, model, order, freqs, name, 5
-                )
-                assert_close_row(row, expected)
+            for index, estimate in enumerate(estimates):
+                alone = evaluate(truth_side, stack(truth, [estimate]), 5)
+                assert_close_row(whole, index, (alone.table[0], bool(alone.failed[0])))
+                expected = per_call_reference(truth, estimate, model, order, freqs)
+                assert_close_row(whole, index, expected)
 
         check()
 
 
-def assert_same_bits(a: EvalRow, b: EvalRow) -> None:
-    """Rows equal field by field, a NaN matching only a NaN."""
-    for field in fields(EvalRow):
-        got, want = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(want, float) and math.isnan(want):
-            assert math.isnan(got), field.name
-        else:
-            assert got == want, field.name
+def assert_same_bits(a, b) -> None:
+    """Two Scores equal value for value, a NaN matching only a NaN."""
+    assert np.array_equal(a.table, b.table, equal_nan=True)
+    assert np.array_equal(a.failed, b.failed)
 
 
 class TestScoringMemory:
@@ -374,18 +361,7 @@ class TestScoringMemory:
 
 class TestRowMeasures:
     def test_canonical_order(self):
-        row = EvalRow(
-            filter_name="F",
-            realization=1,
-            signal_euclid=0.5,
-            source_correlations=(0.1, 0.2),
-            signal_corr=0.15,
-            mvar_coeff_err=1.0,
-            pdc_err=2.0,
-            dtf_err=3.0,
-        )
-        names = [measure for measure, _ in row_measures(row)]
-        assert names == [
+        assert measure_names(2) == [
             "signal_euclid",
             "signal_corr",
             "corr_src_0",
@@ -396,86 +372,129 @@ class TestRowMeasures:
         ]
 
 
-def make_row(name, realization, base):
-    return EvalRow(
-        filter_name=name,
-        realization=realization,
-        signal_euclid=base,
-        source_correlations=(base / 2.0, base / 4.0),
-        signal_corr=3.0 * base / 8.0,
-        mvar_coeff_err=base + 1.0,
-        pdc_err=base + 2.0,
-        dtf_err=base + 3.0,
-    )
+def make_row(base: float) -> list[float]:
+    """One table row of a two-source run, in canonical measure order."""
+    named = {
+        "signal_euclid": base,
+        "corr_src_0": base / 2.0,
+        "corr_src_1": base / 4.0,
+        "signal_corr": 3.0 * base / 8.0,
+        "mvar_coeff_err": base + 1.0,
+        "pdc_err": base + 2.0,
+        "dtf_err": base + 3.0,
+    }
+    return [named[measure] for measure in measure_names(2)]
+
+
+def make_table(bases) -> np.ndarray:
+    """A (filter, realization, measure) table; bases[f][r] seeds a row."""
+    return np.array([[make_row(base) for base in row] for row in bases])
 
 
 class TestAggregate:
     def test_mean_and_population_std(self):
-        rows = [make_row("ZF", 1, 1.0), make_row("ZF", 2, 3.0)]
-        summary = aggregate(rows)
+        summary = aggregate(["ZF"], make_table([[1.0, 3.0]]))
         euclid = next(r for r in summary if r.measure == "signal_euclid")
         assert euclid.mean == pytest.approx(2.0)
         assert euclid.std == pytest.approx(1.0)  # population, not sample
 
     def test_single_realization_has_zero_std(self):
-        summary = aggregate([make_row("ZF", 1, 1.5)])
+        summary = aggregate(["ZF"], make_table([[1.5]]))
         assert all(r.std == 0.0 for r in summary)
 
     def test_identical_rows_have_zero_std(self):
-        summary = aggregate([make_row("ZF", 1, 1.5), make_row("ZF", 2, 1.5)])
+        summary = aggregate(["ZF"], make_table([[1.5, 1.5]]))
         assert all(r.std == 0.0 for r in summary)
 
-    def test_invariant_to_row_order(self):
-        rows = [
-            make_row("ZF", 1, 1.0),
-            make_row("ZF", 2, 3.0),
-            make_row("LCMV_R", 1, 0.5),
-            make_row("LCMV_R", 2, 0.7),
-        ]
-        forward = aggregate(rows)
-        backward = aggregate(rows[::-1])
-        assert forward == backward
-
     def test_known_filters_come_in_bank_order(self):
-        rows = [make_row("ZF", 1, 1.0), make_row("LCMV_R", 1, 1.0)]
-        names = []
-        for row in aggregate(rows):
-            if row.filter_name not in names:
-                names.append(row.filter_name)
-        assert names == ["LCMV_R", "ZF"]
-
-    def test_unknown_filters_sort_after_known_ones(self):
-        rows = [make_row("zeta", 1, 1.0), make_row("alpha", 1, 1.0), make_row("ZF", 1, 1.0)]
-        names = []
-        for row in aggregate(rows):
-            if row.filter_name not in names:
-                names.append(row.filter_name)
-        assert names == ["ZF", "alpha", "zeta"]
+        specs = _filter_specs(SetupConfig(filters=("ZF", "RANDN", "LCMV_R")))
+        names = [spec.name for spec in specs]
+        assert names == ["LCMV_R", "ZF", "RANDN"]
+        summary = aggregate(names, make_table([[1.0], [2.0], [3.0]]))
+        firsts = {}
+        for row in summary:
+            firsts.setdefault(row.filter_name, row)
+        assert list(firsts) == names
+        assert [row.mean for row in firsts.values()] == [1.0, 2.0, 3.0]
 
 
 class TestResultsCsv:
     def test_long_format_layout(self, tmp_path):
-        rows = [make_row("ZF", 1, 1.0), make_row("ZF", 2, 3.0)]
         path = tmp_path / "results.csv"
-        write_results_csv(rows, path)
+        write_results_csv(["ZF"], make_table([[1.0, 3.0]]), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "filter,realization,measure,value"
-        assert len(lines) == 1 + 2 * len(row_measures(rows[0]))
+        assert len(lines) == 1 + 2 * len(measure_names(2))
         assert lines[1] == "ZF,1,signal_euclid,1.0"
+        assert lines[1 + len(measure_names(2))] == "ZF,2,signal_euclid,3.0"
 
     def test_values_round_trip_through_repr(self, tmp_path):
         value = 0.1 + 0.2  # not exactly representable as short decimal
-        rows = [make_row("ZF", 1, value)]
         path = tmp_path / "results.csv"
-        write_results_csv(rows, path)
+        write_results_csv(["ZF"], make_table([[value]]), path)
         for line in path.read_text().splitlines()[1:]:
             if ",signal_euclid," in line:
                 assert float(line.rsplit(",", 1)[1]) == value
 
 
+def same_bits(a: float, b: float) -> bool:
+    """Equal bit for bit, a NaN matching any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestTableProperty:
+    """The writers read a (filter, realization, measure) table as it is."""
+
+    def test_summary_and_results_read_the_table_exactly(self, tmp_path):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(
+            kinds=st.lists(
+                st.sampled_from(list(FilterKind)), min_size=1, max_size=4, unique=True
+            ),
+            realizations=st.sampled_from([1, 7, 8, 20, 33]),
+            n_sources=st.integers(0, 3),
+            nan_share=st.sampled_from([0.0, 0.1, 0.5]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(kinds, realizations, n_sources, nan_share, seed):
+            names = [kind.value for kind in FilterKind if kind in kinds]
+            measures = measure_names(n_sources)
+            rng = np.random.default_rng(seed)
+            shape = (len(names), realizations, len(measures))
+            table = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+            table[rng.random(shape) < nan_share] = np.nan
+
+            summary = aggregate(names, table)
+            assert len(summary) == len(names) * len(measures)
+            for index, row in enumerate(summary):
+                f, m = divmod(index, len(measures))
+                assert (row.filter_name, row.measure) == (names[f], measures[m])
+                series = table[f, :, m].copy()
+                assert same_bits(row.mean, float(np.mean(series)))
+                assert same_bits(row.std, float(np.std(series)))
+
+            path = tmp_path / "results.csv"
+            write_results_csv(names, table, path)
+            with path.open(newline="") as handle:
+                records = list(csv.reader(handle))[1:]
+            assert len(records) == table.size
+            cells = np.ndindex(*shape)  # filter, then realization, then measure
+            for (f, r, m), (name, realization, measure, value) in zip(cells, records):
+                assert (name, int(realization)) == (names[f], r + 1)
+                assert measure == measures[m]
+                assert same_bits(float(value), table[f, r, m])
+
+        check()
+
+
 class TestSummaryCsv:
     def test_round_trip_is_exact(self, tmp_path):
-        summary = aggregate([make_row("ZF", 1, 1.0), make_row("ZF", 2, 3.1)])
+        summary = aggregate(["ZF"], make_table([[1.0, 3.1]]))
         path = tmp_path / "summary.csv"
         write_summary_csv(summary, path)
         assert load_summary_csv(path) == summary
@@ -501,13 +520,7 @@ class TestSummaryCsv:
 
 class TestRenderReport:
     def test_table_structure(self):
-        summary = aggregate(
-            [
-                make_row("LCMV_R", 1, 0.5),
-                make_row("LCMV_R", 2, 0.7),
-                make_row("ZF", 1, 1.0),
-            ]
-        )
+        summary = aggregate(["LCMV_R", "ZF"], make_table([[0.5, 0.7], [1.0, 1.0]]))
         text = render_report(summary)
         lines = text.split("\n")
         assert lines[0].split()[0] == "filter"
@@ -519,11 +532,11 @@ class TestRenderReport:
         assert lines[3].startswith("ZF")
 
     def test_cells_show_mean_and_std(self):
-        summary = aggregate([make_row("ZF", 1, 1.0), make_row("ZF", 2, 3.0)])
+        summary = aggregate(["ZF"], make_table([[1.0, 3.0]]))
         text = render_report(summary)
         assert "2 (1)" in text
 
     def test_no_trailing_whitespace(self):
-        summary = aggregate([make_row("ZF", 1, 1.0)])
+        summary = aggregate(["ZF"], make_table([[1.0]]))
         for line in render_report(summary).split("\n"):
             assert line == line.rstrip()

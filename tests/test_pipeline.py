@@ -176,6 +176,28 @@ class TestJobsInvariance:
             assert (two / name).read_bytes() == (one / name).read_bytes()
 
 
+class TestFilterOrder:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_order_of_filters_changes_no_byte(self, tmp_path, jobs):
+        orders = [
+            ("ZF", "MVP_I_2", "LCMV_R", "RANDN", "NL"),
+            ("LCMV_R", "NL", "ZF", "RANDN", "MVP_I_2"),
+        ]
+        first, second = (
+            run(
+                small_config(n_realizations=3, filters=filters),
+                out_dir=tmp_path / str(i),
+                jobs=jobs,
+            )
+            for i, filters in enumerate(orders)
+        )
+        for name in ("results.csv", "summary.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+        summary = load_summary_csv(first / "summary.csv")
+        names = list(dict.fromkeys(row.filter_name for row in summary))
+        assert names == ["LCMV_R", "NL", "ZF", "RANDN", "MVP_I_2"]
+
+
 class TestDistinctFiltersScoredOnce:
     @staticmethod
     def count_evaluations(monkeypatch) -> list[np.ndarray]:
