@@ -68,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
             out = export_leadfield(config, args.out)
             print(f"lead-field written to {out}")
         return 0
-    except BenchError as exc:
+    except (BenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

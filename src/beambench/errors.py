@@ -23,10 +23,6 @@ class SourceOutsideHead(BenchError):
     """A dipole position lies on or outside the scalp sphere."""
 
 
-class ZeroTargetSignal(BenchError):
-    """The signal to be rescaled has zero Frobenius norm."""
-
-
 class ShapeMismatch(BenchError):
     """Array shapes are inconsistent with each other."""
 

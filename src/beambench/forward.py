@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ShapeMismatch, SourceOutsideHead, ZeroTargetSignal
+from .errors import ShapeMismatch, SourceOutsideHead
 from .sources import ROLES, PerturbedGeometry, SourceGeometry, SourceSignals
 
 if TYPE_CHECKING:
@@ -247,28 +247,6 @@ def select_filter_leadfields(
     return np.hstack([interest, interference])
 
 
-def _snr_gain(reference_norm: float, target_norm: float, snr_db: float) -> float:
-    """Amplitude that brings a target of Frobenius norm target_norm to
-    snr_db decibels below a reference of norm reference_norm."""
-    if not np.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db}")
-    if target_norm == 0.0:
-        raise ZeroTargetSignal("cannot rescale a signal with zero Frobenius norm")
-    return reference_norm / target_norm / 10.0 ** (snr_db / 20.0)
-
-
-def adjust_snr(reference: np.ndarray, target: np.ndarray, snr_db: float) -> np.ndarray:
-    """Rescale target so that the reference-to-target Frobenius power
-    ratio equals snr_db decibels.
-
-    Returns target * (||reference||_F / ||target||_F) / 10^(snr_db/20).
-    """
-    gain = _snr_gain(
-        float(np.linalg.norm(reference)), float(np.linalg.norm(target)), snr_db
-    )
-    return target * gain
-
-
 class SegmentGains(NamedTuple):
     """Amplitudes one segment applies to each term of the model."""
 
@@ -328,7 +306,7 @@ def compose_measurement(
     reference = np.sqrt(powers[0])
     levels = (cfg.sinr_db, cfg.sbnr_db, cfg.smnr_db)
     scales = [1.0] + [
-        _snr_gain(reference, np.sqrt(power), level) if power > 0.0 else 0.0
+        reference / np.sqrt(power) / 10.0 ** (level / 20.0) if power > 0.0 else 0.0
         for power, level in zip(powers[1:], levels)
     ]
     sources = np.vstack(blocks)

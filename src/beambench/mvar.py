@@ -76,10 +76,6 @@ class MvarModel:
             comp[d:, : (p - 1) * d] = np.eye((p - 1) * d)
         return comp
 
-    def coeff_stack(self) -> np.ndarray:
-        """Horizontal stack [A_1 ... A_p], shape (dim, dim*order)."""
-        return self.coeffs.transpose(1, 0, 2).reshape(self.dim, self.order * self.dim)
-
     @property
     def spectral_radius(self) -> float:
         """Largest eigenvalue magnitude of the companion form, computed
@@ -219,13 +215,13 @@ def simulate(
     with T the lower block-Toeplitz matrix of the impulse responses
     Psi_0 .. Psi_{B-1} and G the map of the last p samples into the
     block (see _block_maps).  The innovation term of every block is one
-    matrix product over the whole zero-padded series (a copy when T is
-    the identity, at B = 1); only the state term G x stays sequential,
-    one product per block.  B is the largest block length <= 32 with
-    B * dim <= 128 (_block_size), so B = 1, the plain per-step
-    recursion, for dim > 64.  Returns shape (dim, n_samples).  Raises
-    UnstableModel when the companion spectral radius is >= 1, since the
-    burn-in would then not converge to stationarity.
+    matrix product over the whole zero-padded series; only the state
+    term G x stays sequential, one product per block.  B is the largest
+    block length <= 32 with B * dim <= 128 (_block_size), so B = 1, the
+    plain per-step recursion with T the identity, for dim > 64.
+    Returns shape (dim, n_samples).  Raises UnstableModel when the
+    companion spectral radius is >= 1, since the burn-in would then not
+    converge to stationarity.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -248,11 +244,9 @@ def simulate(
     # each block of B rows is one B*d vector.
     out = np.zeros((p + n_blocks * block, d))
     blocks = out[p:].reshape(n_blocks, block * d)
-    # At B = 1, T is the identity: the innovations are the blocks.
-    innov = out[p:] if block == 1 else np.zeros((n_blocks * block, d))
+    innov = np.zeros((n_blocks * block, d))
     np.matmul(factor, rng.standard_normal((d, total)), out=innov[:total].T)
-    if block > 1:
-        np.matmul(innov.reshape(n_blocks, block * d), toeplitz.T, out=blocks)
+    np.matmul(innov.reshape(n_blocks, block * d), toeplitz.T, out=blocks)
     del innov  # not held next to the result copy
     # states[b] is x[t0-p .. t0-1] of block b, a view of out, so every
     # block sees the blocks written before it.

@@ -7,8 +7,10 @@ always shows the per-criterion outcome alongside the test result.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,13 +27,15 @@ from beambench.filters import (
 )
 from beambench.forward import (
     DEFAULT_SIGMA,
-    adjust_snr,
+    compose_measurement,
     dipole_potentials,
     fibonacci_montage,
+    leadfield_sphere,
 )
 from beambench.metrics import load_summary_csv
 from beambench.mvar import fit, make_mask, sample_stable_mvar, simulate
 from beambench.pipeline import run
+from beambench.sources import generate_source_signals, sample_geometry
 
 HEAD = 0.09
 
@@ -136,11 +140,9 @@ def test_criterion_3_mvar_fit_recovery():
         mask = make_mask(5, 0.2, rng)
         model = sample_stable_mvar(5, 2, mask, 0.95, (-0.3, 0.3), 1000, rng)
         series = simulate(model, 80000, rng)
-        truth = model.coeff_stack()
-        err_short = float(
-            np.max(np.abs(fit(series[:, :20000], 2).coeff_stack() - truth))
-        )
-        err_long = float(np.max(np.abs(fit(series, 2).coeff_stack() - truth)))
+        truth = model.coeffs
+        err_short = float(np.max(np.abs(fit(series[:, :20000], 2).coeffs - truth)))
+        err_long = float(np.max(np.abs(fit(series, 2).coeffs - truth)))
         worst_short = max(worst_short, err_short)
         monotone = monotone and err_long < err_short
     elapsed = time.perf_counter() - start
@@ -231,21 +233,57 @@ def test_criterion_5_sphere_oracle():
 
 
 def test_criterion_6_snr_exactness():
-    rng = np.random.default_rng(6000)
+    """The levels compose_measurement mixes: over both segments, each
+    of g_i H_i X_i, g_b H_b X_b and g_n noise sits at its configured
+    SINR, SBNR and SMNR below ||H X_q||_F.  The terms are formed from
+    the recording's gains, with the noise replayed from its seed."""
+    levels = (-20.0, 0.0, 20.0)
+    n_setups = 20
     worst = 0.0
-    for _ in range(100):
-        ref = rng.standard_normal((16, 100))
-        target = rng.standard_normal((16, 100))
-        for level in (-20.0, 0.0, 20.0):
-            out = adjust_snr(ref, target, level)
-            achieved = 20.0 * np.log10(np.linalg.norm(ref) / np.linalg.norm(out))
-            worst = max(worst, abs(achieved - level))
+    for seed in range(n_setups):
+        rng = np.random.default_rng(np.random.SeedSequence(6000 + seed))
+        counts = tuple(int(c) for c in rng.integers(1, 4, size=3))
+        m = int(rng.integers(8, 33))
+        setup = SetupConfig(
+            sources=counts,
+            n_electrodes=m,
+            n_samples=int(rng.integers(60, 200)),
+            order_interest=2,
+            order_background=2,
+            interest_pre=True,
+        )
+        geometry = sample_geometry(counts, rng)
+        lf = leadfield_sphere(geometry, fibonacci_montage(m, HEAD))
+        signals = generate_source_signals(geometry, setup, rng)
+        n = setup.n_samples
+        noise_seed = 6100 + seed
+        reference = np.linalg.norm(lf.interest @ signals.interest)
+        unscaled = {
+            "interference": lf.interference @ signals.interference,
+            "background": lf.background @ signals.background,
+            "noise": np.random.default_rng(noise_seed).standard_normal((m, 2 * n)),
+        }
+        for requested in itertools.product(levels, repeat=3):
+            sinr, sbnr, smnr = requested
+            config = replace(setup, sinr_db=sinr, sbnr_db=sbnr, smnr_db=smnr)
+            recording, _ = compose_measurement(
+                signals, lf, config, np.random.default_rng(noise_seed)
+            )
+            for (role, term), level in zip(unscaled.items(), requested):
+                mixed = np.hstack(
+                    [
+                        getattr(recording.gains_pre, role) * term[:, :n],
+                        getattr(recording.gains_pst, role) * term[:, n:],
+                    ]
+                )
+                achieved = 20.0 * np.log10(reference / np.linalg.norm(mixed))
+                worst = max(worst, abs(achieved - level))
     ok = worst <= 1e-9
     _criterion(
         6,
         ok,
-        f"max |achieved - requested| {worst:.2e} dB (tol 1e-9) "
-        "over 100 pairs x {-20, 0, 20} dB",
+        f"max |achieved - requested| {worst:.2e} dB (tol 1e-9) of compose_measurement "
+        f"over {n_setups} setups x {{-20, 0, 20}} dB for each of SINR, SBNR, SMNR",
     )
     assert worst <= 1e-9
 

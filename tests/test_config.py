@@ -328,6 +328,26 @@ class TestPackageSurface:
         )
         assert done.stdout.strip() == "[]"
 
+    def test_cli_and_pipeline_import_numpy_alone(self):
+        src = Path(config.__file__).resolve().parents[1]
+        # Modules the interpreter loads at start-up (site hooks) do not
+        # count: only those the import itself brings in.
+        probe = (
+            "import sys; before = set(sys.modules); "
+            "import beambench.cli, beambench.pipeline; "
+            "loaded = {name.split('.')[0] for name in set(sys.modules) - before}; "
+            "allowed = set(sys.stdlib_module_names) | {'numpy', 'beambench'}; "
+            "print(sorted(loaded - allowed))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
     def test_readme_config_table_lists_every_key(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         table = readme.read_text().split("| key | default | meaning |", 1)[1]

@@ -7,12 +7,11 @@ import pytest
 
 from beambench import forward
 from beambench.config import SetupConfig
-from beambench.errors import ShapeMismatch, SourceOutsideHead, ZeroTargetSignal
+from beambench.errors import ShapeMismatch, SourceOutsideHead
 from beambench.forward import (
     DEFAULT_SIGMA,
     ElectrodeMontage,
     _referenced,
-    adjust_snr,
     compose_measurement,
     dipole_potentials,
     fibonacci_montage,
@@ -441,31 +440,6 @@ class TestSelectFilterLeadfields:
         _, _, _, lf = small_setup(seed=10)
         chosen = select_filter_leadfields(lf, False, False)
         assert np.array_equal(chosen, np.hstack([lf.interest, lf.interference]))
-
-
-class TestAdjustSnr:
-    def test_achieved_level_is_exact(self):
-        rng = np.random.default_rng(70)
-        for snr_db in (-35.0, -10.0, 0.0, 5.0, 20.0, 35.0):
-            ref = rng.standard_normal((8, 40))
-            target = rng.standard_normal((8, 40))
-            out = adjust_snr(ref, target, snr_db)
-            achieved = 20.0 * np.log10(np.linalg.norm(ref) / np.linalg.norm(out))
-            assert abs(achieved - snr_db) <= 1e-9
-
-    def test_zero_level_matches_norms(self):
-        rng = np.random.default_rng(71)
-        ref = rng.standard_normal((4, 9))
-        out = adjust_snr(ref, rng.standard_normal((4, 9)), 0.0)
-        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(ref), rel=1e-12)
-
-    def test_zero_target_rejected(self):
-        with pytest.raises(ZeroTargetSignal):
-            adjust_snr(np.ones((2, 2)), np.zeros((2, 2)), 10.0)
-
-    def test_non_finite_level_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            adjust_snr(np.ones((2, 2)), np.ones((2, 2)), np.inf)
 
 
 class TestComposeMeasurement:

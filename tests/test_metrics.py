@@ -139,7 +139,10 @@ class TestEvaluate:
 
 def _padded_stack(model: MvarModel, order: int) -> np.ndarray:
     stack = np.zeros((model.dim, order * model.dim))
-    stack[:, : model.order * model.dim] = model.coeff_stack()
+    # [A_1 ... A_p] side by side, zero lags beyond the model's order
+    stack[:, : model.order * model.dim] = model.coeffs.transpose(1, 0, 2).reshape(
+        model.dim, -1
+    )
     return stack
 
 

@@ -6,7 +6,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 
 from beambench import mvar
@@ -74,12 +73,6 @@ class TestMvarModel:
         assert np.array_equal(comp[:2, 2:], a2)
         assert np.array_equal(comp[2:, :2], np.eye(2))
         assert np.array_equal(comp[2:, 2:], np.zeros((2, 2)))
-
-    def test_coeff_stack_is_horizontal(self):
-        a1 = np.full((2, 2), 1.0)
-        a2 = np.full((2, 2), 2.0)
-        model = MvarModel(2, 2, np.stack([a1, a2]), np.eye(2))
-        assert np.array_equal(model.coeff_stack(), np.hstack([a1, a2]))
 
 
 class TestMakeMask:
@@ -426,39 +419,6 @@ class TestSimulateAgainstReference:
     def test_output_is_row_major(self):
         out = simulate(random_model(6, 3, 2, "full"), 40, np.random.default_rng(0))
         assert out.flags.c_contiguous
-
-
-def product_form_simulate(
-    model: MvarModel, n_samples: int, rng: np.random.Generator, burn_in: int
-) -> np.ndarray:
-    """The block recursion with the innovation term always applied as
-    the product T e_block, identity T (B = 1) included."""
-    d, p = model.dim, model.order
-    total = burn_in + n_samples
-    block = _block_size(d)
-    n_blocks = -(-total // block)
-    toeplitz, gain = _block_maps(model, block)
-    eigval, eigvec = np.linalg.eigh(model.noise_cov)
-    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    out = np.zeros((p + n_blocks * block, d))
-    innov = np.zeros((n_blocks * block, d))
-    np.matmul(factor, rng.standard_normal((d, total)), out=innov[:total].T)
-    blocks = out[p:].reshape(n_blocks, block * d)
-    np.matmul(innov.reshape(n_blocks, block * d), toeplitz.T, out=blocks)
-    states = sliding_window_view(out.reshape(-1), p * d)[:: block * d]
-    for values, state in zip(blocks, states):
-        values += gain.dot(state)
-    return out[p + burn_in : p + total].T.copy()
-
-
-class TestUnitBlock:
-    @pytest.mark.parametrize("dim", [65, 100])
-    def test_copied_innovations_equal_the_identity_product(self, dim):
-        assert _block_size(dim) == 1
-        model = random_model(11, dim, 2, "full")
-        got = simulate(model, 300, np.random.default_rng(4), burn_in=50)
-        expected = product_form_simulate(model, 300, np.random.default_rng(4), 50)
-        assert np.array_equal(got, expected)
 
 
 class TestBlockForm:

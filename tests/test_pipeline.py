@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 from beambench import __version__, forward, metrics, pipeline
 from beambench.cli import main
 from beambench.config import SetupConfig
-from beambench.errors import MissingRun, ParseError, PipelineError
+from beambench.errors import InvalidValue, MissingRun, ParseError, PipelineError
 from beambench.filters import MVP_BASE, FilterKind
 from beambench.metrics import load_summary_csv
 from beambench.mvar import _block_size
@@ -161,7 +163,7 @@ class TestJobsInvariance:
         check()
 
     def test_two_jobs_give_the_bytes_of_one_at_unit_block(self, tmp_path):
-        # 65 background sources: simulate runs its one-step-per-block loop
+        # 65 background sources: simulate runs one step per block (B = 1)
         assert _block_size(65) == 1
         config = small_config(
             sources=(2, 1, 65),
@@ -174,6 +176,101 @@ class TestJobsInvariance:
         two = run(config, out_dir=tmp_path / "two", jobs=2)
         for name in ("results.csv", "summary.csv"):
             assert (two / name).read_bytes() == (one / name).read_bytes()
+
+
+SWITCHES = tuple(
+    name for name in SetupConfig.__dataclass_fields__ if name.endswith(("_pre", "_pst"))
+)
+MODEL_MEASURES = ("mvar_coeff_err", "pdc_err", "dtf_err")
+
+
+def check_run_invariants(config: SetupConfig) -> None:
+    """Run config at --jobs 1 and 2 and check what every run must hold:
+    a failure is a PipelineError naming its realization and stage;
+    otherwise both runs write the same bytes, correlations lie in
+    [-1, 1], signal_euclid is >= 0, only the model measures may be NaN,
+    and full-rank MV-PURE rows equal their base rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            one = run(config, out_dir=Path(tmp) / "one", jobs=1)
+        except PipelineError as exc:
+            found = re.match(r"realization (\d+), stage \w+: ", str(exc))
+            assert found, str(exc)
+            assert 1 <= int(found[1]) <= config.n_realizations
+            return
+        two = run(config, out_dir=Path(tmp) / "two", jobs=2)
+        for name in ("results.csv", "summary.csv"):
+            assert (two / name).read_bytes() == (one / name).read_bytes()
+        with (one / "results.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+    values = {(f, r, m): v for f, r, m, v in rows}
+    for (_, _, measure), text in values.items():
+        value = float(text)
+        if np.isnan(value):
+            assert measure in MODEL_MEASURES, measure
+        elif measure == "signal_euclid":
+            assert value >= 0.0
+        elif measure == "signal_corr" or measure.startswith("corr_src_"):
+            assert abs(value) <= 1.0
+    if config.mvp_rank in (None, config.n_interest):
+        for kind, base in MVP_BASE.items():
+            if kind.value in config.filters and base.value in config.filters:
+                for f, r, m in values:
+                    if f == base.value:
+                        assert values[(kind.value, r, m)] == values[(f, r, m)]
+
+
+class TestConfigSpace:
+    def test_invariants_over_tiny_configs(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        level = st.sampled_from([-80.0, -20.0, 0.0, 20.0, 80.0]) | st.floats(-80.0, 80.0)
+        rank = st.none() | st.integers(1, 4)
+        fields = st.fixed_dictionaries(
+            {
+                "seed": st.integers(0, 2**32 - 1),
+                "sources": st.tuples(
+                    st.integers(1, 3), st.integers(0, 3), st.integers(0, 3)
+                ),
+                "deep_sources": st.tuples(*[st.integers(0, 1)] * 3),
+                "n_electrodes": st.integers(4, 32),
+                "n_samples": st.integers(40, 300),
+                "n_realizations": st.integers(1, 2),
+                "order_interest": st.integers(1, 3),
+                "order_background": st.integers(1, 3),
+                "filters": st.lists(
+                    st.sampled_from([kind.value for kind in FilterKind]),
+                    min_size=1,
+                    max_size=len(FilterKind),
+                    unique=True,
+                ).map(tuple),
+                "mvp_rank": rank,
+                "eig_dim": rank,
+                "interference_rank": rank,
+                "use_interest_pert": st.booleans(),
+                "use_interference_pert": st.booleans(),
+                "erp_enabled": st.booleans(),
+                "sinr_db": level,
+                "sbnr_db": level,
+                "smnr_db": level,
+                **{name: st.booleans() for name in SWITCHES},
+            }
+        )
+
+        @hyp.settings(
+            max_examples=25,
+            deadline=None,
+            suppress_health_check=[hyp.HealthCheck.filter_too_much],
+        )
+        @hyp.given(fields=fields)
+        def check(fields):
+            try:
+                config = SetupConfig(pdc_resolution=9, **fields)
+            except InvalidValue:
+                hyp.reject()
+            check_run_invariants(config)
+
+        check()
 
 
 class TestFilterOrder:
@@ -548,3 +645,20 @@ class TestCli:
     def test_missing_run_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nowhere")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_config_fails_cleanly(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(missing), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+        assert not out.exists()
+
+    def test_export_into_missing_directory_fails_cleanly(
+        self, cli_config, tmp_path, capsys
+    ):
+        target = tmp_path / "nowhere" / "lf.csv"
+        argv = ["export-leadfield", "--config", str(cli_config), "--out", str(target)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(target) in err
