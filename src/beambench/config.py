@@ -259,9 +259,11 @@ _KEY_TABLE: dict[str, tuple[str, object]] = {
 
 
 def load_config(path: str | Path) -> SetupConfig:
-    """Parse a `KEY = value` file on top of the defaults."""
+    """Parse a `KEY = value` file on top of the defaults.  A key given
+    twice is a ParseError."""
     path = Path(path)
     overrides: dict[str, object] = {}
+    seen: dict[str, int] = {}
     with path.open() as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -277,6 +279,9 @@ def load_config(path: str | Path) -> SetupConfig:
                 )
             if key not in _KEY_TABLE:
                 raise UnknownKey(f"{path}:{lineno}: unknown key {key!r}")
+            first = seen.setdefault(key, lineno)
+            if first != lineno:
+                raise ParseError(f"{path}:{lineno}: key {key!r} repeats line {first}")
             target, parser = _KEY_TABLE[key]
             try:
                 overrides[target] = parser(value)  # type: ignore[operator]

@@ -53,23 +53,11 @@ class SummaryRow:
 
 
 @dataclass(frozen=True)
-class Truth:
-    """The generating side of one realization: its source model, the
-    order of every refit, and the frequency grid of the spectra.  The
-    true signal itself is row 0 of the stack that evaluate scores."""
-
-    model: MvarModel
-    fit_order: int
-    freqs: np.ndarray
-
-
-@dataclass(frozen=True)
 class Scores:
     """The measures of k estimates of one realization: row i of the
     (k, len(measure_names(l))) table belongs to estimate i.  `failed`
     marks rows whose refit, or the truth's, was rank-deficient."""
 
-    realization: int
     table: np.ndarray
     failed: np.ndarray
 
@@ -98,16 +86,6 @@ def _pearson(truth_centered: np.ndarray, truth_norms: np.ndarray, series: np.nda
     return np.where(silent, 0.0, values)
 
 
-def _coeff_distance(coeffs: np.ndarray, true_coeffs: np.ndarray) -> np.ndarray:
-    """Frobenius distances of (g, p, d, d) coefficient tensors from one
-    (q, d, d) tensor, the shorter one padded with zero lags."""
-    order = max(coeffs.shape[1], true_coeffs.shape[0])
-    diff = np.zeros((len(coeffs), order) + true_coeffs.shape[1:])
-    diff[:, : coeffs.shape[1]] = coeffs
-    diff[:, : true_coeffs.shape[0]] -= true_coeffs
-    return _row_norms(diff)
-
-
 def _row_norms(values: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of values.reshape(len(values), -1).
 
@@ -128,9 +106,13 @@ def _group_size(length: int, dim: int, n_freqs: int) -> int:
     return max(1, _GROUP_BYTES // per_series)
 
 
-def evaluate(truth: Truth, series: np.ndarray, realization: int = 0) -> Scores:
+def evaluate(
+    model: MvarModel, freqs: np.ndarray, series: np.ndarray, realization: int = 0
+) -> Scores:
     """Score k reconstructions against the generating ground truth.
 
+    model generated the true signal and sets the order of every refit;
+    freqs is the grid of the spectra; realization only labels the call.
     series has shape (k + 1, l, n): row 0 is the true signal and rows
     1 .. k the estimates; the caller writes both into one buffer.  The
     coefficient error compares the generating model's coefficients
@@ -163,17 +145,17 @@ def evaluate(truth: Truth, series: np.ndarray, realization: int = 0) -> Scores:
     pdc_err = np.full(rows, np.nan)
     dtf_err = np.full(rows, np.nan)
     regular = np.empty(rows, dtype=bool)
-    group = _group_size(length, dim, len(truth.freqs))
+    group = _group_size(length, dim, len(freqs))
     for start in range(0, rows, group):
         chunk = series[start : start + group]
         span = slice(start, start + len(chunk))
         euclid[span] = _row_norms(chunk - signal) / denom
         correlations[span] = _pearson(truth_centered, truth_norms, chunk)
-        coeffs, regular[span] = fit_coefficients(chunk, truth.fit_order)
-        coeff_err[span] = _coeff_distance(coeffs, truth.model.coeffs)
+        coeffs, regular[span] = fit_coefficients(chunk, model.order)
+        coeff_err[span] = _row_norms(coeffs - model.coeffs)
         usable = regular[span] & regular[0]
         if usable.any():
-            pdc, dtf = connectivity_spectra(coeffs[usable], truth.freqs)
+            pdc, dtf = connectivity_spectra(coeffs[usable], freqs)
             if start == 0:
                 true_pdc, true_dtf = pdc[0].copy(), dtf[0].copy()
             pdc -= true_pdc
@@ -185,7 +167,7 @@ def evaluate(truth: Truth, series: np.ndarray, realization: int = 0) -> Scores:
     table = np.column_stack(
         [euclid, correlations.mean(axis=1), correlations, coeff_err, pdc_err, dtf_err]
     )
-    return Scores(realization=realization, table=table[1:], failed=failed[1:])
+    return Scores(table=table[1:], failed=failed[1:])
 
 
 def aggregate(names: list[str], table: np.ndarray) -> list[SummaryRow]:

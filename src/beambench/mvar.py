@@ -3,11 +3,12 @@
 Source activity in the benchmark is driven by order-p vector
 autoregressions
 
-    x[n] = sum_{s=1..p} A_s x[n-s] + e[n],      e[n] ~ N(0, noise_cov).
+    x[n] = sum_{s=1..p} A_s x[n-s] + e[n],      e[n] ~ N(0, I).
 
-This module owns the model container, masked random coefficient
-sampling with a stability gate, Gaussian simulation, and ordinary
-least-squares estimation of the coefficients from data.
+A model is its coefficient tensor.  This module owns the model
+container, masked random coefficient sampling with a stability gate,
+Gaussian simulation, and ordinary least-squares estimation of the
+coefficients from data.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import RankDeficientRegressor, StabilitySearchExhausted, UnstableModel
 
-_SYM_TOL = 1e-12
-_EIG_FLOOR = -1e-10
 _GRAM_RTOL = 1e-10
 _BLOCK_WIDTH = 128
 _MAX_BLOCK = 32
@@ -28,43 +27,30 @@ _MAX_BLOCK = 32
 
 @dataclass(frozen=True)
 class MvarModel:
-    """An MVAR(p) model: coefficient tensor plus innovation covariance.
+    """An MVAR(p) model driven by unit-variance white innovations.
 
     coeffs has shape (order, dim, dim); coeffs[s - 1] is the lag-s
-    matrix A_s.  noise_cov must be symmetric positive semidefinite.
-    The arrays are not copied and must not be changed after
+    matrix A_s.  The array is not copied and must not be changed after
     construction: the spectral radius is computed once and kept.
     """
 
-    dim: int
-    order: int
     coeffs: np.ndarray
-    noise_cov: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
         coeffs = np.asarray(self.coeffs, dtype=float)
-        noise_cov = np.asarray(self.noise_cov, dtype=float)
-        if coeffs.shape != (self.order, self.dim, self.dim):
-            raise ValueError(
-                f"coeffs shape {coeffs.shape} does not match "
-                f"(order, dim, dim) = {(self.order, self.dim, self.dim)}"
-            )
-        if noise_cov.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"noise_cov shape {noise_cov.shape} does not match dim {self.dim}"
-            )
-        if not np.all(np.isfinite(coeffs)) or not np.all(np.isfinite(noise_cov)):
-            raise ValueError("model arrays must be finite")
-        if np.max(np.abs(noise_cov - noise_cov.T), initial=0.0) > _SYM_TOL:
-            raise ValueError("noise_cov must be symmetric")
-        if np.linalg.eigvalsh(noise_cov).min() < _EIG_FLOOR:
-            raise ValueError("noise_cov must be positive semidefinite")
+        if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2] or 0 in coeffs.shape:
+            raise ValueError(f"coeffs of shape {coeffs.shape} are not (order, dim, dim)")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coeffs must be finite")
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "noise_cov", noise_cov)
+
+    @property
+    def order(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.coeffs.shape[1]
 
     def companion(self) -> np.ndarray:
         """Companion form, shape (order*dim, order*dim)."""
@@ -147,10 +133,9 @@ def sample_stable_mvar(
     if iter_limit < 1:
         raise ValueError(f"iter_limit must be >= 1, got {iter_limit}")
 
-    eye = np.eye(dim)
     for _ in range(iter_limit):
         draw = rng.uniform(lo, hi, size=(order, dim, dim)) * mask
-        candidate = MvarModel(dim=dim, order=order, coeffs=draw, noise_cov=eye)
+        candidate = MvarModel(draw)
         stable, _ = is_stable(candidate, stab_limit)
         if stable:
             return candidate
@@ -206,8 +191,8 @@ def simulate(
 ) -> np.ndarray:
     """Simulate n_samples steps after a zero-state burn-in.
 
-    Innovations are N(0, noise_cov), drawn as one (dim, burn_in +
-    n_samples) block.  The recursion runs B steps at a time through its
+    Innovations are N(0, I), drawn as one (dim, burn_in + n_samples)
+    block.  The recursion runs B steps at a time through its
     moving-average form (Lütkepohl 2005, sec. 2.1.2):
 
         x_block = T e_block + G [x[t0-p] ... x[t0-1]],
@@ -236,16 +221,12 @@ def simulate(
     block = _block_size(d)
     n_blocks = -(-total // block)
     toeplitz, gain = _block_maps(model, block)
-    # Eigenfactor instead of Cholesky so that singular (even all-zero)
-    # innovation covariances are simulated exactly.
-    eigval, eigvec = np.linalg.eigh(model.noise_cov)
-    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
     # Time-major series whose first p rows are the zero initial state;
     # each block of B rows is one B*d vector.
     out = np.zeros((p + n_blocks * block, d))
     blocks = out[p:].reshape(n_blocks, block * d)
     innov = np.zeros((n_blocks * block, d))
-    np.matmul(factor, rng.standard_normal((d, total)), out=innov[:total].T)
+    innov[:total] = rng.standard_normal((d, total)).T
     np.matmul(innov.reshape(n_blocks, block * d), toeplitz.T, out=blocks)
     del innov  # not held next to the result copy
     # states[b] is x[t0-p .. t0-1] of block b, a view of out, so every
@@ -330,18 +311,12 @@ def fit_coefficients(series: np.ndarray, order: int) -> tuple[np.ndarray, np.nda
 
 def fit(series: np.ndarray, order: int) -> MvarModel:
     """Least-squares MVAR fit of one (dim, n) series: fit_coefficients
-    on a stack of one, plus the innovation covariance, the residual
-    outer-product average over the n - order regression rows."""
+    on a stack of one.  Raises RankDeficientRegressor when its lagged
+    Gram matrix is numerically singular."""
     x = np.asarray(series, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"series must be 2-d, got shape {x.shape}")
     coeffs, regular = fit_coefficients(x[None], order)
     if not regular[0]:
         raise RankDeficientRegressor("lagged Gram matrix is numerically singular")
-    d, n = x.shape
-    resid = x[:, order:] - sum(
-        coeffs[0, s - 1] @ x[:, order - s : n - s] for s in range(1, order + 1)
-    )
-    noise_cov = resid @ resid.T / (n - order)
-    noise_cov = 0.5 * (noise_cov + noise_cov.T)
-    return MvarModel(dim=d, order=order, coeffs=coeffs[0], noise_cov=noise_cov)
+    return MvarModel(coeffs[0])

@@ -36,7 +36,6 @@ from .forward import (
     save_leadfield,
 )
 from .metrics import (
-    Truth,
     aggregate,
     evaluate,
     load_summary_csv,
@@ -83,7 +82,9 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     """Execute all realizations and write the run directory.
 
     Outputs: geometry.csv, results.csv, summary.csv, manifest.json and
-    (optionally) the filter matrices of the first realization.
+    (optionally) the filter matrices of the first realization, all
+    written once every realization has succeeded: a failed run writes
+    nothing.
     The scores fill one (filter, realization, measure) table, filters
     in report order; each realization writes its own slice, and the
     results and summary writers read the whole table.
@@ -101,7 +102,6 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     geometry, montage = _geometry(config)
     plain = leadfield_sphere(geometry, montage)
@@ -110,6 +110,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     table = np.empty(
         (len(specs), config.n_realizations, len(measure_names(config.n_interest)))
     )
+    dumped = []  # the bank of realization 1, when its filters are dumped
 
     def run_one(index: int) -> None:
         stage = "seeding"
@@ -131,12 +132,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
             stage = "filters"
             bank = build_filter_bank(specs, cov_set, composite, rng_filters)
             if config.dump_filters and index == 1:
-                filter_dir = out / "filters"
-                filter_dir.mkdir(exist_ok=True)
-                for built in bank:
-                    save_leadfield(
-                        built.weights, filter_dir / f"{built.spec.export_name}.csv"
-                    )
+                dumped.extend(bank)
             stage = "evaluation"
             distinct = {id(built.weights): built.weights for built in bank}
             slots = {key: slot for slot, key in enumerate(distinct)}
@@ -145,11 +141,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
             series[0] = truth_signal
             weights = np.stack(list(distinct.values()))
             reconstruct(weights, recording.sensors_pst, out=series[1:])
-            scores = evaluate(
-                Truth(signals.interest_model, config.order_interest, freqs),
-                series,
-                realization=index,
-            )
+            scores = evaluate(signals.interest_model, freqs, series, realization=index)
             rows = [slots[id(built.weights)] for built in bank]
             table[:, index - 1] = scores.table[rows]
         except (BenchError, ValueError) as exc:
@@ -163,6 +155,12 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             list(pool.map(run_one, indices))
 
+    out.mkdir(parents=True, exist_ok=True)
+    if dumped:
+        filter_dir = out / "filters"
+        filter_dir.mkdir(exist_ok=True)
+        for built in dumped:
+            save_leadfield(built.weights, filter_dir / f"{built.spec.export_name}.csv")
     names = [spec.name for spec in specs]
     write_geometry_csv(geometry, out / "geometry.csv")
     write_results_csv(names, table, out / "results.csv")

@@ -4,9 +4,10 @@ Dipoles live strictly inside a spherical head.  Sources of interest,
 interference sources and background sources are placed on a cortical
 shell (radial orientation) or, when requested, deeper inside the head
 (random orientation).  Signals of interest and background activity come
-from independent stable MVAR models; interference is the negative of
-the interest signal plus power-matched white noise, which pins its
-correlation with the interest signal near -1/sqrt(2).
+from independent stable MVAR models driven by unit-variance white
+innovations; interference is the negative of the interest signal plus
+power-matched white noise, which pins its correlation with the
+interest signal near -1/sqrt(2).
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ class SourceSignals:
     source of that role and 2n columns: the pre segment is [:, :n] and
     the post segment [:, n:].  When enabled, the ERP is already added
     to the post half of `interest`.  `interest_model` generated the
-    interest rows.
+    interest rows; evaluation refits at its order.
     """
 
     interest: np.ndarray

@@ -83,12 +83,13 @@ class TestParsing:
         cfg = load_config(write_config(tmp_path, "OUT_DIR = runs/exp one\n"))
         assert cfg.out_dir == "runs/exp one"
 
-    def test_last_assignment_wins(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, "SEED = 1\nSEED = 2\n"))
-        assert cfg.seed == 2
-
 
 class TestParseErrors:
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = write_config(tmp_path, "K00 = 3\nSEED = 1\n# again\nK00 = 5\n")
+        with pytest.raises(ParseError, match=":4: key 'K00' repeats line 1"):
+            load_config(path)
+
     def test_missing_equals_names_the_line(self, tmp_path):
         path = write_config(tmp_path, "SEED = 5\njunk line\n")
         with pytest.raises(ParseError, match=":2: expected KEY = value"):

@@ -16,7 +16,6 @@ from beambench.errors import ParseError, RankDeficientRegressor, ShapeMismatch
 from beambench.filters import FilterKind
 from beambench.metrics import (
     SCALAR_MEASURES,
-    Truth,
     aggregate,
     evaluate,
     load_summary_csv,
@@ -25,7 +24,7 @@ from beambench.metrics import (
     write_results_csv,
     write_summary_csv,
 )
-from beambench.mvar import MvarModel, fit, make_mask, sample_stable_mvar, simulate
+from beambench.mvar import fit, make_mask, sample_stable_mvar, simulate
 from beambench.pipeline import _filter_specs
 
 RTOL, ATOL = 1e-12, 1e-14
@@ -57,8 +56,7 @@ def correlations(row: dict[str, float]) -> list[float]:
 
 def score(truth, estimate, model):
     """The named measures of one estimate, and whether its refit failed."""
-    truth_side = Truth(model, model.order, default_freqs(33))
-    scores = evaluate(truth_side, stack(truth, [estimate]), 1)
+    scores = evaluate(model, default_freqs(33), stack(truth, [estimate]), 1)
     return rows_of(scores)[0], bool(scores.failed[0])
 
 
@@ -101,18 +99,10 @@ class TestEvaluate:
         assert math.isnan(row["dtf_err"])
         assert correlations(row) == [0.0, 0.0, 0.0]
 
-    def test_coefficient_error_pads_to_common_order(self, truth_setup):
-        model, truth = truth_setup
-        higher = Truth(model, model.order + 2, default_freqs(33))
-        (row,) = rows_of(evaluate(higher, stack(truth, [truth.copy()])))
-        # refit at a higher order: extra taps are near zero, so the
-        # coefficient error stays close to the fit noise floor
-        assert row["mvar_coeff_err"] < 0.5
-
     def test_shape_mismatch_rejected(self, truth_setup):
         model, truth = truth_setup
         with pytest.raises(ShapeMismatch):
-            evaluate(Truth(model, model.order, default_freqs(33)), truth)
+            evaluate(model, default_freqs(33), truth)
 
     def test_zero_truth_rejected(self, truth_setup):
         model, truth = truth_setup
@@ -130,20 +120,11 @@ class TestEvaluate:
     def test_fit_failed_counts_the_failed_rows(self, truth_setup):
         model, truth = truth_setup
         series = stack(truth, [truth, np.zeros_like(truth), 0.0 * truth])
-        scores = evaluate(Truth(model, model.order, default_freqs(9)), series, 4)
+        scores = evaluate(model, default_freqs(9), series, 4)
         assert scores.fit_failed == 2
         assert isinstance(scores.fit_failed, int)
         assert list(scores.failed) == [False, True, True]
         assert scores.table.shape == (3, len(measure_names(truth.shape[0])))
-
-
-def _padded_stack(model: MvarModel, order: int) -> np.ndarray:
-    stack = np.zeros((model.dim, order * model.dim))
-    # [A_1 ... A_p] side by side, zero lags beyond the model's order
-    stack[:, : model.order * model.dim] = model.coeffs.transpose(1, 0, 2).reshape(
-        model.dim, -1
-    )
-    return stack
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -159,16 +140,17 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return value
 
 
-def per_call_reference(truth, estimate, true_model, fit_order, freqs):
+def per_call_reference(truth, estimate, true_model, freqs):
     """The scoring body as it was when every call scored one estimate
-    and refitted the truth: its table row, and whether the refit failed."""
+    and refitted the truth, both at the true model's order: its table
+    row, and whether the refit failed."""
     truth = np.asarray(truth, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
     euclid = float(np.linalg.norm(estimate - truth)) / float(np.linalg.norm(truth))
     correlations = tuple(_pearson(truth[i], estimate[i]) for i in range(truth.shape[0]))
     try:
-        fitted = fit(estimate, fit_order)
-        refit_truth = fit(truth, fit_order)
+        fitted = fit(estimate, true_model.order)
+        refit_truth = fit(truth, true_model.order)
         fit_failed = False
     except RankDeficientRegressor:
         fitted = refit_truth = None
@@ -176,10 +158,7 @@ def per_call_reference(truth, estimate, true_model, fit_order, freqs):
     if fit_failed:
         coeff_err = pdc_err = dtf_err = float("nan")
     else:
-        order = max(true_model.order, fitted.order)
-        coeff_err = float(
-            np.linalg.norm(_padded_stack(true_model, order) - _padded_stack(fitted, order))
-        )
+        coeff_err = float(np.linalg.norm(true_model.coeffs - fitted.coeffs))
         spec_true = connectivity_spectrum(refit_truth, freqs)
         spec_fit = connectivity_spectrum(fitted, freqs)
         pdc_err = float(np.linalg.norm(spec_true.pdc - spec_fit.pdc))
@@ -233,15 +212,13 @@ class TestSharedTruth:
         freqs = default_freqs(33)
         estimates = self.estimates(truth)
         fitted = counting_rows(monkeypatch)
-        scores = evaluate(
-            Truth(model, model.order, freqs), stack(truth, estimates.values()), 3
-        )
+        scores = evaluate(model, freqs, stack(truth, estimates.values()), 3)
         assert len(fitted) == 1 + len(estimates)
         assert np.array_equal(fitted[0], truth)
         assert list(scores.failed) == [name == "zeros" for name in estimates]
         assert scores.fit_failed == 1
         for index, estimate in enumerate(estimates.values()):
-            expected = per_call_reference(truth, estimate, model, model.order, freqs)
+            expected = per_call_reference(truth, estimate, model, freqs)
             assert_close_row(scores, index, expected)
 
     def test_rank_deficient_truth_fails_every_row_and_is_fitted_once(
@@ -252,10 +229,7 @@ class TestSharedTruth:
         constant[1] = 1.0
         fitted = counting_rows(monkeypatch)
         estimates = self.estimates(truth)
-        scores = evaluate(
-            Truth(model, model.order, default_freqs(33)),
-            stack(constant, estimates.values()),
-        )
+        scores = evaluate(model, default_freqs(33), stack(constant, estimates.values()))
         rows = rows_of(scores)
         assert scores.failed.all()
         assert scores.fit_failed == len(estimates)
@@ -310,20 +284,19 @@ class TestBatchedScoringProperty:
                 hyp.assume(dim > 1)  # a zero signal is rejected outright
                 truth[rng.integers(dim)] = 0.0
             freqs = default_freqs(17)
-            truth_side = Truth(model, order, freqs)
             series = stack(truth, estimates)
 
             monkeypatch.setattr(metrics, "_GROUP_BYTES", 1)
-            one_per_group = evaluate(truth_side, series, 5)
+            one_per_group = evaluate(model, freqs, series, 5)
             monkeypatch.setattr(metrics, "_GROUP_BYTES", 1 << 40)
-            whole = evaluate(truth_side, series, 5)
+            whole = evaluate(model, freqs, series, 5)
             assert_same_bits(one_per_group, whole)
             if rank_deficient_truth:
                 assert whole.fit_failed == count
             for index, estimate in enumerate(estimates):
-                alone = evaluate(truth_side, stack(truth, [estimate]), 5)
+                alone = evaluate(model, freqs, stack(truth, [estimate]), 5)
                 assert_close_row(whole, index, (alone.table[0], bool(alone.failed[0])))
-                expected = per_call_reference(truth, estimate, model, order, freqs)
+                expected = per_call_reference(truth, estimate, model, freqs)
                 assert_close_row(whole, index, expected)
 
         check()
@@ -344,7 +317,7 @@ class TestScoringMemory:
         model = sample_stable_mvar(l, p, mask, 0.95, (-0.2, 0.2), 1000, rng)
         truth = simulate(model, n, rng)
         noise = rng.standard_normal((9, l, n))
-        truth_side = Truth(model, p, default_freqs(n_freqs))
+        freqs = default_freqs(n_freqs)
 
         def peak(k: int) -> int:
             tracemalloc.start()
@@ -352,7 +325,7 @@ class TestScoringMemory:
                 series = np.empty((k + 1, l, n))
                 series[0] = truth
                 np.add(truth, noise[:k], out=series[1:])
-                evaluate(truth_side, series)
+                evaluate(model, freqs, series)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

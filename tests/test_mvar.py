@@ -28,45 +28,40 @@ from beambench.mvar import (
 )
 
 
-def scalar_model(a: float, noise: float = 1.0) -> MvarModel:
-    return MvarModel(
-        dim=1, order=1, coeffs=np.array([[[a]]]), noise_cov=np.array([[noise]])
-    )
+def scalar_model(a: float) -> MvarModel:
+    return MvarModel(np.array([[[a]]]))
 
 
 class TestMvarModel:
     def test_valid_model_stores_float_arrays(self):
-        model = MvarModel(2, 1, np.zeros((1, 2, 2), dtype=int), np.eye(2, dtype=int))
+        model = MvarModel(np.zeros((1, 2, 2), dtype=int))
         assert model.coeffs.dtype == float
-        assert model.noise_cov.dtype == float
 
     def test_coeffs_shape_must_match_order_and_dim(self):
-        with pytest.raises(ValueError, match="coeffs shape"):
-            MvarModel(2, 2, np.zeros((1, 2, 2)), np.eye(2))
+        for shape in ((1, 1, 1), (1, 3, 3), (4, 2, 2), (8, 6, 6)):
+            model = MvarModel(np.zeros(shape))
+            assert (model.order, model.dim) == shape[:2]
 
-    def test_noise_cov_shape_must_match_dim(self):
-        with pytest.raises(ValueError, match="noise_cov shape"):
-            MvarModel(2, 1, np.zeros((1, 2, 2)), np.eye(3))
-
-    def test_noise_cov_must_be_symmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            MvarModel(2, 1, np.zeros((1, 2, 2)), np.array([[1.0, 0.1], [0.0, 1.0]]))
-
-    def test_noise_cov_must_be_positive_semidefinite(self):
-        bad = np.array([[1.0, 0.0], [0.0, -0.5]])
-        with pytest.raises(ValueError, match="semidefinite"):
-            MvarModel(2, 1, np.zeros((1, 2, 2)), bad)
+    @pytest.mark.parametrize(
+        "shape",
+        [(2, 2), (1, 1, 2, 2), (1, 2, 3), (0, 2, 2), (1, 0, 0)],
+        ids=["2-d", "4-d", "not square", "no lags", "no channels"],
+    )
+    def test_malformed_coeffs_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\(order, dim, dim\)"):
+            MvarModel(np.zeros(shape))
 
     def test_non_finite_entries_rejected(self):
-        coeffs = np.zeros((1, 2, 2))
-        coeffs[0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            MvarModel(2, 1, coeffs, np.eye(2))
+        for bad in (np.nan, np.inf, -np.inf):
+            coeffs = np.zeros((1, 2, 2))
+            coeffs[0, 1, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                MvarModel(coeffs)
 
     def test_companion_layout(self):
         a1 = np.array([[0.1, 0.2], [0.3, 0.4]])
         a2 = np.array([[0.5, 0.6], [0.7, 0.8]])
-        model = MvarModel(2, 2, np.stack([a1, a2]), np.eye(2))
+        model = MvarModel(np.stack([a1, a2]))
         comp = model.companion()
         assert comp.shape == (4, 4)
         assert np.array_equal(comp[:2, :2], a1)
@@ -105,20 +100,20 @@ class TestMakeMask:
 
 class TestIsStable:
     def test_diagonal_half(self):
-        model = MvarModel(3, 1, 0.5 * np.eye(3)[None], np.eye(3))
+        model = MvarModel(0.5 * np.eye(3)[None])
         stable, radius = is_stable(model, 1.0)
         assert stable
         assert radius == pytest.approx(0.5, abs=1e-12)
 
     def test_unit_diagonal_is_boundary(self):
-        model = MvarModel(3, 1, np.eye(3)[None], np.eye(3))
+        model = MvarModel(np.eye(3)[None])
         stable, radius = is_stable(model, 1.0)
         assert not stable
         assert radius == pytest.approx(1.0, abs=1e-12)
 
     def test_nilpotent_companion_has_zero_radius(self):
         a1 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        model = MvarModel(2, 2, np.stack([a1, np.zeros((2, 2))]), np.eye(2))
+        model = MvarModel(np.stack([a1, np.zeros((2, 2))]))
         stable, radius = is_stable(model, 1.0)
         assert stable
         assert radius < 1e-6
@@ -145,7 +140,7 @@ def count_eigvals(monkeypatch) -> list[int]:
 class TestSpectralRadiusCache:
     def test_radius_is_computed_once_per_model(self, monkeypatch):
         calls = count_eigvals(monkeypatch)
-        model = MvarModel(3, 1, 0.5 * np.eye(3)[None], np.eye(3))
+        model = MvarModel(0.5 * np.eye(3)[None])
         assert is_stable(model, 1.0) == (True, pytest.approx(0.5, abs=1e-12))
         assert is_stable(model, 0.4) == (False, model.spectral_radius)
         assert calls[0] == 1
@@ -185,7 +180,7 @@ class TestSpectralRadiusCache:
     def test_hand_built_unstable_model_still_raises(self, monkeypatch):
         # x[n] = 1.45 x[n-1] - 0.25 x[n-2] per channel: companion roots 1.25, 0.2
         lag1, lag2 = 1.45 * np.eye(2), -0.25 * np.eye(2)
-        model = MvarModel(2, 2, np.stack([lag1, lag2]), np.eye(2))
+        model = MvarModel(np.stack([lag1, lag2]))
         calls = count_eigvals(monkeypatch)
         with pytest.raises(UnstableModel, match="radius 1.250000 is not below 1"):
             simulate(model, 10, np.random.default_rng(0))
@@ -252,12 +247,6 @@ class TestSampleStableMvar:
 
 
 class TestSimulate:
-    def test_zero_noise_gives_exact_zeros(self):
-        model = MvarModel(2, 1, 0.5 * np.eye(2)[None], np.zeros((2, 2)))
-        out = simulate(model, 50, np.random.default_rng(0))
-        assert out.shape == (2, 50)
-        assert np.all(out == 0.0)
-
     def test_ar1_stationary_variance(self):
         out = simulate(scalar_model(0.9), 100000, np.random.default_rng(12))
         expected = 1.0 / (1.0 - 0.81)
@@ -265,7 +254,7 @@ class TestSimulate:
 
     def test_independent_channels_are_uncorrelated(self):
         coeffs = np.diag([0.6, -0.4])[None]
-        model = MvarModel(2, 1, coeffs, np.eye(2))
+        model = MvarModel(coeffs)
         n = 20000
         out = simulate(model, n, np.random.default_rng(13))
         corr = float(np.corrcoef(out)[0, 1])
@@ -287,13 +276,6 @@ class TestSimulate:
         b = simulate(model, 100, np.random.default_rng(1), burn_in=10)
         assert not np.array_equal(a, b)
 
-    def test_singular_noise_cov_is_simulated(self):
-        cov = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
-        model = MvarModel(2, 1, np.zeros((1, 2, 2)), cov)
-        out = simulate(model, 2000, np.random.default_rng(3))
-        # both channels ride the same innovation
-        assert np.allclose(out[0], out[1], atol=1e-12)
-
 
 def reference_simulate(
     model: MvarModel, n_samples: int, rng: np.random.Generator, burn_in: int
@@ -302,9 +284,7 @@ def reference_simulate(
     with the innovations drawn like simulate draws them."""
     d, p = model.dim, model.order
     total = burn_in + n_samples
-    eigval, eigvec = np.linalg.eigh(model.noise_cov)
-    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    innov = factor @ rng.standard_normal((d, total))
+    innov = rng.standard_normal((d, total))
     out = np.zeros((d, total))
     for t in range(total):
         acc = innov[:, t].copy()
@@ -314,17 +294,23 @@ def reference_simulate(
     return out[:, burn_in:]
 
 
-def random_model(seed: int, dim: int, order: int, noise: str) -> MvarModel:
-    """Uniform coefficients with lag s scaled by c**s, which scales every
+def random_model(seed: int, dim: int, order: int, lags: str) -> MvarModel:
+    """Lag matrices of uniform entries ("full"), uniform outer products
+    ("rank1", a singular companion form) or zeros ("zero", the output is
+    the innovations), with lag s scaled by c**s, which scales every
     companion eigenvalue by c, so the spectral radius is at most 0.95."""
     rng = np.random.default_rng(seed)
-    coeffs = rng.uniform(-0.6, 0.6, size=(order, dim, dim))
-    _, radius = is_stable(MvarModel(dim, order, coeffs, np.eye(dim)))
+    if lags == "zero":
+        return MvarModel(np.zeros((order, dim, dim)))
+    if lags == "rank1":
+        left = rng.uniform(-0.6, 0.6, (order, dim, 1))
+        coeffs = left * rng.uniform(-0.6, 0.6, (order, 1, dim))
+    else:
+        coeffs = rng.uniform(-0.6, 0.6, size=(order, dim, dim))
+    _, radius = is_stable(MvarModel(coeffs))
     if radius > 0.95:
         coeffs *= ((0.95 / radius) ** np.arange(1, order + 1))[:, None, None]
-    root = rng.standard_normal((dim, dim if noise == "full" else 1))
-    noise_cov = np.zeros((dim, dim)) if noise == "zero" else root @ root.T
-    return MvarModel(dim, order, coeffs, noise_cov)
+    return MvarModel(coeffs)
 
 
 def assert_matches_reference(model: MvarModel, n_samples: int, burn_in: int) -> None:
@@ -350,12 +336,12 @@ def block_regimes(dim: int, order: int, n_samples: int, burn_in: int) -> set[str
 
 ALL_REGIMES = {"B = 1", "1 < B < p", "B >= p", "total % B != 0", "n_samples < B"}
 
-# (dim, order, noise, n_samples, burn_in)
+# (dim, order, lags, n_samples, burn_in)
 NAMED_CASES = [
     (3, 4, "full", 200, 0),  # no burn-in
     (2, 8, "full", 3, 0),  # fewer samples than lags
-    (4, 5, "zero", 50, 20),  # all-zero noise covariance
-    (6, 8, "rank1", 300, 100),  # order 8, singular noise
+    (4, 5, "zero", 50, 20),  # all-zero lags
+    (6, 8, "rank1", 300, 100),  # order 8, singular companion
     (70, 2, "full", 30, 5),  # B = 1
     (44, 6, "rank1", 40, 3),  # 1 < B < p
     (20, 3, "full", 7, 0),  # n_samples < B, total % B != 0
@@ -377,25 +363,25 @@ class TestSimulateAgainstReference:
         @hyp.given(
             seed=st.integers(0, 2**32 - 1),
             shape=shapes(),
-            noise=st.sampled_from(["full", "rank1", "zero"]),
+            lags=st.sampled_from(["full", "rank1", "zero"]),
             n_samples=st.integers(1, 60),
             burn_in=st.integers(0, 40),
         )
         # one example per regime, whatever else the strategy draws
-        @hyp.example(seed=1, shape=(140, 2), noise="full", n_samples=60, burn_in=40)
-        @hyp.example(seed=2, shape=(50, 7), noise="rank1", n_samples=13, burn_in=0)
-        @hyp.example(seed=3, shape=(3, 6), noise="full", n_samples=60, burn_in=40)
-        @hyp.example(seed=4, shape=(5, 2), noise="zero", n_samples=11, burn_in=3)
-        def check(seed, shape, noise, n_samples, burn_in):
+        @hyp.example(seed=1, shape=(140, 2), lags="full", n_samples=60, burn_in=40)
+        @hyp.example(seed=2, shape=(50, 7), lags="rank1", n_samples=13, burn_in=0)
+        @hyp.example(seed=3, shape=(3, 6), lags="full", n_samples=60, burn_in=40)
+        @hyp.example(seed=4, shape=(5, 2), lags="zero", n_samples=11, burn_in=3)
+        def check(seed, shape, lags, n_samples, burn_in):
             dim, order = shape
-            model = random_model(seed, dim, order, noise)
+            model = random_model(seed, dim, order, lags)
             assert_matches_reference(model, n_samples, burn_in)
 
         check()
 
-    @pytest.mark.parametrize("dim, order, noise, n_samples, burn_in", NAMED_CASES)
-    def test_named_cases(self, dim, order, noise, n_samples, burn_in):
-        assert_matches_reference(random_model(5, dim, order, noise), n_samples, burn_in)
+    @pytest.mark.parametrize("dim, order, lags, n_samples, burn_in", NAMED_CASES)
+    def test_named_cases(self, dim, order, lags, n_samples, burn_in):
+        assert_matches_reference(random_model(5, dim, order, lags), n_samples, burn_in)
 
     def test_named_cases_cover_every_regime(self):
         drawn = set()
@@ -474,13 +460,6 @@ class TestFit:
             errors.append(float(np.max(np.abs(fitted.coeffs - model.coeffs))))
         assert errors[0] <= 0.05
         assert errors[1] < errors[0]
-
-    def test_noise_cov_estimate_is_symmetric_psd(self):
-        rng = np.random.default_rng(23)
-        model = sample_stable_mvar(3, 2, make_mask(3, 0.4, rng), 0.95, (-0.4, 0.4), 500, rng)
-        fitted = fit(simulate(model, 5000, rng), 2)
-        assert np.array_equal(fitted.noise_cov, fitted.noise_cov.T)
-        assert np.linalg.eigvalsh(fitted.noise_cov).min() >= -1e-10
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="too short"):

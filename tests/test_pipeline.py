@@ -302,9 +302,9 @@ class TestDistinctFiltersScoredOnce:
         stacks: list[np.ndarray] = []
         original = pipeline.evaluate
 
-        def counting(truth, series, **kwargs):
+        def counting(model, freqs, series, **kwargs):
             stacks.append(np.array(series))
-            return original(truth, series, **kwargs)
+            return original(model, freqs, series, **kwargs)
 
         monkeypatch.setattr(pipeline, "evaluate", counting)
         return stacks
@@ -641,6 +641,40 @@ class TestCli:
         assert err.startswith("error:") and "at most 4 independent" in err
         assert "NL, MVP_I_1, MVP_I_2, MVP_I_3 cannot be built" in err
         assert not out.exists()
+
+    def test_failed_run_writes_no_directory(self, tmp_path, capsys):
+        path = tmp_path / "setup.cfg"
+        path.write_text("RNG = 0.89, 0.9\nSTAB = 0.05\nITER = 1\nK00 = 1\n")
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: realization 1, stage signals: ")
+        assert not out.exists()
+
+    def test_failed_run_leaves_an_earlier_run_as_it_was(
+        self, cli_config, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(cli_config), "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        original = pipeline.evaluate
+
+        def failing_second(model, freqs, series, realization=0):
+            if realization == 2:
+                raise ValueError("scoring broke")
+            return original(model, freqs, series, realization=realization)
+
+        monkeypatch.setattr(pipeline, "evaluate", failing_second)
+        # realization 1 builds its filters and scores; realization 2 fails
+        failing = tmp_path / "failing.cfg"
+        failing.write_text(
+            CLI_CONFIG.replace("K00 = 1", "K00 = 2") + "DUMP_FILTERS = on\n"
+        )
+        capsys.readouterr()
+        assert main(["run", "--config", str(failing), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: realization 2, stage evaluation: scoring broke"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_missing_run_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nowhere")]) == 1
