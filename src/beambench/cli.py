@@ -7,6 +7,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+if __name__ == "__main__":  # python -m beambench.cli: before numpy loads
+    from .__main__ import pin_blas_threads
+
+    pin_blas_threads()
+
 from .config import SetupConfig, load_config
 from .errors import BenchError
 from .filters import parse_filter_list

@@ -34,7 +34,10 @@ background and noise amplitudes are set once over both segments, so
 that their power relative to the interest term meets the configured
 SINR, SBNR and SMNR; each power comes from Gram matrices,
 ||H X||_F^2 = sum((H'H) * (X X')).  A gain is 0.0 in a segment whose
-switch is off, and for a component with zero power.
+switch is off, and for a component with zero power.  The two segments
+are column views of one (m, 2n) standard-normal noise draw: each is
+scaled by its noise gain and gets its mixing product added in place,
+so a recording holds no sensor-sized array besides that draw.
 """
 
 from __future__ import annotations
@@ -264,6 +267,8 @@ class Recording:
     with g = gains_pre, and likewise for the post segment with
     gains_pst over X[:, n:].  X stacks the interest, interference and
     background signals, and noise is one (m, 2n) standard-normal draw.
+    The segments are the two column halves of that draw, scaled and
+    mixed in place: views of one array, with a row stride of 2n.
     """
 
     sensors_pre: np.ndarray
@@ -288,7 +293,8 @@ def compose_measurement(
     concatenated pre+post segments, so that each term's power relative
     to the interest term meets the configured SINR, SBNR and SMNR.  A
     term switched off in a segment, or with zero power, gets gain 0.0
-    there.  The noise is one (m, 2n) standard-normal draw from rng.
+    there.  The noise is one (m, 2n) standard-normal draw from rng; its
+    power is taken before the segments overwrite it in place.
     Also returns the composite [H H_i] the filters see, selected by the
     perturbation flags and the optional interference rank.
     """
@@ -319,8 +325,9 @@ def compose_measurement(
             )
         )
         mixing = np.hstack([gain * h for gain, h in zip(gains, leadfields)])
-        sensors = mixing @ sources[:, columns]
-        sensors += gains.noise * noise[:, columns]
+        sensors = noise[:, columns]
+        sensors *= gains.noise
+        sensors += mixing @ sources[:, columns]
         return sensors, gains
 
     sensors_pre, gains_pre = segment("pre", slice(None, n))

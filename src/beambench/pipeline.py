@@ -10,6 +10,7 @@ worker count, since no stream depends on execution order.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -78,13 +79,30 @@ def _realization_streams(seed: int, index: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in parent.spawn(4)]
 
 
+def _check_out_dir(out: Path) -> None:
+    """Fail before any work when `out` cannot become a run directory.
+
+    `out` must be a writable directory, or not exist yet under a
+    writable directory: its nearest existing ancestor.  Creates nothing.
+    """
+    probe = out
+    while not probe.exists() and probe != probe.parent:
+        probe = probe.parent
+    cannot = f"cannot write the run to {out}: {probe} is not"
+    if not probe.is_dir():
+        raise NotADirectoryError(f"{cannot} a directory")
+    if not os.access(probe, os.W_OK | os.X_OK):
+        raise PermissionError(f"{cannot} writable")
+
+
 def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -> Path:
     """Execute all realizations and write the run directory.
 
     Outputs: geometry.csv, results.csv, summary.csv, manifest.json and
     (optionally) the filter matrices of the first realization, all
     written once every realization has succeeded: a failed run writes
-    nothing.
+    nothing.  An output path that cannot become a directory fails
+    before the first realization.
     The scores fill one (filter, realization, measure) table, filters
     in report order; each realization writes its own slice, and the
     results and summary writers read the whole table.
@@ -102,6 +120,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
+    _check_out_dir(out)
 
     geometry, montage = _geometry(config)
     plain = leadfield_sphere(geometry, montage)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -544,13 +546,25 @@ class TestComposeMeasurement:
         assert np.array_equal(a.sensors_pst, b.sensors_pst)
 
 
-def check_gain_scaled_product(counts, m: int, seed: int, levels) -> None:
-    """Replay all 256 switch combinations on one small setup: each
+@pytest.fixture(scope="module")
+def default_setup():
+    """Signals and lead-fields at the default shapes: 3/2/10 sources,
+    128 electrodes, 2000 samples per segment."""
+    cfg = SetupConfig()
+    geom = sample_geometry(cfg.sources, np.random.default_rng(41))
+    signals = generate_source_signals(geom, cfg, np.random.default_rng(42))
+    return signals, leadfield_sphere(geom, fibonacci_montage(cfg.n_electrodes, HEAD))
+
+
+def check_gain_scaled_product(
+    signals, lf, seed: int, levels, masks=range(256)
+) -> None:
+    """Replay switch combinations (all 256 by default) on one setup: each
     segment's gains follow the SNR rule and its switches, and its
-    sensors equal the gain-scaled mixing product plus scaled noise."""
-    signals, lf = tiny_setup(counts, m, seed)
-    n = signals.interest.shape[1] // 2
-    noise = replayed_noise(seed + 2, m, n)
+    sensors hold exactly the bits of the gain-scaled mixing product plus
+    the scaled noise, zero gains included."""
+    m, n = lf.interest.shape[0], signals.interest.shape[1] // 2
+    noise = replayed_noise(seed, m, n)
     leadfields = (lf.interest, lf.interference, lf.background)
     blocks = (signals.interest, signals.interference, signals.background)
     sources = np.vstack(blocks)
@@ -562,11 +576,9 @@ def check_gain_scaled_product(counts, m: int, seed: int, levels) -> None:
         for norm, level in zip(norms[1:], levels)
     ]
     sinr, sbnr, smnr = levels
-    for mask in range(256):
+    for mask in masks:
         cfg = switched_config(mask, sinr_db=sinr, sbnr_db=sbnr, smnr_db=smnr)
-        recording, _ = compose_measurement(
-            signals, lf, cfg, np.random.default_rng(seed + 2)
-        )
+        recording, _ = compose_measurement(signals, lf, cfg, np.random.default_rng(seed))
         for segment, columns in (("pre", slice(None, n)), ("pst", slice(n, None))):
             gains = getattr(recording, f"gains_{segment}")
             switches = [getattr(cfg, f"{role}_{segment}") for role in gains._fields]
@@ -574,8 +586,24 @@ def check_gain_scaled_product(counts, m: int, seed: int, levels) -> None:
             assert gains == pytest.approx(wanted, rel=1e-12)
             mixing = np.hstack([gain * h for gain, h in zip(gains, leadfields)])
             expected = mixing @ sources[:, columns] + gains.noise * noise[:, columns]
-            got = getattr(recording, f"sensors_{segment}")
-            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert np.array_equal(getattr(recording, f"sensors_{segment}"), expected)
+
+
+class TestMeasurementMemory:
+    def test_peak_holds_the_draw_one_segment_and_the_sources(self, default_setup):
+        signals, lf = default_setup
+        cfg = SetupConfig()
+        m, n, n_sources = cfg.n_electrodes, cfg.n_samples, sum(cfg.sources)
+        rng = np.random.default_rng(44)
+        tracemalloc.start()
+        try:
+            compose_measurement(signals, lf, cfg, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the noise draw, one segment's mixing product, the stacked sources
+        allowance = 8 * (m * 2 * n + m * n + n_sources * 2 * n) + (1 << 18)
+        assert peak <= allowance
 
 
 class TestMixingProduct:
@@ -591,9 +619,16 @@ class TestMixingProduct:
             levels=st.tuples(*[st.floats(-20.0, 30.0)] * 3),
         )
         def check(counts, m, seed, levels):
-            check_gain_scaled_product(counts, m, seed, levels)
+            check_gain_scaled_product(*tiny_setup(counts, m, seed), seed + 2, levels)
 
         check()
+
+    def test_default_shapes_equal_the_gain_scaled_product(self, default_setup):
+        cfg = SetupConfig()
+        # the default switches, then the same without post-segment noise
+        check_gain_scaled_product(
+            *default_setup, 43, (cfg.sinr_db, cfg.sbnr_db, cfg.smnr_db), (254, 126)
+        )
 
     def test_composed_sensors_meet_the_levels(self):
         hyp = pytest.importorskip("hypothesis")

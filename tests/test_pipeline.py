@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 from beambench import __version__, forward, metrics, pipeline
+from beambench.__main__ import BLAS_THREAD_VARIABLES
 from beambench.cli import main
 from beambench.config import SetupConfig
 from beambench.errors import InvalidValue, MissingRun, ParseError, PipelineError
@@ -676,6 +680,45 @@ class TestCli:
         assert line == "error: realization 2, stage evaluation: scoring broke"
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    @pytest.fixture()
+    def signal_calls(self, monkeypatch) -> list:
+        """The calls that reach generate_source_signals, which records them."""
+        calls = []
+        monkeypatch.setattr(
+            pipeline, "generate_source_signals", lambda *args: calls.append(args)
+        )
+        return calls
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_through_a_file_fails_before_any_work(
+        self, tmp_path, capsys, signal_calls, below
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x" if below else blocker
+        config = tmp_path / "two.cfg"
+        config.write_text(CLI_CONFIG.replace("K00 = 1", "K00 = 2"))
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"error: cannot write the run to {out}: {blocker} is not a directory"
+        )
+        assert signal_calls == []
+        assert blocker.read_text() == ""
+
+    def test_unwritable_out_fails_before_any_work(
+        self, cli_config, tmp_path, capsys, monkeypatch, signal_calls
+    ):
+        monkeypatch.setattr(pipeline.os, "access", lambda path, mode: False)
+        out = tmp_path / "new" / "run"
+        assert main(["run", "--config", str(cli_config), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"error: cannot write the run to {out}: {tmp_path} is not writable"
+        )
+        assert signal_calls == []
+        assert not (tmp_path / "new").exists()
+
     def test_missing_run_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nowhere")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -696,3 +739,59 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(target) in err
+
+
+def python_output(code: str, *args: str, **variables: str) -> str:
+    """What `python -c code args` prints, run on this checkout's src/ with
+    the BLAS thread variables unset, then `variables` set."""
+    src = Path(pipeline.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**env, **variables, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.strip()
+
+
+# Starts the command line one way, then prints the BLAS thread count
+# that bench/worker.py reads from the OpenBLAS library numpy loaded.
+BLAS_PROBE = """\
+import runpy, sys
+launch, bench = sys.argv[1:]
+sys.argv = ["beambench", "report", "nowhere"]
+try:
+    if launch == "console script":
+        from beambench.__main__ import main
+        main()
+    else:
+        runpy.run_module(launch, run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+sys.path.insert(0, bench)
+from worker import blas_threads
+print(blas_threads())
+"""
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("launch", ["beambench.cli", "beambench", "console script"])
+    def test_command_line_runs_one_blas_thread(self, launch):
+        assert python_output(BLAS_PROBE, launch, str(BENCH)) == "1"
+
+    def test_a_users_thread_count_is_kept(self):
+        threads = python_output(
+            BLAS_PROBE, "beambench.cli", str(BENCH), OPENBLAS_NUM_THREADS="2"
+        )
+        assert threads == "2"
+
+    def test_importing_the_package_leaves_the_environment_alone(self):
+        probe = (
+            "import os; before = dict(os.environ); "
+            "import beambench, beambench.cli, beambench.__main__; "
+            "print(dict(os.environ) == before)"
+        )
+        assert python_output(probe) == "True"
