@@ -11,7 +11,7 @@ and a random baseline used as the floor in comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from typing import Callable, NamedTuple
@@ -29,7 +29,6 @@ from .sources import SourceSignals
 
 _COND_LIMIT = 1e12
 _LOAD_EPS = 1e-10
-_RANK_RTOL = 1e-10
 _GRAM_RTOL = 1e-12
 
 
@@ -73,56 +72,17 @@ MVP_RECIPE = {
 EIG_KINDS = tuple(EIG_BASE)
 MVP_BASE = {kind: base for kind, (_, _, base) in MVP_RECIPE.items()}
 MVP_KINDS = tuple(MVP_RECIPE)
-# The filters other kinds derive from; a bank builds each at most once.
-BASE_KINDS = tuple(dict.fromkeys(MVP_BASE.values()))
 # The kinds whose weights need H, respectively H_c = [H H_i], at full
 # column rank.
 FULL_RANK_H = tuple(k for k in FilterKind if k not in ("MMSE_F", "MMSE_I", "RANDN"))
 FULL_RANK_HC = tuple(k for k in FilterKind if FilterKind.NL in (k, MVP_BASE.get(k)))
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """A filter kind plus its rank knobs where applicable."""
+class BankEntry(NamedTuple):
+    """One filter of the bank: its kind and its (l, m) weight matrix."""
 
     kind: FilterKind
-    rank: int | None = None
-    sig_dim: int | None = None
-
-    @property
-    def name(self) -> str:
-        return self.kind.value
-
-    @property
-    def export_name(self) -> str:
-        """File stem for weight dumps; rank-parametrised kinds carry it."""
-        if self.rank is not None and self.kind in MVP_KINDS:
-            return f"{self.kind.value}_r{self.rank}"
-        return self.kind.value
-
-
-@dataclass(frozen=True)
-class FilterDiagnostics:
-    """Residual of the distortionless constraint (when one applies)
-    and the numerical rank of the weight matrix."""
-
-    constraint_residual: float | None
-    numerical_rank: int
-
-
-@dataclass(frozen=True)
-class SpatialFilter:
     weights: np.ndarray
-    spec: FilterSpec
-    diagnostics: FilterDiagnostics
-
-    def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 2:
-            raise ValueError("weights must be a matrix")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        object.__setattr__(self, "weights", weights)
 
 
 class CovarianceFactor(NamedTuple):
@@ -152,6 +112,9 @@ class CovarianceSet:
     cross_cov: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("data_cov", "noise_cov", "source_cov", "cross_cov"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         for name in ("data_cov", "noise_cov", "source_cov"):
             matrix = getattr(self, name)
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -220,22 +183,6 @@ def regularized_inverse(matrix: np.ndarray) -> CovarianceFactor:
                 "covariance stays ill-conditioned after diagonal loading"
             )
     return CovarianceFactor(eigvec, (eigvec / eigval) @ eigvec.T)
-
-
-def _entry(
-    weights: np.ndarray, spec: FilterSpec, constrained: np.ndarray | None = None
-) -> SpatialFilter:
-    """A bank entry with its diagnostics: the numerical rank of the
-    weights and, when they pass the leading columns of a lead-field H
-    distortionless and null the rest (`constrained` is then H), the
-    residual ||W H - [I 0]||."""
-    residual = None
-    if constrained is not None:
-        target = np.eye(weights.shape[0], constrained.shape[1])
-        residual = float(np.linalg.norm(weights @ constrained - target))
-    sv = np.linalg.svd(weights, compute_uv=False)
-    rank = int(np.sum(sv > _RANK_RTOL * sv[0])) if sv.size and sv[0] > 0.0 else 0
-    return SpatialFilter(weights, spec, FilterDiagnostics(residual, rank))
 
 
 def lcmv(leadfield: np.ndarray, cov: CovarianceFactor) -> np.ndarray:
@@ -391,61 +338,62 @@ def parse_filter_list(text: str) -> tuple[str, ...]:
 
 
 def build_filter_bank(
-    specs: list[FilterSpec],
+    kinds: list[FilterKind],
     cov_set: CovarianceSet,
     composite: np.ndarray,
     rng: np.random.Generator,
-) -> list[SpatialFilter]:
+    rank: int | None = None,
+    sig_dim: int | None = None,
+) -> list[BankEntry]:
     """Construct the requested filters, sharing the LCMV/NL bases.
 
     composite is [H H_i]: the l = cov_set.source_cov.shape[0] interest
-    columns H, then the interference columns H_i.
-    Specs are built in the order given; the random baseline draws from
-    rng only when requested.  Every filter reads the factorizations
-    cached on cov_set, so each sensor covariance is decomposed at most
-    once, and only if a requested filter reads it.  At full rank
-    (rank == l, the default) an MV-PURE variant equals its MVP_BASE
+    columns H, then the interference columns H_i.  rank, the MV-PURE
+    projection rank, and sig_dim, the eigenspace signal dimension,
+    default to l.  Entries come in the order of kinds; the random
+    baseline draws from rng only when requested.  Every filter reads
+    the factorizations cached on cov_set, so each sensor covariance is
+    decomposed at most once, and only if a requested filter reads it.
+    At full rank (rank == l) an MV-PURE variant equals its MVP_BASE
     filter by construction (acceptance criterion 4), so its entry
-    shares that filter's weights array and diagnostics instead of
-    recomputing them up to rounding; its spec still carries rank l.
+    shares that filter's weights array instead of recomputing it up to
+    rounding.  Weights that are not finite raise a ValueError naming
+    their kind.
     """
     l = cov_set.source_cov.shape[0]
     h = composite[:, :l]
+    rank = l if rank is None else rank
+    sig_dim = l if sig_dim is None else sig_dim
 
+    # No closure here refers to itself: a reference cycle would keep
+    # cov_set alive after the call, until the cyclic collector ran.
     @cache
-    def weights_of(kind: FilterKind) -> np.ndarray:
+    def base(kind: FilterKind) -> np.ndarray:
         """LCMV_R, LCMV_N or NL, computed on first read."""
         if kind is FilterKind.NL:
             return lcmv(composite, cov_set.data)[:l]
-        return lcmv(h, cov_set.data if kind is FilterKind.LCMV_R else cov_set.noise)
+        cov = cov_set.data if kind is FilterKind.LCMV_R else cov_set.noise
+        return lcmv(h, cov)
 
-    bases: dict[FilterKind, SpatialFilter] = {}
-    bank: list[SpatialFilter] = []
-    for spec in specs:
-        kind, rank, sig_dim, constrained = spec.kind, None, None, None
-        if kind in MVP_BASE and (spec.rank or l) == l:
-            kind = MVP_BASE[kind]  # shared below, then given the variant's spec
-        built = bases.get(kind)
-        if built is None:
-            if kind in BASE_KINDS:
-                weights = weights_of(kind)
-                constrained = composite if kind is FilterKind.NL else h
-            elif kind in EIG_BASE:
-                sig_dim = spec.sig_dim or l
-                weights = eig_lcmv(weights_of(EIG_BASE[kind]), cov_set.data, sig_dim)
-            elif kind in (FilterKind.MMSE_F, FilterKind.MMSE_I):
-                weights = wiener(cov_set, composite, kind)
-            elif kind is FilterKind.ZF:
-                weights, constrained = zero_forcing(h), h
-            elif kind is FilterKind.RANDN:
-                weights = randn_baseline(l, composite.shape[0], rng)
-            else:
-                rank = spec.rank
-                weights = mv_pure(kind, rank, cov_set, weights_of)
-            built = _entry(weights, FilterSpec(kind, rank, sig_dim), constrained)
-            if kind in BASE_KINDS:
-                bases[kind] = built
-        if kind is not spec.kind:
-            built = replace(built, spec=FilterSpec(kind=spec.kind, rank=l))
-        bank.append(built)
+    def weights_of(kind: FilterKind) -> np.ndarray:
+        if kind in MVP_BASE and rank == l:
+            kind = MVP_BASE[kind]
+        if kind in (FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL):
+            return base(kind)
+        if kind in EIG_BASE:
+            return eig_lcmv(base(EIG_BASE[kind]), cov_set.data, sig_dim)
+        if kind in MVP_RECIPE:
+            return mv_pure(kind, rank, cov_set, base)
+        if kind is FilterKind.ZF:
+            return zero_forcing(h)
+        if kind is FilterKind.RANDN:
+            return randn_baseline(l, composite.shape[0], rng)
+        return wiener(cov_set, composite, kind)
+
+    bank = []
+    for kind in kinds:
+        weights = weights_of(kind)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"{kind.value} weights are not finite")
+        bank.append(BankEntry(kind, weights))
     return bank

@@ -21,10 +21,8 @@ from .config import SetupConfig, to_manifest
 from .connectivity import default_freqs
 from .errors import BenchError, MissingRun, PipelineError
 from .filters import (
-    EIG_KINDS,
     MVP_KINDS,
     FilterKind,
-    FilterSpec,
     build_filter_bank,
     estimate_covariances,
     reconstruct,
@@ -53,18 +51,6 @@ from .sources import (
     sample_geometry,
     write_geometry_csv,
 )
-
-
-def _filter_specs(config: SetupConfig) -> list[FilterSpec]:
-    """The configured filters in report order, that of FilterKind."""
-    specs = []
-    for kind in FilterKind:
-        if kind.value not in config.filters:
-            continue
-        rank = config.mvp_rank if kind in MVP_KINDS else None
-        sig_dim = config.eig_dim if kind in EIG_KINDS else None
-        specs.append(FilterSpec(kind=kind, rank=rank, sig_dim=sig_dim))
-    return specs
 
 
 def _geometry(config: SetupConfig) -> tuple[SourceGeometry, ElectrodeMontage]:
@@ -99,7 +85,8 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     """Execute all realizations and write the run directory.
 
     Outputs: geometry.csv, results.csv, summary.csv, manifest.json and
-    (optionally) the filter matrices of the first realization, all
+    (optionally) the filter matrices of the first realization, as
+    filters/<kind>.csv or, for MV-PURE, filters/<kind>_r<rank>.csv, all
     written once every realization has succeeded: a failed run writes
     nothing.  An output path that cannot become a directory fails
     before the first realization.
@@ -124,10 +111,10 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
 
     geometry, montage = _geometry(config)
     plain = leadfield_sphere(geometry, montage)
-    specs = _filter_specs(config)
+    kinds = [kind for kind in FilterKind if kind.value in config.filters]
     freqs = default_freqs(config.pdc_resolution)
     table = np.empty(
-        (len(specs), config.n_realizations, len(measure_names(config.n_interest)))
+        (len(kinds), config.n_realizations, len(measure_names(config.n_interest)))
     )
     dumped = []  # the bank of realization 1, when its filters are dumped
 
@@ -149,7 +136,9 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
             recording, composite = compose_measurement(signals, lf, config, rng_noise)
             cov_set = estimate_covariances(recording, signals)
             stage = "filters"
-            bank = build_filter_bank(specs, cov_set, composite, rng_filters)
+            bank = build_filter_bank(
+                kinds, cov_set, composite, rng_filters, config.mvp_rank, config.eig_dim
+            )
             if config.dump_filters and index == 1:
                 dumped.extend(bank)
             stage = "evaluation"
@@ -178,9 +167,11 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     if dumped:
         filter_dir = out / "filters"
         filter_dir.mkdir(exist_ok=True)
-        for built in dumped:
-            save_leadfield(built.weights, filter_dir / f"{built.spec.export_name}.csv")
-    names = [spec.name for spec in specs]
+        rank = config.mvp_rank or config.n_interest
+        for kind, weights in dumped:
+            stem = f"{kind.value}_r{rank}" if kind in MVP_KINDS else kind.value
+            save_leadfield(weights, filter_dir / f"{stem}.csv")
+    names = [kind.value for kind in kinds]
     write_geometry_csv(geometry, out / "geometry.csv")
     write_results_csv(names, table, out / "results.csv")
     write_summary_csv(aggregate(names, table), out / "summary.csv")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -18,10 +20,9 @@ from beambench.filters import (
     EIG_KINDS,
     MVP_BASE,
     MVP_KINDS,
+    BankEntry,
     CovarianceSet,
     FilterKind,
-    FilterSpec,
-    SpatialFilter,
     build_filter_bank,
     eig_lcmv,
     estimate_covariances,
@@ -136,27 +137,29 @@ class TestLcmv:
 
     def test_kind_is_recorded(self):
         h = np.eye(3)
-        filt = single_entry(FilterSpec(kind=FilterKind.LCMV_N), h, np.eye(3), 3)
-        assert filt.spec.kind is FilterKind.LCMV_N
+        filt = single_entry(FilterKind.LCMV_N, h, np.eye(3), 3)
+        assert filt.kind is FilterKind.LCMV_N
         assert np.array_equal(filt.weights, lcmv(h, regularized_inverse(np.eye(3))))
 
 
 def single_entry(
-    spec: FilterSpec, composite: np.ndarray, cov: np.ndarray, l: int
-) -> SpatialFilter:
-    """The one entry the bank builds for spec over composite against cov."""
+    kind: FilterKind, composite: np.ndarray, cov: np.ndarray, l: int, **knobs
+) -> BankEntry:
+    """The one entry the bank builds for kind over composite against cov;
+    knobs are the bank's rank and sig_dim."""
     covs = CovarianceSet(
         data_cov=cov,
         noise_cov=cov,
         source_cov=np.eye(l),
         cross_cov=np.eye(l, composite.shape[1]),
     )
-    return build_filter_bank([spec], covs, composite, np.random.default_rng(0))[0]
+    rng = np.random.default_rng(0)
+    return build_filter_bank([kind], covs, composite, rng, **knobs)[0]
 
 
 def nulling(composite: np.ndarray, cov: np.ndarray, l: int) -> np.ndarray:
     """The NL weights the bank builds over composite against cov."""
-    return single_entry(FilterSpec(kind=FilterKind.NL), composite, cov, l).weights
+    return single_entry(FilterKind.NL, composite, cov, l).weights
 
 
 class TestNulling:
@@ -304,10 +307,8 @@ class TestEigLcmv:
         cov = regularized_inverse(matrix)
         expected = eig_lcmv(lcmv(np.eye(3), cov), cov, 2)
         for kind in (FilterKind.EIG_LCMV_R, FilterKind.EIG_LCMV_N):
-            spec = FilterSpec(kind=kind, sig_dim=2)
-            projected = single_entry(spec, np.eye(3), matrix, 3)
-            assert projected.spec.kind is kind
-            assert projected.spec.sig_dim == 2
+            projected = single_entry(kind, np.eye(3), matrix, 3, sig_dim=2)
+            assert projected.kind is kind
             assert np.allclose(projected.weights, expected, atol=1e-12)
 
     def test_bad_inputs_rejected(self):
@@ -452,10 +453,11 @@ class TestMvPure:
 
         direct = mv_pure(kind, rank, covs, lambda kind: weights[kind.value])
         assert np.linalg.norm(direct - expected) <= 1e-10 * scale
-        spec = FilterSpec(kind=kind, rank=rank)
-        built = build_filter_bank([spec], covs, composite, np.random.default_rng(0))[0]
+        built = build_filter_bank(
+            [kind], covs, composite, np.random.default_rng(0), rank=rank
+        )[0]
         assert np.linalg.norm(built.weights - expected) <= 1e-10 * scale
-        assert built.spec == spec
+        assert built.kind is kind
 
     def test_bad_inputs_rejected(self):
         covs, weights_of = self.diagonal_setup(
@@ -554,6 +556,21 @@ class TestEstimateCovariances:
         expected = gain * signals.interest[:, n:] @ signals.interference[:, n:].T / n
         assert np.allclose(covs.cross_cov[:, l:], expected, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "name", ["data_cov", "noise_cov", "source_cov", "cross_cov"]
+    )
+    def test_non_finite_entries_are_rejected(self, name, bad):
+        matrices = {
+            "data_cov": np.eye(2),
+            "noise_cov": np.eye(2),
+            "source_cov": np.eye(1),
+            "cross_cov": np.ones((1, 2)),
+        }
+        matrices[name][0, 0] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CovarianceSet(**matrices)
+
     def test_cross_covariance_needs_one_row_per_source(self):
         with pytest.raises(ShapeMismatch, match="one row per source"):
             CovarianceSet(
@@ -601,11 +618,12 @@ class TestBuildFilterBank:
         covs, view, _, _ = mini_bench
         fresh = replace(covs)  # no factorization cached yet
         seen = self.factor_calls(monkeypatch)
-        specs = [FilterSpec(kind=kind) for kind in FilterKind]
-        bank = build_filter_bank(specs, fresh, view, np.random.default_rng(23))
+        bank = build_filter_bank(
+            list(FilterKind), fresh, view, np.random.default_rng(23)
+        )
         assert len(seen) == 2
         assert seen[0] is covs.data_cov and seen[1] is covs.noise_cov
-        built = {f.spec.kind: f for f in bank}
+        built = {f.kind: f for f in bank}
         top = fresh.data.eigvec[:, -3:]
         expected = (built[FilterKind.LCMV_R].weights @ top) @ top.T
         assert np.array_equal(built[FilterKind.EIG_LCMV_R].weights, expected)
@@ -614,8 +632,8 @@ class TestBuildFilterBank:
         covs, view, _, _ = mini_bench
         seen = self.factor_calls(monkeypatch)
         unread = {FilterKind.LCMV_N, FilterKind.EIG_LCMV_N, FilterKind.MVP_F_3}
-        specs = [FilterSpec(kind=kind) for kind in FilterKind if kind not in unread]
-        build_filter_bank(specs, replace(covs), view, np.random.default_rng(24))
+        kinds = [kind for kind in FilterKind if kind not in unread]
+        build_filter_bank(kinds, replace(covs), view, np.random.default_rng(24))
         assert len(seen) == 1
         assert seen[0] is covs.data_cov
 
@@ -641,12 +659,9 @@ class TestBuildFilterBank:
                 source_cov=np.eye(l),
                 cross_cov=np.eye(l, l + k),
             )
-            kinds = (FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL)
-            specs = [FilterSpec(kind=kind) for kind in kinds] + [
-                FilterSpec(kind=kind, sig_dim=m) for kind in EIG_KINDS
-            ]
+            kinds = [FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL, *EIG_KINDS]
             lcmv_r, lcmv_n, nl, eig_r, eig_n = build_filter_bank(
-                specs, covs, composite, np.random.default_rng(seed)
+                kinds, covs, composite, np.random.default_rng(seed), sig_dim=m
             )
             for filt in (lcmv_r, lcmv_n):
                 assert np.linalg.norm(filt.weights @ h - np.eye(l)) <= 1e-8
@@ -660,9 +675,10 @@ class TestBuildFilterBank:
 
     def test_full_bank_is_finite_and_ordered(self, mini_bench):
         covs, view, _, _ = mini_bench
-        specs = [FilterSpec(kind=kind) for kind in FilterKind]
-        bank = build_filter_bank(specs, covs, view, np.random.default_rng(16))
-        assert [f.spec.kind for f in bank] == list(FilterKind)
+        bank = build_filter_bank(
+            list(FilterKind), covs, view, np.random.default_rng(16)
+        )
+        assert [f.kind for f in bank] == list(FilterKind)
         for filt in bank:
             assert np.all(np.isfinite(filt.weights))
             assert filt.weights.shape == (3, 16)
@@ -670,91 +686,100 @@ class TestBuildFilterBank:
     def test_constrained_filters_meet_their_constraints(self, mini_bench):
         covs, view, _, _ = mini_bench
         kinds = (FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL, FilterKind.ZF)
-        bank = build_filter_bank(
-            [FilterSpec(kind=kind) for kind in kinds],
-            covs,
-            view,
-            np.random.default_rng(17),
+        lcmv_r, lcmv_n, nl, zf = build_filter_bank(
+            list(kinds), covs, view, np.random.default_rng(17)
         )
-        for filt in bank:
-            assert filt.diagnostics.constraint_residual <= 1e-8
+        l = covs.source_cov.shape[0]
+        h = view[:, :l]
+        for filt in (lcmv_r, lcmv_n, zf):
+            assert np.linalg.norm(filt.weights @ h - np.eye(l)) <= 1e-8
+        assert np.linalg.norm(nl.weights @ view - np.eye(l, view.shape[1])) <= 1e-8
 
     def test_default_ranks_fall_back_to_interest_count(self, mini_bench):
         covs, view, _, _ = mini_bench
-        bank = build_filter_bank(
-            [FilterSpec(kind=FilterKind.MVP_F_1), FilterSpec(kind=FilterKind.EIG_LCMV_R)],
-            covs,
-            view,
-            np.random.default_rng(18),
+        kinds = [FilterKind.MVP_F_1, FilterKind.EIG_LCMV_R]
+        defaults = build_filter_bank(kinds, covs, view, np.random.default_rng(18))
+        explicit = build_filter_bank(
+            kinds, covs, view, np.random.default_rng(18), rank=3, sig_dim=3
         )
-        assert bank[0].spec.rank == 3
-        assert bank[1].spec.sig_dim == 3
+        for default, full in zip(defaults, explicit):
+            assert np.array_equal(default.weights, full.weights)
+        lcmv_r = lcmv(view[:, :3], covs.data)
+        assert np.array_equal(defaults[0].weights, lcmv_r)
+        assert np.array_equal(defaults[1].weights, eig_lcmv(lcmv_r, covs.data, 3))
 
     def test_reduced_rank_is_reflected_in_weights(self, mini_bench):
         covs, view, _, _ = mini_bench
         bank = build_filter_bank(
-            [FilterSpec(kind=FilterKind.MVP_F_2, rank=1)],
-            covs,
-            view,
-            np.random.default_rng(19),
+            [FilterKind.MVP_F_2], covs, view, np.random.default_rng(19), rank=1
         )
-        assert bank[0].diagnostics.numerical_rank <= 1
+        assert svd_rank(bank[0].weights) <= 1
 
     def test_bank_is_deterministic_given_rng(self, mini_bench):
         covs, view, _, _ = mini_bench
-        specs = [FilterSpec(kind=kind) for kind in FilterKind]
-        first = build_filter_bank(specs, covs, view, np.random.default_rng(20))
-        second = build_filter_bank(specs, covs, view, np.random.default_rng(20))
+        kinds = list(FilterKind)
+        first = build_filter_bank(kinds, covs, view, np.random.default_rng(20))
+        second = build_filter_bank(kinds, covs, view, np.random.default_rng(20))
         for a, b in zip(first, second):
             assert np.array_equal(a.weights, b.weights)
 
     def test_full_rank_mv_pure_shares_its_base_weights(self, mini_bench):
         covs, view, _, _ = mini_bench
-        specs = [FilterSpec(kind=kind) for kind in FilterKind]
-        built = build_filter_bank(specs, covs, view, np.random.default_rng(21))
-        bank = {f.spec.kind: f for f in built}
+        built = build_filter_bank(
+            list(FilterKind), covs, view, np.random.default_rng(21)
+        )
+        bank = dict(built)
         for kind, base_kind in MVP_BASE.items():
-            assert bank[kind].weights is bank[base_kind].weights
-            assert bank[kind].spec.export_name == f"{kind.value}_r3"
+            assert bank[kind] is bank[base_kind]
 
     def test_reduced_rank_mv_pure_is_projected(self, mini_bench):
         covs, view, _, _ = mini_bench
-        specs = [
-            FilterSpec(kind=kind, rank=2 if kind in MVP_KINDS else None)
-            for kind in FilterKind
-        ]
-        built = build_filter_bank(specs, covs, view, np.random.default_rng(22))
-        bank = {f.spec.kind: f for f in built}
+        built = build_filter_bank(
+            list(FilterKind), covs, view, np.random.default_rng(22), rank=2
+        )
+        bank = dict(built)
         for kind in MVP_KINDS:
-            expected = mv_pure(kind, 2, covs, lambda base: bank[base].weights)
-            assert np.array_equal(bank[kind].weights, expected)
-            assert bank[kind].weights is not bank[MVP_BASE[kind]].weights
-            assert bank[kind].spec.export_name == f"{kind.value}_r2"
+            expected = mv_pure(kind, 2, covs, bank.__getitem__)
+            assert np.array_equal(bank[kind], expected)
+            assert bank[kind] is not bank[MVP_BASE[kind]]
 
     def test_entries_record_their_spec_and_diagnostics(self, mini_bench):
         covs, view, _, _ = mini_bench
-        l = covs.source_cov.shape[0]
-        specs = [FilterSpec(kind=kind) for kind in FilterKind]
-        built = build_filter_bank(specs, covs, view, np.random.default_rng(25))
-        bank = {f.spec.kind: f for f in built}
-        h = view[:, :l]
-        constraints = {
-            FilterKind.LCMV_R: (h, np.eye(l)),
-            FilterKind.LCMV_N: (h, np.eye(l)),
-            FilterKind.ZF: (h, np.eye(l)),
-            FilterKind.NL: (view, np.eye(l, view.shape[1])),
-        }
-        for kind, filt in bank.items():
-            rank = l if kind in MVP_KINDS else None
-            sig_dim = l if kind in EIG_KINDS else None
-            assert filt.spec == FilterSpec(kind=kind, rank=rank, sig_dim=sig_dim)
-            residual = filt.diagnostics.constraint_residual
-            if kind in MVP_BASE:
-                assert filt.diagnostics is bank[MVP_BASE[kind]].diagnostics
-            elif kind in constraints:
-                leadfield, target = constraints[kind]
-                expected = np.linalg.norm(filt.weights @ leadfield - target)
-                assert residual == pytest.approx(expected, rel=1e-9, abs=0.0)
-            else:
-                assert residual is None, kind.value
-            assert filt.diagnostics.numerical_rank == svd_rank(filt.weights)
+        built = build_filter_bank(
+            list(FilterKind), covs, view, np.random.default_rng(25)
+        )
+        assert [entry.kind for entry in built] == list(FilterKind)
+        bank = dict(built)
+        for kind, base in MVP_BASE.items():
+            assert bank[kind] is bank[base]
+
+    @pytest.mark.parametrize("rank", [None, 2])
+    def test_bank_leaves_no_reference_cycle(self, mini_bench, rank):
+        # a cycle would hold each realization's covariances until the
+        # cyclic collector ran, and raise a run's peak memory
+        covs, view, _, _ = mini_bench
+        fresh = replace(covs)
+        alive = weakref.ref(fresh)
+        gc.disable()
+        try:
+            bank = build_filter_bank(
+                list(FilterKind), fresh, view, np.random.default_rng(26), rank=rank
+            )
+            del bank, fresh
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_non_finite_weights_name_their_filter(self):
+        composite = np.vstack([4.0 * np.eye(3), np.zeros((2, 3))])
+        covs = CovarianceSet(
+            data_cov=np.eye(5),
+            noise_cov=np.eye(5),
+            source_cov=1e308 * np.eye(3),
+            cross_cov=np.eye(3),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="MMSE_F weights are not finite"):
+                build_filter_bank(
+                    [FilterKind.MMSE_F], covs, composite, np.random.default_rng(0)
+                )

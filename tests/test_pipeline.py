@@ -392,15 +392,21 @@ class TestFilterSelectionAndDumps:
     def test_first_realization_weights_are_dumped(self, tmp_path):
         out = run(
             small_config(
-                filters=("LCMV_R", "MVP_F_2"),
+                filters=("LCMV_R", "EIG_LCMV_R", "MVP_F_2"),
                 mvp_rank=1,
+                eig_dim=2,
                 dump_filters=True,
                 n_realizations=1,
             ),
             out_dir=tmp_path / "dump",
         )
+        assert sorted(p.name for p in (out / "filters").iterdir()) == [
+            "EIG_LCMV_R.csv", "LCMV_R.csv", "MVP_F_2_r1.csv"
+        ]
         weights = load_matrix(out / "filters" / "LCMV_R.csv")
         assert weights.shape == (2, 24)
+        projected = load_matrix(out / "filters" / "EIG_LCMV_R.csv")
+        assert np.linalg.matrix_rank(projected, tol=1e-10) == 2
         reduced = load_matrix(out / "filters" / "MVP_F_2_r1.csv")
         assert np.linalg.matrix_rank(reduced, tol=1e-10) == 1
 
