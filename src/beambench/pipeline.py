@@ -112,6 +112,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     geometry, montage = _geometry(config)
     plain = leadfield_sphere(geometry, montage)
     kinds = [kind for kind in FilterKind if kind.value in config.filters]
+    rank = config.mvp_rank or config.n_interest  # MV-PURE rank of every entry
     freqs = default_freqs(config.pdc_resolution)
     table = np.empty(
         (len(kinds), config.n_realizations, len(measure_names(config.n_interest)))
@@ -137,7 +138,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
             cov_set = estimate_covariances(recording, signals)
             stage = "filters"
             bank = build_filter_bank(
-                kinds, cov_set, composite, rng_filters, config.mvp_rank, config.eig_dim
+                kinds, cov_set, composite, rng_filters, rank, config.eig_dim
             )
             if config.dump_filters and index == 1:
                 dumped.extend(bank)
@@ -167,7 +168,6 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     if dumped:
         filter_dir = out / "filters"
         filter_dir.mkdir(exist_ok=True)
-        rank = config.mvp_rank or config.n_interest
         for kind, weights in dumped:
             stem = f"{kind.value}_r{rank}" if kind in MVP_KINDS else kind.value
             save_leadfield(weights, filter_dir / f"{stem}.csv")

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from beambench import metrics
-from beambench.config import SetupConfig
 from beambench.connectivity import connectivity_spectrum, default_freqs
 from beambench.errors import ParseError, RankDeficientRegressor, ShapeMismatch
 from beambench.filters import FilterKind
@@ -382,9 +381,10 @@ class TestAggregate:
         assert all(r.std == 0.0 for r in summary)
 
     def test_known_filters_come_in_bank_order(self):
-        config = SetupConfig(filters=("ZF", "RANDN", "LCMV_R"))
-        names = [kind.value for kind in FilterKind if kind.value in config.filters]
-        assert names == ["LCMV_R", "ZF", "RANDN"]
+        # pipeline.run passes the names in FilterKind order, whatever the
+        # config's order (pinned by TestFilterOrder and TestFailureModes in
+        # tests/test_pipeline.py); aggregate labels the rows in that order.
+        names = ["LCMV_R", "ZF", "RANDN"]
         summary = aggregate(names, make_table([[1.0], [2.0], [3.0]]))
         firsts = {}
         for row in summary:

@@ -511,7 +511,8 @@ class TestFailureModes:
     def test_sub_count_interference_rank_runs_without_nulling(self, tmp_path):
         # Rank 1 of 3 interference columns: NL and MVP_I_* are rejected
         # up front, and a bank that does not build NL runs through, also
-        # with MVP_F_1 below full rank (it reads LCMV_R only).
+        # with MVP_F_1 below full rank (it reads LCMV_R only).  The filters
+        # are listed out of order; the summary lists them in bank order.
         for mvp_rank in (None, 1):
             out = run(
                 small_config(
@@ -519,7 +520,7 @@ class TestFailureModes:
                     interference_rank=1,
                     mvp_rank=mvp_rank,
                     n_realizations=1,
-                    filters=("LCMV_R", "MMSE_I", "ZF", "MVP_F_1"),
+                    filters=("ZF", "MVP_F_1", "LCMV_R", "MMSE_I"),
                 ),
                 out_dir=tmp_path / f"rank_{mvp_rank}",
             )
