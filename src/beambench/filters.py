@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -125,13 +125,21 @@ class CovarianceSet:
         if self.cross_cov.ndim != 2 or self.cross_cov.shape[0] != l:
             raise ShapeMismatch("cross_cov must have one row per source of interest")
 
-    @cached_property
-    def data(self) -> CovarianceFactor:
-        return regularized_inverse(self.data_cov)
+    def _factor(self, name: str) -> CovarianceFactor:
+        """regularized_inverse of `<name>_cov`, kept on the instance after
+        the first read.  Unlike cached_property before Python 3.12, it
+        takes no lock shared by every instance."""
+        if f"_{name}" not in self.__dict__:
+            self.__dict__[f"_{name}"] = regularized_inverse(getattr(self, f"{name}_cov"))
+        return self.__dict__[f"_{name}"]
 
-    @cached_property
+    @property
+    def data(self) -> CovarianceFactor:
+        return self._factor("data")
+
+    @property
     def noise(self) -> CovarianceFactor:
-        return regularized_inverse(self.noise_cov)
+        return self._factor("noise")
 
 
 def estimate_covariances(recording: Recording, signals: SourceSignals) -> CovarianceSet:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import threading
 import weakref
 from dataclasses import replace
 
@@ -570,6 +571,36 @@ class TestEstimateCovariances:
         matrices[name][0, 0] = bad
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             CovarianceSet(**matrices)
+
+    def test_factoring_does_not_wait_for_another_sets_factoring(self, monkeypatch):
+        # Realizations on worker threads each factor their own set; one
+        # set's factoring must not hold up another's.
+        held, entered, release = np.eye(3), threading.Event(), threading.Event()
+        original = filters.regularized_inverse
+
+        def holding(matrix):
+            if matrix is held:
+                entered.set()
+                release.wait(5.0)
+            return original(matrix)
+
+        monkeypatch.setattr(filters, "regularized_inverse", holding)
+        first = identity_covs(3, held, np.eye(3), np.eye(1))
+        second = identity_covs(3, 2.0 * np.eye(3), np.eye(3), np.eye(1))
+        done = threading.Event()
+        slow = threading.Thread(target=lambda: first.data)
+        fast = threading.Thread(target=lambda: (second.data, done.set()))
+        slow.start()
+        try:
+            assert entered.wait(5.0)
+            fast.start()
+            assert done.wait(1.0), "the second set waited for the first"
+        finally:
+            release.set()
+            slow.join(5.0)
+            fast.join(5.0)
+        assert not slow.is_alive() and not fast.is_alive()
+        assert np.array_equal(first.data.inverse, np.eye(3))
 
     def test_cross_covariance_needs_one_row_per_source(self):
         with pytest.raises(ShapeMismatch, match="one row per source"):
