@@ -85,30 +85,11 @@ class SourceGeometry:
 
 
 @dataclass(frozen=True)
-class PerturbedGeometry:
-    """A geometry together with jittered positions and orientations.
-
-    The original coordinates stay available through `base`; data
-    generation always uses those, only filters may see the jitter.
-    """
+class PerturbedGeometry(SourceGeometry):
+    """A geometry with jittered dipoles.  Data generation always uses the
+    original geometry, `base`; only filters may see the jitter."""
 
     base: SourceGeometry
-    positions: np.ndarray
-    orientations: np.ndarray
-
-    def __post_init__(self) -> None:
-        positions = np.asarray(self.positions, dtype=float)
-        orientations = np.asarray(self.orientations, dtype=float)
-        n = self.base.n_sources
-        if positions.shape != (n, 3) or orientations.shape != (n, 3):
-            raise ValueError("perturbed arrays must have shape (n, 3)")
-        norms = np.linalg.norm(orientations, axis=1)
-        if np.max(np.abs(norms - 1.0), initial=0.0) > _UNIT_TOL:
-            raise ValueError("perturbed orientations must be unit vectors")
-        if np.any(np.linalg.norm(positions, axis=1) >= self.base.head_radius):
-            raise ValueError("perturbed positions must stay inside the head")
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "orientations", orientations)
 
 
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
@@ -221,7 +202,9 @@ def perturb_geometry(
         )
         orientations /= np.linalg.norm(orientations, axis=1)[:, None]
 
-    return PerturbedGeometry(base=geom, positions=positions, orientations=orientations)
+    return PerturbedGeometry(
+        positions, orientations, geom.counts, geom.deep, geom.head_radius, geom
+    )
 
 
 def erp_waveform(
