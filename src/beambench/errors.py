@@ -64,4 +64,4 @@ class MissingRun(BenchError):
 
 
 class PipelineError(BenchError):
-    """A realization failed; carries the realization index and stage."""
+    """A realization failed; the message names the realization and stage."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .connectivity import default_freqs
 from .errors import BenchError, MissingRun, PipelineError
 from .filters import (
     MVP_KINDS,
+    BankEntry,
     FilterKind,
     build_filter_bank,
     estimate_covariances,
@@ -29,6 +31,7 @@ from .filters import (
 )
 from .forward import (
     ElectrodeMontage,
+    LeadfieldSet,
     compose_measurement,
     fibonacci_montage,
     leadfield_sphere,
@@ -60,11 +63,6 @@ def _geometry(config: SetupConfig) -> tuple[SourceGeometry, ElectrodeMontage]:
     return geometry, fibonacci_montage(config.n_electrodes, HEAD_RADIUS)
 
 
-def _realization_streams(seed: int, index: int) -> list[np.random.Generator]:
-    parent = np.random.SeedSequence(seed, spawn_key=(index,))
-    return [np.random.default_rng(child) for child in parent.spawn(4)]
-
-
 def _check_out_dir(out: Path) -> None:
     """Fail before any work when `out` cannot become a run directory.
 
@@ -81,6 +79,61 @@ def _check_out_dir(out: Path) -> None:
         raise PermissionError(f"{cannot} writable")
 
 
+def realize(
+    config: SetupConfig,
+    geometry: SourceGeometry,
+    montage: ElectrodeMontage,
+    plain: LeadfieldSet,
+    kinds: list[FilterKind],
+    rank: int,
+    freqs: np.ndarray,
+    index: int,
+) -> tuple[np.ndarray, list[BankEntry]]:
+    """Realization `index` (1-based) of a run, from its own spawn-key
+    streams: its (len(kinds), n_measures) scores and its bank, both in
+    the order of `kinds`.  `plain` is the lead-field set of `geometry`;
+    the geometry is jittered, and its interest and interference columns
+    evaluated, only when a H_*_pert flag lets the filters read them.
+    Each distinct weights array is scored once, by one reconstruct and
+    one evaluate call; entries that share it (full-rank MV-PURE and its
+    base) copy its row.  A BenchError or ValueError (LinAlgError
+    included) becomes a PipelineError naming the realization and stage."""
+    stage = "seeding"
+    try:
+        parent = np.random.SeedSequence(config.seed, spawn_key=(index,))
+        rng_signals, rng_perturb, rng_noise, rng_filters = (
+            np.random.default_rng(child) for child in parent.spawn(4)
+        )
+        stage = "signals"
+        signals = generate_source_signals(geometry, config, rng_signals)
+        lf = plain
+        if config.use_interest_pert or config.use_interference_pert:
+            stage = "perturbation"
+            perturbed = perturb_geometry(
+                geometry, config.cube_edge, config.cone_half_angle, rng_perturb
+            )
+            stage = "leadfields"
+            lf = leadfield_sphere(perturbed, montage, plain)
+        stage = "measurement"
+        recording, composite = compose_measurement(signals, lf, config, rng_noise)
+        stage = "covariances"
+        cov_set = estimate_covariances(recording, signals)
+        stage = "filters"
+        bank = build_filter_bank(kinds, cov_set, composite, rng_filters, rank, config.eig_dim)
+        stage = "evaluation"
+        distinct = {id(built.weights): built.weights for built in bank}
+        slots = {key: slot for slot, key in enumerate(distinct)}
+        truth_signal = signals.interest[:, config.n_samples :]
+        series = np.empty((len(distinct) + 1, *truth_signal.shape))
+        series[0] = truth_signal
+        weights = np.stack(list(distinct.values()))
+        reconstruct(weights, recording.sensors_pst, out=series[1:])
+        scores = evaluate(signals.interest_model, freqs, series, realization=index)
+        return scores.table[[slots[id(built.weights)] for built in bank]], bank
+    except (BenchError, ValueError) as exc:
+        raise PipelineError(f"realization {index}, stage {stage}: {exc}") from exc
+
+
 def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -> Path:
     """Execute all realizations and write the run directory.
 
@@ -90,19 +143,11 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     written once every realization has succeeded: a failed run writes
     nothing.  An output path that cannot become a directory fails
     before the first realization.
-    The scores fill one (filter, realization, measure) table, filters
-    in report order; each realization writes its own slice, and the
-    results and summary writers read the whole table.
-    The geometry is fixed for the run, so its plain lead-field set and
-    Grams are built once; each realization evaluates only the jittered
-    interest and interference columns.
-    Each distinct weights array of the bank is scored once: one
-    reconstruct call writes every estimate, next to the truth, into one
-    stack that one evaluate call scores; entries that share a weights
-    array (full-rank MV-PURE and its base filter) copy that row.
-    A BenchError or ValueError (numpy's LinAlgError included) inside a
-    realization is re-raised as a PipelineError that names the
-    realization and stage.  Returns the run directory path.
+    The plain lead-field set of the run's fixed geometry is built once.
+    Each realization is one `realize` call, in the calling thread for
+    jobs = 1 and on `jobs` threads otherwise; its scores fill its slice
+    of one (filter, realization, measure) table, filters in report
+    order.  Returns the run directory path.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -117,52 +162,16 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     table = np.empty(
         (len(kinds), config.n_realizations, len(measure_names(config.n_interest)))
     )
-    dumped = []  # the bank of realization 1, when its filters are dumped
-
-    def run_one(index: int) -> None:
-        stage = "seeding"
-        try:
-            rng_signals, rng_perturb, rng_noise, rng_filters = _realization_streams(
-                config.seed, index
-            )
-            stage = "signals"
-            signals = generate_source_signals(geometry, config, rng_signals)
-            stage = "perturbation"
-            perturbed = perturb_geometry(
-                geometry, config.cube_edge, config.cone_half_angle, rng_perturb
-            )
-            stage = "leadfields"
-            lf = leadfield_sphere(perturbed, montage, plain)
-            stage = "measurement"
-            recording, composite = compose_measurement(signals, lf, config, rng_noise)
-            cov_set = estimate_covariances(recording, signals)
-            stage = "filters"
-            bank = build_filter_bank(
-                kinds, cov_set, composite, rng_filters, rank, config.eig_dim
-            )
-            if config.dump_filters and index == 1:
-                dumped.extend(bank)
-            stage = "evaluation"
-            distinct = {id(built.weights): built.weights for built in bank}
-            slots = {key: slot for slot, key in enumerate(distinct)}
-            truth_signal = signals.interest[:, config.n_samples :]
-            series = np.empty((len(distinct) + 1, *truth_signal.shape))
-            series[0] = truth_signal
-            weights = np.stack(list(distinct.values()))
-            reconstruct(weights, recording.sensors_pst, out=series[1:])
-            scores = evaluate(signals.interest_model, freqs, series, realization=index)
-            rows = [slots[id(built.weights)] for built in bank]
-            table[:, index - 1] = scores.table[rows]
-        except (BenchError, ValueError) as exc:
-            raise PipelineError(f"realization {index}, stage {stage}: {exc}") from exc
-
+    realization = partial(realize, config, geometry, montage, plain, kinds, rank, freqs)
     indices = range(1, config.n_realizations + 1)
-    if jobs == 1:
-        for index in indices:
-            run_one(index)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_one, indices))
+    dumped = []  # the bank of realization 1, when its filters are dumped
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        # jobs = 1 runs in the calling thread: the built-in map submits nothing
+        results = map(realization, indices) if jobs == 1 else pool.map(realization, indices)
+        for index, (scores, bank) in zip(indices, results):
+            table[:, index - 1] = scores
+            if config.dump_filters and index == 1:
+                dumped = bank
 
     out.mkdir(parents=True, exist_ok=True)
     if dumped:

@@ -19,6 +19,7 @@ from beambench import __version__, forward, metrics, pipeline
 from beambench.__main__ import BLAS_THREAD_VARIABLES
 from beambench.cli import main
 from beambench.config import SetupConfig
+from beambench.connectivity import default_freqs
 from beambench.errors import InvalidValue, MissingRun, ParseError, PipelineError
 from beambench.filters import MVP_BASE, FilterKind
 from beambench.metrics import load_summary_csv
@@ -113,6 +114,31 @@ class TestRunOutputs:
             )
 
         assert mean_corr("LCMV_R") > mean_corr("RANDN") + 0.2
+
+
+class TestRealize:
+    def test_a_realization_is_its_rows_of_the_run(self, run_dir):
+        config = small_config()
+        geometry, montage = pipeline._geometry(config)
+        plain = forward.leadfield_sphere(geometry, montage)
+        kinds = list(FilterKind)
+        freqs = default_freqs(config.pdc_resolution)
+        args = (config, geometry, montage, plain, kinds, config.n_interest, freqs, 2)
+        scores, bank = pipeline.realize(*args)
+        with (run_dir / "results.csv").open() as handle:
+            rows = [row for row in csv.reader(handle) if row[1] == "2"]
+        measures = metrics.measure_names(config.n_interest)
+        assert [(f, m) for f, _, m, _ in rows] == [
+            (kind.value, m) for kind in kinds for m in measures
+        ]
+        assert [repr(v) for v in scores.ravel().tolist()] == [v for *_, v in rows]
+        assert [entry.kind for entry in bank] == kinds
+
+        again, bank_again = pipeline.realize(*args)
+        np.testing.assert_array_equal(again, scores)
+        for entry, repeat in zip(bank, bank_again, strict=True):
+            assert repeat.kind is entry.kind
+            np.testing.assert_array_equal(repeat.weights, entry.weights)
 
 
 class TestDeterminism:
@@ -361,7 +387,8 @@ class TestDistinctFiltersScoredOnce:
 
 
 class TestPlainLeadfieldOncePerRun:
-    def test_evaluated_columns(self, tmp_path, monkeypatch):
+    @staticmethod
+    def evaluated_columns(config, out, monkeypatch) -> int:
         columns: list[int] = []
         original = forward.dipole_potentials
 
@@ -371,13 +398,25 @@ class TestPlainLeadfieldOncePerRun:
             return potentials
 
         monkeypatch.setattr(forward, "dipole_potentials", counting)
+        run(config, out_dir=out)
+        return sum(columns)
+
+    def test_evaluated_columns(self, tmp_path, monkeypatch):
+        # no H_*_pert flag: every dipole once for the run, and no
+        # jittered column, since no filter would read it
         config = small_config(n_realizations=3)
-        run(config, out_dir=tmp_path / "run")
+        l, k, b = config.sources
+        m = config.n_electrodes
+        assert self.evaluated_columns(config, tmp_path / "run", monkeypatch) == m * (l + k + b)
+
+    def test_a_pert_flag_adds_the_jittered_columns(self, tmp_path, monkeypatch):
+        # then the jittered interest and interference dipoles once per
+        # realization
+        config = small_config(n_realizations=3, use_interference_pert=True)
         l, k, b = config.sources
         m, r = config.n_electrodes, config.n_realizations
-        # every dipole once for the run, then the jittered interest and
-        # interference dipoles once per realization
-        assert sum(columns) == m * (l + k + b) + r * m * (l + k)
+        columns = self.evaluated_columns(config, tmp_path / "run", monkeypatch)
+        assert columns == m * (l + k + b) + r * m * (l + k)
 
 
 class TestFilterSelectionAndDumps:
@@ -473,7 +512,7 @@ class TestFailureModes:
             raise error
 
         monkeypatch.setattr(pipeline, "estimate_covariances", broken)
-        with pytest.raises(PipelineError, match="realization 1, stage measurement") as info:
+        with pytest.raises(PipelineError, match="realization 1, stage covariances") as info:
             run(small_config(), out_dir=tmp_path / "never")
         assert info.value.__cause__ is error
 
