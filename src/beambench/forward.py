@@ -180,7 +180,7 @@ def _referenced(matrix: np.ndarray) -> np.ndarray:
 
 
 def leadfield_sphere(
-    geom: SourceGeometry | PerturbedGeometry,
+    geom: SourceGeometry,
     montage: ElectrodeMontage,
     plain: LeadfieldSet | None = None,
 ) -> LeadfieldSet:
