@@ -1,7 +1,8 @@
 """Forward model: electrode montage, lead-fields, sensor composition.
 
-The volume conductor is a homogeneous sphere of radius R and
-conductivity sigma.  For a unit dipole at distance b < R from the
+The volume conductor is one homogeneous sphere, of radius
+R = sources.HEAD_RADIUS and conductivity sigma = SIGMA; the electrodes
+sit on its surface.  For a unit dipole at distance b < R from the
 center the scalp potential is the classical zonal-harmonics series
 
     V = 1/(4 pi sigma R^2) * sum_{n>=1} (2n+1)/n * f^(n-1)
@@ -49,61 +50,34 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import ShapeMismatch, SourceOutsideHead
-from .sources import ROLES, PerturbedGeometry, SourceGeometry, SourceSignals
+from .sources import HEAD_RADIUS, ROLES, PerturbedGeometry, SourceGeometry, SourceSignals
 
 if TYPE_CHECKING:
     from .config import SetupConfig
 
-DEFAULT_SIGMA = 0.33
+SIGMA = 0.33  # head conductivity, S/m
 
 
-@dataclass(frozen=True)
-class ElectrodeMontage:
-    """Electrode positions on the scalp sphere."""
-
-    positions: np.ndarray
-    head_radius: float
-
-    def __post_init__(self) -> None:
-        positions = np.asarray(self.positions, dtype=float)
-        if positions.ndim != 2 or positions.shape[1] != 3:
-            raise ValueError("positions must have shape (m, 3)")
-        radii = np.linalg.norm(positions, axis=1)
-        if np.max(np.abs(radii - self.head_radius), initial=0.0) > 1e-9:
-            raise ValueError("all electrodes must sit on the scalp sphere")
-        object.__setattr__(self, "positions", positions)
-
-    @property
-    def n_electrodes(self) -> int:
-        return self.positions.shape[0]
-
-
-def fibonacci_montage(m: int, head_radius: float) -> ElectrodeMontage:
-    """Spread m electrodes over the upper 3/4 of the scalp sphere.
+def fibonacci_montage(m: int) -> np.ndarray:
+    """Positions of m electrodes on the scalp sphere, shape (m, 3),
+    spread over its upper 3/4.
 
     A Fibonacci spiral over z in (-1/2, 1) gives near-uniform coverage
     while leaving the bottom cap (neck/face) free of electrodes.
     """
     if m < 4:
         raise ValueError(f"montage needs at least 4 electrodes, got {m}")
-    if head_radius <= 0.0:
-        raise ValueError("head_radius must be positive")
     idx = np.arange(m)
     z = 1.0 - (idx + 0.5) * 1.5 / m
     azimuth = np.pi * (3.0 - np.sqrt(5.0)) * idx
     rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    positions = head_radius * np.column_stack(
-        [rho * np.cos(azimuth), rho * np.sin(azimuth), z]
-    )
-    return ElectrodeMontage(positions=positions, head_radius=head_radius)
+    return HEAD_RADIUS * np.column_stack([rho * np.cos(azimuth), rho * np.sin(azimuth), z])
 
 
 def dipole_potentials(
     positions: np.ndarray,
     orientations: np.ndarray,
     electrode_positions: np.ndarray,
-    head_radius: float,
-    sigma: float = DEFAULT_SIGMA,
 ) -> np.ndarray:
     """Raw (unreferenced) scalp potentials, shape (m, n_sources).
 
@@ -120,23 +94,21 @@ def dipole_potentials(
     electrodes = np.atleast_2d(np.asarray(electrode_positions, dtype=float))
     if positions.shape != orientations.shape:
         raise ShapeMismatch("positions and orientations must have equal shapes")
-    if sigma <= 0.0 or head_radius <= 0.0:
-        raise ValueError("sigma and head_radius must be positive")
 
     ecc = np.linalg.norm(positions, axis=1)
-    outside = np.flatnonzero(ecc >= head_radius)
+    outside = np.flatnonzero(ecc >= HEAD_RADIUS)
     if outside.size:
         j = outside[0]
         raise SourceOutsideHead(
-            f"dipole {j} at radius {ecc[j]:.6g} is not inside {head_radius:.6g}"
+            f"dipole {j} at radius {ecc[j]:.6g} is not inside {HEAD_RADIUS:.6g}"
         )
-    central = ecc <= 1e-12 * head_radius
+    central = ecc <= 1e-12 * HEAD_RADIUS
     r_hat = positions / np.where(central, 1.0, ecc)[:, None]
     r_hat[central] = (0.0, 0.0, 1.0)
     e_hat = electrodes / np.linalg.norm(electrodes, axis=1)[:, None]
 
     # Electrodes along axis 0, dipoles along axis 1.
-    f = ecc / head_radius
+    f = ecc / HEAD_RADIUS
     cosg = np.clip(e_hat @ r_hat.T, -1.0, 1.0)
     m_r = np.einsum("ij,ij->i", orientations, r_hat)
     tang = e_hat @ orientations.T - m_r * cosg
@@ -144,7 +116,7 @@ def dipole_potentials(
     rho3 = rho**3
     radial = m_r * ((2.0 * cosg - f) * (rho * rho + rho + 1.0) / (1.0 + rho) - f) / rho3
     tangential = tang * (2.0 / rho3 + (1.0 + rho) / (rho * (1.0 - f * cosg + rho)))
-    return (radial + tangential) / (4.0 * np.pi * sigma * head_radius**2)
+    return (radial + tangential) / (4.0 * np.pi * SIGMA * HEAD_RADIUS**2)
 
 
 @dataclass(frozen=True)
@@ -181,32 +153,27 @@ def _referenced(matrix: np.ndarray) -> np.ndarray:
 
 def leadfield_sphere(
     geom: SourceGeometry,
-    montage: ElectrodeMontage,
+    montage: np.ndarray,
     plain: LeadfieldSet | None = None,
 ) -> LeadfieldSet:
-    """Build average-referenced lead-fields split by source role.
+    """Build average-referenced lead-fields split by source role, for
+    the electrode positions `montage` (from fibonacci_montage).
 
     A SourceGeometry gives the plain set: every role's matrix and Gram,
     with the same arrays in the perturbed slots.  A run builds it once,
     since its geometry stays fixed.  A PerturbedGeometry takes the plain
     set of its base geometry as `plain` and evaluates only the jittered
     interest and interference columns (no slot holds perturbed
-    background columns).  The conductivity is DEFAULT_SIGMA.
+    background columns).
     """
     perturbed = isinstance(geom, PerturbedGeometry)
-    base = geom.base if perturbed else geom
-    radius = base.head_radius
-    if abs(montage.head_radius - radius) > 1e-9:
-        raise ShapeMismatch("montage radius does not match the head radius")
     if perturbed and plain is None:
         raise ValueError("a perturbed geometry needs the plain set of its base")
 
-    l, k, _ = base.counts
-    n_read = l + k if perturbed else base.n_sources
+    l, k, _ = geom.counts
+    n_read = l + k if perturbed else geom.n_sources
     positions, orientations = geom.positions[:n_read], geom.orientations[:n_read]
-    full = _referenced(
-        dipole_potentials(positions, orientations, montage.positions, radius)
-    )
+    full = _referenced(dipole_potentials(positions, orientations, montage))
     # Fortran-ordered copies: the BLAS products downstream round
     # differently on a C-ordered layout, so the layout is part of what
     # fixes the output bytes.

@@ -30,7 +30,6 @@ from .filters import (
     reconstruct,
 )
 from .forward import (
-    ElectrodeMontage,
     LeadfieldSet,
     compose_measurement,
     fibonacci_montage,
@@ -47,7 +46,6 @@ from .metrics import (
     write_summary_csv,
 )
 from .sources import (
-    HEAD_RADIUS,
     SourceGeometry,
     generate_source_signals,
     perturb_geometry,
@@ -56,11 +54,12 @@ from .sources import (
 )
 
 
-def _geometry(config: SetupConfig) -> tuple[SourceGeometry, ElectrodeMontage]:
-    """The run's source geometry (spawn-key-0 stream) and montage."""
+def _geometry(config: SetupConfig) -> tuple[SourceGeometry, np.ndarray]:
+    """The run's source geometry (spawn-key-0 stream) and electrode
+    positions."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     geometry = sample_geometry(config.sources, rng, config.deep_sources)
-    return geometry, fibonacci_montage(config.n_electrodes, HEAD_RADIUS)
+    return geometry, fibonacci_montage(config.n_electrodes)
 
 
 def _check_out_dir(out: Path) -> None:
@@ -82,7 +81,7 @@ def _check_out_dir(out: Path) -> None:
 def realize(
     config: SetupConfig,
     geometry: SourceGeometry,
-    montage: ElectrodeMontage,
+    montage: np.ndarray,
     plain: LeadfieldSet,
     kinds: list[FilterKind],
     rank: int,
@@ -91,9 +90,10 @@ def realize(
 ) -> tuple[np.ndarray, list[BankEntry]]:
     """Realization `index` (1-based) of a run, from its own spawn-key
     streams: its (len(kinds), n_measures) scores and its bank, both in
-    the order of `kinds`.  `plain` is the lead-field set of `geometry`;
-    the geometry is jittered, and its interest and interference columns
-    evaluated, only when a H_*_pert flag lets the filters read them.
+    the order of `kinds`.  `plain` is the lead-field set of `geometry`
+    on the electrode positions `montage`; the geometry is jittered, and
+    its interest and interference columns evaluated, only when a
+    H_*_pert flag lets the filters read them.
     Each distinct weights array is scored once, by one reconstruct and
     one evaluate call; entries that share it (full-rank MV-PURE and its
     base) copy its row.  A BenchError or ValueError (LinAlgError

@@ -50,7 +50,6 @@ class SourceGeometry:
     orientations: np.ndarray
     counts: tuple[int, int, int]
     deep: np.ndarray
-    head_radius: float
 
     def __post_init__(self) -> None:
         positions = np.asarray(self.positions, dtype=float)
@@ -67,7 +66,7 @@ class SourceGeometry:
         norms = np.linalg.norm(orientations, axis=1)
         if np.max(np.abs(norms - 1.0), initial=0.0) > _UNIT_TOL:
             raise ValueError("orientations must be unit vectors")
-        if np.any(np.linalg.norm(positions, axis=1) >= self.head_radius):
+        if np.any(np.linalg.norm(positions, axis=1) >= HEAD_RADIUS):
             raise ValueError("all positions must lie strictly inside the head")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "orientations", orientations)
@@ -150,7 +149,6 @@ def sample_geometry(
         orientations=np.array(orientations),
         counts=tuple(c + d for c, d in zip(counts, deep)),
         deep=np.array(deep_flags),
-        head_radius=HEAD_RADIUS,
     )
 
 
@@ -180,11 +178,11 @@ def perturb_geometry(
 
     positions = geom.positions + shifts
     radii = np.linalg.norm(positions, axis=1)
-    outside = radii >= geom.head_radius
+    outside = radii >= HEAD_RADIUS
     if np.any(outside):
         # 1% inside the scalp keeps the pulled-back dipole at relative
         # eccentricity f < 1, where the sphere potential is finite.
-        pullback = 0.99 * geom.head_radius / radii[outside]
+        pullback = 0.99 * HEAD_RADIUS / radii[outside]
         positions[outside] *= pullback[:, None]
 
     if cone_half_angle == 0.0:
@@ -202,9 +200,7 @@ def perturb_geometry(
         )
         orientations /= np.linalg.norm(orientations, axis=1)[:, None]
 
-    return PerturbedGeometry(
-        positions, orientations, geom.counts, geom.deep, geom.head_radius, geom
-    )
+    return PerturbedGeometry(positions, orientations, geom.counts, geom.deep, geom)
 
 
 def erp_waveform(

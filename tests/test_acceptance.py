@@ -26,7 +26,7 @@ from beambench.filters import (
     zero_forcing,
 )
 from beambench.forward import (
-    DEFAULT_SIGMA,
+    SIGMA,
     compose_measurement,
     dipole_potentials,
     fibonacci_montage,
@@ -199,11 +199,11 @@ def test_criterion_4_mv_pure_degeneracy():
 
 
 def test_criterion_5_sphere_oracle():
-    montage = fibonacci_montage(128, HEAD)
+    montage = fibonacci_montage(128)
     moment = np.array([[0.0, 0.0, 1.0]])
-    got = dipole_potentials(np.zeros((1, 3)), moment, montage.positions, HEAD)[:, 0]
-    cos_theta = montage.positions[:, 2] / HEAD
-    expected = 3.0 * cos_theta / (4.0 * np.pi * DEFAULT_SIGMA * HEAD**2)
+    got = dipole_potentials(np.zeros((1, 3)), moment, montage)[:, 0]
+    cos_theta = montage[:, 2] / HEAD
+    expected = 3.0 * cos_theta / (4.0 * np.pi * SIGMA * HEAD**2)
     central_gap = float(np.max(np.abs(got - expected)))
 
     rng = np.random.default_rng(5000)
@@ -215,10 +215,8 @@ def test_criterion_5_sphere_oracle():
         q *= np.sign(np.diag(r))
         if np.linalg.det(q) < 0.0:
             q[:, 0] *= -1.0
-        base = dipole_potentials(pos[None], mom[None], montage.positions, HEAD)
-        turned = dipole_potentials(
-            (q @ pos)[None], (q @ mom)[None], montage.positions @ q.T, HEAD
-        )
+        base = dipole_potentials(pos[None], mom[None], montage)
+        turned = dipole_potentials((q @ pos)[None], (q @ mom)[None], montage @ q.T)
         equiv_gap = max(equiv_gap, float(np.max(np.abs(base - turned))))
 
     ok = central_gap <= 1e-10 and equiv_gap <= 1e-9
@@ -253,7 +251,7 @@ def test_criterion_6_snr_exactness():
             interest_pre=True,
         )
         geometry = sample_geometry(counts, rng)
-        lf = leadfield_sphere(geometry, fibonacci_montage(m, HEAD))
+        lf = leadfield_sphere(geometry, fibonacci_montage(m))
         signals = generate_source_signals(geometry, setup, rng)
         n = setup.n_samples
         noise_seed = 6100 + seed

@@ -18,7 +18,7 @@ from beambench.errors import (
     SingularCovariance,
 )
 from beambench.filters import (
-    EIG_KINDS,
+    EIG_BASE,
     MVP_BASE,
     MVP_KINDS,
     BankEntry,
@@ -63,7 +63,7 @@ def mini_bench():
     """A small but fully realistic covariance/lead-field pair."""
     rng = np.random.default_rng(2024)
     geom = sample_geometry((3, 2, 2), rng)
-    montage = fibonacci_montage(16, 0.09)
+    montage = fibonacci_montage(16)
     params = SetupConfig(n_samples=400, order_interest=3, order_background=3)
     signals = generate_source_signals(geom, params, rng)
     lf = leadfield_sphere(geom, montage)
@@ -226,7 +226,7 @@ class TestWiener:
         geom = sample_geometry((3, 2, 2), rng)
         params = SetupConfig(n_samples=400, order_interest=3, order_background=3)
         signals = generate_source_signals(geom, params, rng)
-        lf = leadfield_sphere(geom, fibonacci_montage(16, 0.09))
+        lf = leadfield_sphere(geom, fibonacci_montage(16))
         recording, view = compose_measurement(signals, lf, cfg, rng)
         return recording, estimate_covariances(recording, signals), view
 
@@ -690,7 +690,7 @@ class TestBuildFilterBank:
                 source_cov=np.eye(l),
                 cross_cov=np.eye(l, l + k),
             )
-            kinds = [FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL, *EIG_KINDS]
+            kinds = [FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL, *EIG_BASE]
             lcmv_r, lcmv_n, nl, eig_r, eig_n = build_filter_bank(
                 kinds, covs, composite, np.random.default_rng(seed), sig_dim=m
             )

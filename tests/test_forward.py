@@ -11,8 +11,7 @@ from beambench import forward
 from beambench.config import SetupConfig
 from beambench.errors import ShapeMismatch, SourceOutsideHead
 from beambench.forward import (
-    DEFAULT_SIGMA,
-    ElectrodeMontage,
+    SIGMA,
     _referenced,
     compose_measurement,
     dipole_potentials,
@@ -50,8 +49,6 @@ def series_potentials(
     positions: np.ndarray,
     orientations: np.ndarray,
     electrodes: np.ndarray,
-    head_radius: float,
-    sigma: float = DEFAULT_SIGMA,
 ) -> np.ndarray:
     """Reference: the zonal-harmonics series of the forward module
     docstring, summed term by term with the Legendre recurrences for
@@ -61,8 +58,8 @@ def series_potentials(
     out = np.empty((e_hat.shape[0], positions.shape[0]))
     for j, (pos, moment) in enumerate(zip(positions, orientations)):
         ecc = np.linalg.norm(pos)
-        r_hat = pos / ecc if ecc > 1e-12 * head_radius else np.array([0.0, 0.0, 1.0])
-        f = ecc / head_radius
+        r_hat = pos / ecc if ecc > 1e-12 * HEAD else np.array([0.0, 0.0, 1.0])
+        f = ecc / HEAD
         cosg = np.clip(e_hat @ r_hat, -1.0, 1.0)
         m_r = float(moment @ r_hat)
         tang = e_hat @ moment - m_r * cosg
@@ -82,13 +79,13 @@ def series_potentials(
             f_pow *= f
         else:
             raise AssertionError(f"reference series did not converge at f={f}")
-        out[:, j] = total / (4.0 * np.pi * sigma * head_radius**2)
+        out[:, j] = total / (4.0 * np.pi * SIGMA * HEAD**2)
     return out
 
 
 def small_setup(seed: int = 0, counts=(2, 1, 2), m: int = 16):
     geom = sample_geometry(counts, np.random.default_rng(seed))
-    montage = fibonacci_montage(m, HEAD)
+    montage = fibonacci_montage(m)
     params = SetupConfig(n_samples=300, order_interest=3, order_background=3)
     signals = generate_source_signals(geom, params, np.random.default_rng(seed + 1))
     lf = leadfield_sphere(geom, montage)
@@ -118,96 +115,84 @@ def tiny_setup(counts, m: int, seed: int):
     geom = sample_geometry(counts, np.random.default_rng(seed))
     params = SetupConfig(n_samples=60, order_interest=2, order_background=2)
     signals = generate_source_signals(geom, params, np.random.default_rng(seed + 1))
-    return signals, leadfield_sphere(geom, fibonacci_montage(m, HEAD))
+    return signals, leadfield_sphere(geom, fibonacci_montage(m))
 
 
 class TestMontage:
     def test_positions_on_sphere_with_unique_labels(self):
-        montage = fibonacci_montage(128, HEAD)
-        assert montage.n_electrodes == 128
-        radii = np.linalg.norm(montage.positions, axis=1)
+        montage = fibonacci_montage(128)
+        assert montage.shape == (128, 3)
+        radii = np.linalg.norm(montage, axis=1)
         assert np.max(np.abs(radii - HEAD)) <= 1e-9
 
     def test_covers_only_the_upper_three_quarters(self):
-        montage = fibonacci_montage(64, HEAD)
-        z = montage.positions[:, 2]
+        montage = fibonacci_montage(64)
+        z = montage[:, 2]
         assert z.min() >= -0.5 * HEAD - 1e-9
         assert z.max() <= HEAD + 1e-12
         assert z.max() > 0.9 * HEAD  # reaches the vertex region
 
     def test_too_few_electrodes_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):
-            fibonacci_montage(3, HEAD)
-
-    def test_type_rejects_off_sphere_positions(self):
-        with pytest.raises(ValueError, match="scalp sphere"):
-            ElectrodeMontage(
-                positions=np.array([[0.0, 0.0, 0.08]]), head_radius=HEAD
-            )
+            fibonacci_montage(3)
 
 
 class TestDipolePotentials:
     def test_central_dipole_closed_form(self):
-        montage = fibonacci_montage(128, HEAD)
+        montage = fibonacci_montage(128)
         moment = np.array([0.0, 0.0, 1.0])
-        got = dipole_potentials(
-            np.zeros((1, 3)), moment[None], montage.positions, HEAD
-        )[:, 0]
-        e_hat = montage.positions / HEAD
-        expected = 3.0 * (e_hat @ moment) / (4.0 * np.pi * DEFAULT_SIGMA * HEAD**2)
+        got = dipole_potentials(np.zeros((1, 3)), moment[None], montage)[:, 0]
+        e_hat = montage / HEAD
+        expected = 3.0 * (e_hat @ moment) / (4.0 * np.pi * SIGMA * HEAD**2)
         assert np.max(np.abs(got - expected)) <= 1e-10
 
     def test_central_dipole_any_moment(self):
-        montage = fibonacci_montage(32, HEAD)
+        montage = fibonacci_montage(32)
         moment = np.array([0.3, -0.5, 0.2])
-        got = dipole_potentials(
-            np.zeros((1, 3)), moment[None], montage.positions, HEAD
-        )[:, 0]
-        e_hat = montage.positions / HEAD
-        expected = 3.0 * (e_hat @ moment) / (4.0 * np.pi * DEFAULT_SIGMA * HEAD**2)
+        got = dipole_potentials(np.zeros((1, 3)), moment[None], montage)[:, 0]
+        e_hat = montage / HEAD
+        expected = 3.0 * (e_hat @ moment) / (4.0 * np.pi * SIGMA * HEAD**2)
         assert np.max(np.abs(got - expected)) <= 1e-10
 
     def test_rotational_equivariance(self):
-        montage = fibonacci_montage(48, HEAD)
+        montage = fibonacci_montage(48)
         rng = np.random.default_rng(50)
         for _ in range(5):
             pos = 0.07 * (lambda v: v / np.linalg.norm(v))(rng.standard_normal(3))
             mom = (lambda v: v / np.linalg.norm(v))(rng.standard_normal(3))
             rot = random_rotation(rng)
-            base = dipole_potentials(pos[None], mom[None], montage.positions, HEAD)
+            base = dipole_potentials(pos[None], mom[None], montage)
             turned = dipole_potentials(
-                (rot @ pos)[None], (rot @ mom)[None], montage.positions @ rot.T, HEAD
+                (rot @ pos)[None], (rot @ mom)[None], montage @ rot.T
             )
             assert np.max(np.abs(base - turned)) <= 1e-9
 
     def test_linearity_in_the_moment(self):
-        montage = fibonacci_montage(24, HEAD)
+        montage = fibonacci_montage(24)
         pos = np.array([0.02, -0.03, 0.05])
         m1 = np.array([1.0, 0.0, 0.0])
         m2 = np.array([0.0, -1.0, 2.0])
-        v1 = dipole_potentials(pos[None], m1[None], montage.positions, HEAD)
-        v2 = dipole_potentials(pos[None], m2[None], montage.positions, HEAD)
-        v12 = dipole_potentials(pos[None], (m1 + m2)[None], montage.positions, HEAD)
+        v1 = dipole_potentials(pos[None], m1[None], montage)
+        v2 = dipole_potentials(pos[None], m2[None], montage)
+        v12 = dipole_potentials(pos[None], (m1 + m2)[None], montage)
         assert np.allclose(v12, v1 + v2, atol=1e-12)
 
     def test_source_outside_head_rejected(self):
-        montage = fibonacci_montage(16, HEAD)
+        montage = fibonacci_montage(16)
         pos = np.array([[0.0, 0.0, HEAD]])
         with pytest.raises(SourceOutsideHead):
-            dipole_potentials(pos, np.array([[0.0, 0.0, 1.0]]), montage.positions, HEAD)
+            dipole_potentials(pos, np.array([[0.0, 0.0, 1.0]]), montage)
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
     def test_eccentric_dipole_against_legendre_oracle(self):
         # dipole on the z-axis; independent series in terms of P_n and
         # the order-1 associated Legendre function from scipy
-        montage = fibonacci_montage(64, HEAD)
+        montage = fibonacci_montage(64)
         b = 0.05
         moment = np.array([0.4, -0.3, 0.7])
-        got = dipole_potentials(
-            np.array([[0.0, 0.0, b]]), moment[None], montage.positions, HEAD
-        )[:, 0]
+        got = dipole_potentials(np.array([[0.0, 0.0, b]]), moment[None], montage)[:, 0]
 
-        e_hat = montage.positions / HEAD
+        e_hat = montage / HEAD
         x = np.clip(e_hat[:, 2], -1.0, 1.0)
         phi = np.arctan2(e_hat[:, 1], e_hat[:, 0])
         f = b / HEAD
@@ -219,7 +204,7 @@ class TestDipolePotentials:
                 1, n, x
             )
             total += (2.0 * n + 1.0) / n * f ** (n - 1) * (zonal + tangential)
-        expected = total / (4.0 * np.pi * DEFAULT_SIGMA * HEAD**2)
+        expected = total / (4.0 * np.pi * SIGMA * HEAD**2)
         assert np.max(np.abs(got - expected)) <= 1e-8
 
 
@@ -242,7 +227,7 @@ class TestClosedFormAgainstSeries:
             electrodes = np.random.default_rng(seed).standard_normal((24, 3))
             electrodes *= HEAD / np.linalg.norm(electrodes, axis=1)[:, None]
             pos = f * HEAD * np.asarray(direction) / np.linalg.norm(direction)
-            args = (pos[None], np.asarray(moment)[None], electrodes, HEAD)
+            args = (pos[None], np.asarray(moment)[None], electrodes)
             got = dipole_potentials(*args)
             expected = series_potentials(*args)
             assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
@@ -250,32 +235,28 @@ class TestClosedFormAgainstSeries:
         check()
 
     def test_center_takes_the_central_branch(self):
-        montage = fibonacci_montage(32, HEAD)
+        montage = fibonacci_montage(32)
         moment = np.array([[0.3, -0.5, 0.2]])
-        got = dipole_potentials(np.zeros((1, 3)), moment, montage.positions, HEAD)
-        expected = series_potentials(np.zeros((1, 3)), moment, montage.positions, HEAD)
+        got = dipole_potentials(np.zeros((1, 3)), moment, montage)
+        expected = series_potentials(np.zeros((1, 3)), moment, montage)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_tiny_eccentricity_is_continuous_with_the_center(self):
-        montage = fibonacci_montage(32, HEAD)
+        montage = fibonacci_montage(32)
         moment = np.array([[0.3, -0.5, 0.2]])
         direction = np.array([0.6, 0.0, 0.8])
-        near = dipole_potentials(
-            1e-9 * HEAD * direction[None], moment, montage.positions, HEAD
-        )
-        center = dipole_potentials(np.zeros((1, 3)), moment, montage.positions, HEAD)
-        expected = series_potentials(
-            1e-9 * HEAD * direction[None], moment, montage.positions, HEAD
-        )
+        near = dipole_potentials(1e-9 * HEAD * direction[None], moment, montage)
+        center = dipole_potentials(np.zeros((1, 3)), moment, montage)
+        expected = series_potentials(1e-9 * HEAD * direction[None], moment, montage)
         scale = np.max(np.abs(center))
         assert np.max(np.abs(near - expected)) <= 1e-12 * scale
         assert np.max(np.abs(near - center)) <= 1e-8 * scale
 
     def test_first_offending_dipole_is_named(self):
-        montage = fibonacci_montage(16, HEAD)
+        montage = fibonacci_montage(16)
         positions = np.array([[0.0, 0.0, 0.05], [0.0, HEAD, 0.0], [0.2, 0.0, 0.0]])
         with pytest.raises(SourceOutsideHead, match="dipole 1 at radius"):
-            dipole_potentials(positions, np.eye(3), montage.positions, HEAD)
+            dipole_potentials(positions, np.eye(3), montage)
 
 
 class TestLeadfieldSphere:
@@ -309,7 +290,7 @@ class TestLeadfieldSphere:
         plain = leadfield_sphere(geom, montage)
         pert = perturb_geometry(geom, 0.01, np.pi / 32.0, np.random.default_rng(4))
         full = _referenced(
-            dipole_potentials(pert.positions, pert.orientations, montage.positions, HEAD)
+            dipole_potentials(pert.positions, pert.orientations, montage)
         )
         seen: list[np.ndarray] = []
         original = forward.dipole_potentials
@@ -345,7 +326,7 @@ class TestLeadfieldSphere:
         def check(counts, deep, seed):
             rng = np.random.default_rng(seed)
             geom = sample_geometry(counts, rng, deep)
-            montage = fibonacci_montage(16, HEAD)
+            montage = fibonacci_montage(16)
             pert = perturb_geometry(geom, 0.01, np.pi / 32.0, rng)
             l, k, _ = geom.counts
             plain = leadfield_sphere(geom, montage)
@@ -359,10 +340,7 @@ class TestLeadfieldSphere:
             ):
                 full = _referenced(
                     dipole_potentials(
-                        source.positions[:n_read],
-                        source.orientations[:n_read],
-                        montage.positions,
-                        HEAD,
+                        source.positions[:n_read], source.orientations[:n_read], montage
                     )
                 )
                 edges = (0, l, l + k, geom.n_sources)
@@ -386,12 +364,6 @@ class TestLeadfieldSphere:
         pert = perturb_geometry(geom, 0.01, np.pi / 32.0, np.random.default_rng(4))
         with pytest.raises(ValueError, match="plain set"):
             leadfield_sphere(pert, montage)
-
-    def test_montage_radius_mismatch_rejected(self):
-        geom, _, _, _ = small_setup(seed=5)
-        other = fibonacci_montage(16, 0.1)
-        with pytest.raises(ShapeMismatch, match="radius"):
-            leadfield_sphere(geom, other)
 
 
 class TestReduceRank:
@@ -553,7 +525,7 @@ def default_setup():
     cfg = SetupConfig()
     geom = sample_geometry(cfg.sources, np.random.default_rng(41))
     signals = generate_source_signals(geom, cfg, np.random.default_rng(42))
-    return signals, leadfield_sphere(geom, fibonacci_montage(cfg.n_electrodes, HEAD))
+    return signals, leadfield_sphere(geom, fibonacci_montage(cfg.n_electrodes))
 
 
 def check_gain_scaled_product(

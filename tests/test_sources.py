@@ -64,7 +64,7 @@ class TestSampleGeometry:
         geom = sample_geometry((2, 1, 3), np.random.default_rng(6), deep=(1, 1, 0))
         norms = np.linalg.norm(geom.orientations, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
-        assert np.all(np.linalg.norm(geom.positions, axis=1) < geom.head_radius)
+        assert np.all(np.linalg.norm(geom.positions, axis=1) < HEAD_RADIUS)
 
     def test_positions_pairwise_distinct(self):
         geom = sample_geometry((5, 5, 20), np.random.default_rng(7))
@@ -90,7 +90,6 @@ class TestGeometryType:
                 orientations=np.array([[0.0, 0.0, 1.1]]),
                 counts=(1, 0, 0),
                 deep=np.array([False]),
-                head_radius=0.09,
             )
 
     def test_position_on_scalp_rejected(self):
@@ -100,7 +99,6 @@ class TestGeometryType:
                 orientations=np.array([[0.0, 0.0, 1.0]]),
                 counts=(1, 0, 0),
                 deep=np.array([False]),
-                head_radius=0.09,
             )
 
 
@@ -112,7 +110,6 @@ class TestGeometryType:
                 orientations=np.array([[0.0, 0.0, 1.0]]),
                 counts=counts,
                 deep=np.array([False]),
-                head_radius=0.09,
             )
 
 
