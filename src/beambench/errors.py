@@ -35,10 +35,6 @@ class RankDeficientLeadfield(BenchError):
     """The whitened lead-field Gram matrix is numerically singular."""
 
 
-class EigenDecompositionFailure(BenchError):
-    """An eigendecomposition required by a filter did not converge."""
-
-
 class ZeroColumn(BenchError):
     """A spectrum column is identically zero and cannot be normalized."""
 

@@ -18,12 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    EigenDecompositionFailure,
-    RankDeficientLeadfield,
-    ShapeMismatch,
-    SingularCovariance,
-)
+from .errors import RankDeficientLeadfield, ShapeMismatch, SingularCovariance
 from .forward import Recording
 from .sources import SourceSignals
 
@@ -69,7 +64,6 @@ MVP_RECIPE = {
     FilterKind.MVP_I_2: (FilterKind.LCMV_R, False, FilterKind.NL),
     FilterKind.MVP_I_3: (FilterKind.LCMV_N, False, FilterKind.NL),
 }
-EIG_KINDS = tuple(EIG_BASE)
 MVP_BASE = {kind: base for kind, (_, _, base) in MVP_RECIPE.items()}
 MVP_KINDS = tuple(MVP_RECIPE)
 # The kinds whose weights need H, respectively H_c = [H H_i], at full
@@ -286,10 +280,7 @@ def mv_pure(
     if subtract_q:
         selection -= 2.0 * cov_set.source_cov
     selection = 0.5 * (selection + selection.T)
-    try:
-        _, eigvec = np.linalg.eigh(selection)
-    except np.linalg.LinAlgError as exc:
-        raise EigenDecompositionFailure(str(exc)) from exc
+    _, eigvec = np.linalg.eigh(selection)
     low = eigvec[:, :rank]
     return low @ low.T @ weights_of(base)
 
