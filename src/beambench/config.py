@@ -10,8 +10,9 @@ meaning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Any, Callable
 
 from .errors import InvalidValue, ParseError, UnknownKey
 from .filters import FULL_RANK_H, FULL_RANK_HC, FilterKind, parse_filter_list
@@ -45,47 +46,81 @@ UNSUPPORTED_KEYS = (
 _ALL_FILTERS = tuple(kind.value for kind in FilterKind)
 
 
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_triple(text: str) -> tuple[int, int, int]:
+    tokens = text.replace(",", " ").split()
+    if len(tokens) != 3:
+        raise ValueError(f"expected three integers, got {text!r}")
+    a, b, c = (int(token) for token in tokens)
+    return (a, b, c)
+
+
+def _parse_pair(text: str) -> tuple[float, float]:
+    tokens = text.replace(",", " ").split()
+    if len(tokens) != 2:
+        raise ValueError(f"expected two floats, got {text!r}")
+    return (float(tokens[0]), float(tokens[1]))
+
+
+def _parse_opt_int(text: str) -> int | None:
+    return None if text.lower() in ("none", "auto", "") else int(text)
+
+
+def _key(key: str, parser: Callable[[str], Any], default: Any) -> Any:
+    """A field set by config-file `key`; `parser` reads the stripped value text."""
+    return field(default=default, metadata={"key": key, "parser": parser})
+
+
 @dataclass(frozen=True)
 class SetupConfig:
-    """Every knob of a benchmark run, with working defaults."""
+    """Every knob of a benchmark run, with working defaults.  Each field
+    is declared by `_key` with its config-file key and value parser."""
 
-    sources: tuple[int, int, int] = (3, 2, 10)
-    deep_sources: tuple[int, int, int] = (0, 0, 0)
-    n_samples: int = 2000
-    n_realizations: int = 20
-    order_interest: int = 6
-    order_background: int = 6
-    frac_ones: float = 0.2
-    stab_limit: float = 0.95
+    sources: tuple[int, int, int] = _key("SRCS", _parse_triple, (3, 2, 10))
+    deep_sources: tuple[int, int, int] = _key("DEEP", _parse_triple, (0, 0, 0))
+    n_samples: int = _key("n00", int, 2000)
+    n_realizations: int = _key("K00", int, 20)
+    order_interest: int = _key("P00", int, 6)
+    order_background: int = _key("R00", int, 6)
+    frac_ones: float = _key("FRAC", float, 0.2)
+    stab_limit: float = _key("STAB", float, 0.95)
     # +/-0.3 keeps the stability rejection sampler near 30% acceptance
     # even for the widest default model (background, dim 10, order 6).
-    coeff_range: tuple[float, float] = (-0.3, 0.3)
-    iter_limit: int = 1000
-    pdc_resolution: int = 129
-    seed: int = 12345
-    sinr_db: float = 5.0
-    sbnr_db: float = 5.0
-    smnr_db: float = 20.0
-    cube_edge: float = 0.010
-    cone_half_angle: float = math.pi / 32.0
-    use_interest_pert: bool = False
-    use_interference_pert: bool = False
-    interference_rank: int | None = None
-    erp_enabled: bool = False
-    eig_dim: int | None = None
-    mvp_rank: int | None = None
-    interest_pre: bool = False
-    interference_pre: bool = True
-    background_pre: bool = True
-    noise_pre: bool = True
-    interest_pst: bool = True
-    interference_pst: bool = True
-    background_pst: bool = True
-    noise_pst: bool = True
-    filters: tuple[str, ...] = _ALL_FILTERS
-    n_electrodes: int = 128
-    out_dir: str = "bench_run"
-    dump_filters: bool = False
+    coeff_range: tuple[float, float] = _key("RNG", _parse_pair, (-0.3, 0.3))
+    iter_limit: int = _key("ITER", int, 1000)
+    pdc_resolution: int = _key("PDC_RES", int, 129)
+    seed: int = _key("SEED", int, 12345)
+    sinr_db: float = _key("SINR", float, 5.0)
+    sbnr_db: float = _key("SBNR", float, 5.0)
+    smnr_db: float = _key("SMNR", float, 20.0)
+    cube_edge: float = _key("CUBE", float, 0.010)
+    cone_half_angle: float = _key("CONE", float, math.pi / 32.0)
+    use_interest_pert: bool = _key("H_Src_pert", _parse_bool, False)
+    use_interference_pert: bool = _key("H_Int_pert", _parse_bool, False)
+    interference_rank: int | None = _key("IntLfgRANK", _parse_opt_int, None)
+    erp_enabled: bool = _key("ERPs", _parse_bool, False)
+    eig_dim: int | None = _key("RANK_EIG", _parse_opt_int, None)
+    mvp_rank: int | None = _key("MVP_RANK", _parse_opt_int, None)
+    interest_pre: bool = _key("SigPre", _parse_bool, False)
+    interference_pre: bool = _key("IntPre", _parse_bool, True)
+    background_pre: bool = _key("BcgPre", _parse_bool, True)
+    noise_pre: bool = _key("MesPre", _parse_bool, True)
+    interest_pst: bool = _key("SigPst", _parse_bool, True)
+    interference_pst: bool = _key("IntPst", _parse_bool, True)
+    background_pst: bool = _key("BcgPst", _parse_bool, True)
+    noise_pst: bool = _key("MesPst", _parse_bool, True)
+    filters: tuple[str, ...] = _key("FILTERS", parse_filter_list, _ALL_FILTERS)
+    n_electrodes: int = _key("M00", int, 128)
+    out_dir: str = _key("OUT_DIR", str, "bench_run")
+    dump_filters: bool = _key("DUMP_FILTERS", _parse_bool, False)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -190,72 +225,8 @@ class SetupConfig:
             )
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def _parse_triple(text: str) -> tuple[int, int, int]:
-    tokens = text.replace(",", " ").split()
-    if len(tokens) != 3:
-        raise ValueError(f"expected three integers, got {text!r}")
-    a, b, c = (int(token) for token in tokens)
-    return (a, b, c)
-
-
-def _parse_pair(text: str) -> tuple[float, float]:
-    tokens = text.replace(",", " ").split()
-    if len(tokens) != 2:
-        raise ValueError(f"expected two floats, got {text!r}")
-    return (float(tokens[0]), float(tokens[1]))
-
-
-def _parse_opt_int(text: str) -> int | None:
-    return None if text.lower() in ("none", "auto", "") else int(text)
-
-
-# Config-file key -> (dataclass field, parser of the stripped value text).
-_KEY_TABLE: dict[str, tuple[str, object]] = {
-    "SRCS": ("sources", _parse_triple),
-    "DEEP": ("deep_sources", _parse_triple),
-    "n00": ("n_samples", int),
-    "K00": ("n_realizations", int),
-    "P00": ("order_interest", int),
-    "R00": ("order_background", int),
-    "FRAC": ("frac_ones", float),
-    "STAB": ("stab_limit", float),
-    "RNG": ("coeff_range", _parse_pair),
-    "ITER": ("iter_limit", int),
-    "PDC_RES": ("pdc_resolution", int),
-    "SEED": ("seed", int),
-    "SINR": ("sinr_db", float),
-    "SBNR": ("sbnr_db", float),
-    "SMNR": ("smnr_db", float),
-    "CUBE": ("cube_edge", float),
-    "CONE": ("cone_half_angle", float),
-    "H_Src_pert": ("use_interest_pert", _parse_bool),
-    "H_Int_pert": ("use_interference_pert", _parse_bool),
-    "IntLfgRANK": ("interference_rank", _parse_opt_int),
-    "ERPs": ("erp_enabled", _parse_bool),
-    "RANK_EIG": ("eig_dim", _parse_opt_int),
-    "MVP_RANK": ("mvp_rank", _parse_opt_int),
-    "SigPre": ("interest_pre", _parse_bool),
-    "IntPre": ("interference_pre", _parse_bool),
-    "BcgPre": ("background_pre", _parse_bool),
-    "MesPre": ("noise_pre", _parse_bool),
-    "SigPst": ("interest_pst", _parse_bool),
-    "IntPst": ("interference_pst", _parse_bool),
-    "BcgPst": ("background_pst", _parse_bool),
-    "MesPst": ("noise_pst", _parse_bool),
-    "FILTERS": ("filters", parse_filter_list),
-    "M00": ("n_electrodes", int),
-    "OUT_DIR": ("out_dir", str),
-    "DUMP_FILTERS": ("dump_filters", _parse_bool),
-}
+# Config-file key -> SetupConfig field, in field order.
+_KEY_FIELDS = {spec.metadata["key"]: spec for spec in fields(SetupConfig)}
 
 
 def load_config(path: str | Path) -> SetupConfig:
@@ -277,14 +248,14 @@ def load_config(path: str | Path) -> SetupConfig:
                     f"{path}:{lineno}: key {key!r} is recognized but not "
                     "supported by this tool; remove it from the config"
                 )
-            if key not in _KEY_TABLE:
+            if key not in _KEY_FIELDS:
                 raise UnknownKey(f"{path}:{lineno}: unknown key {key!r}")
             first = seen.setdefault(key, lineno)
             if first != lineno:
                 raise ParseError(f"{path}:{lineno}: key {key!r} repeats line {first}")
-            target, parser = _KEY_TABLE[key]
+            target = _KEY_FIELDS[key]
             try:
-                overrides[target] = parser(value)  # type: ignore[operator]
+                overrides[target.name] = target.metadata["parser"](value)
             except ValueError as exc:
                 raise InvalidValue(f"{path}:{lineno}: key {key!r}: {exc}") from exc
     try:
@@ -296,8 +267,8 @@ def load_config(path: str | Path) -> SetupConfig:
 def to_manifest(config: SetupConfig) -> dict:
     """Echo every config key at its final value, plus the reject list."""
     values: dict[str, object] = {}
-    for key, (target, _) in _KEY_TABLE.items():
-        value = getattr(config, target)
+    for key, target in _KEY_FIELDS.items():
+        value = getattr(config, target.name)
         if isinstance(value, tuple):
             value = list(value)
         values[key] = value

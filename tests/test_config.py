@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,15 @@ def write_config(tmp_path, text):
     path = tmp_path / "setup.cfg"
     path.write_text(text)
     return path
+
+
+def as_text(value) -> str:
+    """A manifest value written back as config-file text."""
+    if value is None:
+        return "none"
+    if isinstance(value, list):
+        return ", ".join(str(item) for item in value)
+    return str(value)
 
 
 class TestDefaults:
@@ -296,6 +306,19 @@ class TestManifest:
         assert manifest["config"]["SRCS"] == [2, 1, 3]  # tuples become lists
         assert manifest["config"]["STAB"] == 0.95
         assert manifest["config"]["FILTERS"] == list(SetupConfig().filters)
+        # One distinct key per field.  load_config takes each key, and no
+        # field name in its place, and the manifest echoes exactly those
+        # keys in field order.
+        specs = fields(SetupConfig)
+        keys = [spec.metadata["key"] for spec in specs]
+        assert len(set(keys)) == len(specs)
+        assert list(manifest["config"]) == keys
+        defaults = to_manifest(SetupConfig())["config"].items()
+        echo = "".join(f"{key} = {as_text(value)}\n" for key, value in defaults)
+        assert load_config(write_config(tmp_path, echo)) == SetupConfig()
+        for spec in specs:
+            with pytest.raises(UnknownKey, match="unknown key"):
+                load_config(write_config(tmp_path, f"{spec.name} = 1\n"))
 
     def test_unsupported_keys_are_listed_sorted(self):
         manifest = to_manifest(SetupConfig())
@@ -356,4 +379,4 @@ class TestPackageSurface:
         keys = {
             key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])
         }
-        assert keys == set(config._KEY_TABLE)
+        assert keys == set(config._KEY_FIELDS)
