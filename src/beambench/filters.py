@@ -91,10 +91,9 @@ class CovarianceFactor(NamedTuple):
 class CovarianceSet:
     """Second-order statistics needed by the bank.
 
-    data_cov and noise_cov come from the sensor segments; `data` and
-    `noise` are their factorizations, computed on first read, so a
-    sensor covariance that no requested filter reads is never
-    decomposed (and may be singular).  source_cov and cross_cov are
+    data_cov and noise_cov come from the sensor segments;
+    build_filter_bank factors each only when a requested filter reads
+    it, so an unread one may be singular.  source_cov and cross_cov are
     oracle covariances of the post segment: E[q q'] and E[q q_c'], with
     q the interest sources and q_c the interest sources followed by the
     interference sources, each as the post segment mixes them in.
@@ -118,22 +117,6 @@ class CovarianceSet:
         l = self.source_cov.shape[0]
         if self.cross_cov.ndim != 2 or self.cross_cov.shape[0] != l:
             raise ShapeMismatch("cross_cov must have one row per source of interest")
-
-    def _factor(self, name: str) -> CovarianceFactor:
-        """regularized_inverse of `<name>_cov`, kept on the instance after
-        the first read.  Unlike cached_property before Python 3.12, it
-        takes no lock shared by every instance."""
-        if f"_{name}" not in self.__dict__:
-            self.__dict__[f"_{name}"] = regularized_inverse(getattr(self, f"{name}_cov"))
-        return self.__dict__[f"_{name}"]
-
-    @property
-    def data(self) -> CovarianceFactor:
-        return self._factor("data")
-
-    @property
-    def noise(self) -> CovarianceFactor:
-        return self._factor("noise")
 
 
 def estimate_covariances(recording: Recording, signals: SourceSignals) -> CovarianceSet:
@@ -206,9 +189,13 @@ def lcmv(leadfield: np.ndarray, cov: CovarianceFactor) -> np.ndarray:
 
 
 def wiener(
-    cov_set: CovarianceSet, composite: np.ndarray, kind: FilterKind
+    cov_set: CovarianceSet,
+    data: CovarianceFactor,
+    composite: np.ndarray,
+    kind: FilterKind,
 ) -> np.ndarray:
-    """Minimum mean-square error reconstruction.
+    """Minimum mean-square error reconstruction against `data`, the
+    factored data covariance R.
 
     MMSE_F ignores interference structure: W = Q H' R^-1, with H the
     leading l columns of the composite H_c = [H H_i].  MMSE_I uses the
@@ -217,9 +204,9 @@ def wiener(
     """
     if kind is FilterKind.MMSE_F:
         l = cov_set.source_cov.shape[0]
-        return cov_set.source_cov @ composite[:, :l].T @ cov_set.data.inverse
+        return cov_set.source_cov @ composite[:, :l].T @ data.inverse
     if kind is FilterKind.MMSE_I:
-        return cov_set.cross_cov @ composite.T @ cov_set.data.inverse
+        return cov_set.cross_cov @ composite.T @ data.inverse
     raise ValueError(f"not a Wiener filter kind: {kind}")
 
 
@@ -350,9 +337,9 @@ def build_filter_bank(
     columns H, then the interference columns H_i.  rank, the MV-PURE
     projection rank, and sig_dim, the eigenspace signal dimension,
     default to l.  Entries come in the order of kinds; the random
-    baseline draws from rng only when requested.  Every filter reads
-    the factorizations cached on cov_set, so each sensor covariance is
-    decomposed at most once, and only if a requested filter reads it.
+    baseline draws from rng only when requested.  The bank factors each
+    sensor covariance at most once, and only if a requested filter
+    reads it; the factors end with the call.
     At full rank (rank == l) an MV-PURE variant equals its MVP_BASE
     filter by construction (acceptance criterion 4), so its entry
     shares that filter's weights array instead of recomputing it up to
@@ -367,12 +354,16 @@ def build_filter_bank(
     # No closure here refers to itself: a reference cycle would keep
     # cov_set alive after the call, until the cyclic collector ran.
     @cache
+    def factor(name: str) -> CovarianceFactor:
+        """regularized_inverse of `cov_set.<name>_cov`, on first read."""
+        return regularized_inverse(getattr(cov_set, f"{name}_cov"))
+
+    @cache
     def base(kind: FilterKind) -> np.ndarray:
         """LCMV_R, LCMV_N or NL, computed on first read."""
         if kind is FilterKind.NL:
-            return lcmv(composite, cov_set.data)[:l]
-        cov = cov_set.data if kind is FilterKind.LCMV_R else cov_set.noise
-        return lcmv(h, cov)
+            return lcmv(composite, factor("data"))[:l]
+        return lcmv(h, factor("data" if kind is FilterKind.LCMV_R else "noise"))
 
     def weights_of(kind: FilterKind) -> np.ndarray:
         if kind in MVP_BASE and rank == l:
@@ -380,14 +371,14 @@ def build_filter_bank(
         if kind in (FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL):
             return base(kind)
         if kind in EIG_BASE:
-            return eig_lcmv(base(EIG_BASE[kind]), cov_set.data, sig_dim)
+            return eig_lcmv(base(EIG_BASE[kind]), factor("data"), sig_dim)
         if kind in MVP_RECIPE:
             return mv_pure(kind, rank, cov_set, base)
         if kind is FilterKind.ZF:
             return zero_forcing(h)
         if kind is FilterKind.RANDN:
             return randn_baseline(l, composite.shape[0], rng)
-        return wiener(cov_set, composite, kind)
+        return wiener(cov_set, factor("data"), composite, kind)
 
     bank = []
     for kind in kinds:

@@ -195,7 +195,8 @@ class TestWiener:
             noise=np.array([[0.5]]),
             source=np.array([[3.0]]),
         )
-        weights = wiener(covs, np.array([[2.0]]), FilterKind.MMSE_F)
+        data = regularized_inverse(covs.data_cov)
+        weights = wiener(covs, data, np.array([[2.0]]), FilterKind.MMSE_F)
         assert weights[0, 0] == pytest.approx(0.48, abs=1e-12)
 
     def test_silent_sources_give_zero_weights(self):
@@ -205,7 +206,8 @@ class TestWiener:
             noise=np.array([[0.5]]),
             source=np.zeros((1, 1)),
         )
-        weights = wiener(covs, np.array([[2.0]]), FilterKind.MMSE_F)
+        data = regularized_inverse(covs.data_cov)
+        weights = wiener(covs, data, np.array([[2.0]]), FilterKind.MMSE_F)
         assert np.all(weights == 0.0)
 
     def test_variants_coincide_without_interference(self):
@@ -216,8 +218,9 @@ class TestWiener:
             source=np.array([[3.0]]),
         )
         composite = np.array([[2.0]])
-        f = wiener(covs, composite, FilterKind.MMSE_F)
-        i = wiener(covs, composite, FilterKind.MMSE_I)
+        data = regularized_inverse(covs.data_cov)
+        f = wiener(covs, data, composite, FilterKind.MMSE_F)
+        i = wiener(covs, data, composite, FilterKind.MMSE_I)
         assert np.allclose(f, i, atol=1e-12)
 
     @staticmethod
@@ -233,22 +236,25 @@ class TestWiener:
     def test_mmse_i_equals_mmse_f_without_post_interference(self):
         recording, covs, view = self.composed(SetupConfig(interference_pst=False))
         assert recording.gains_pst.interference == 0.0
-        f = wiener(covs, view, FilterKind.MMSE_F)
-        i = wiener(covs, view, FilterKind.MMSE_I)
+        data = regularized_inverse(covs.data_cov)
+        f = wiener(covs, data, view, FilterKind.MMSE_F)
+        i = wiener(covs, data, view, FilterKind.MMSE_I)
         assert np.linalg.norm(i - f) <= 1e-12 * np.linalg.norm(f)
 
     def test_no_post_interest_gives_zero_weights(self):
         recording, covs, view = self.composed(SetupConfig(interest_pst=False))
         assert recording.gains_pst.interest == 0.0
+        data = regularized_inverse(covs.data_cov)
         for kind in (FilterKind.MMSE_F, FilterKind.MMSE_I):
-            assert np.all(wiener(covs, view, kind) == 0.0)
+            assert np.all(wiener(covs, data, view, kind) == 0.0)
 
     def test_other_kinds_rejected(self):
         covs = identity_covs(
             1, data=np.eye(1), noise=np.eye(1), source=np.eye(1)
         )
+        data = regularized_inverse(covs.data_cov)
         with pytest.raises(ValueError, match="Wiener"):
-            wiener(covs, np.array([[1.0]]), FilterKind.ZF)
+            wiener(covs, data, np.array([[1.0]]), FilterKind.ZF)
 
 
 class TestZeroForcing:
@@ -338,9 +344,9 @@ class TestMvPure:
             3, data=np.diag(data), noise=np.diag(noise), source=np.diag(source)
         )
         bases = {
-            FilterKind.LCMV_R: lcmv(np.eye(3), covs.data),
-            FilterKind.LCMV_N: lcmv(np.eye(3), covs.noise),
-            FilterKind.NL: lcmv(np.eye(3), covs.data),
+            FilterKind.LCMV_R: lcmv(np.eye(3), regularized_inverse(covs.data_cov)),
+            FilterKind.LCMV_N: lcmv(np.eye(3), regularized_inverse(covs.noise_cov)),
+            FilterKind.NL: lcmv(np.eye(3), regularized_inverse(covs.data_cov)),
         }
         return covs, bases.__getitem__
 
@@ -369,9 +375,9 @@ class TestMvPure:
     def bench_bases(covs, view) -> dict[FilterKind, np.ndarray]:
         l = covs.source_cov.shape[0]
         return {
-            FilterKind.LCMV_R: lcmv(view[:, :l], covs.data),
-            FilterKind.LCMV_N: lcmv(view[:, :l], covs.noise),
-            FilterKind.NL: lcmv(view, covs.data)[:l],
+            FilterKind.LCMV_R: lcmv(view[:, :l], regularized_inverse(covs.data_cov)),
+            FilterKind.LCMV_N: lcmv(view[:, :l], regularized_inverse(covs.noise_cov)),
+            FilterKind.NL: lcmv(view, regularized_inverse(covs.data_cov))[:l],
         }
 
     def test_full_rank_reproduces_base(self, mini_bench):
@@ -425,9 +431,9 @@ class TestMvPure:
             cross_cov=np.hstack([source, rng.standard_normal((l, k))]),
         )
         weights = {
-            "LCMV_R": lcmv(h, covs.data),
-            "LCMV_N": lcmv(h, covs.noise),
-            "NL": lcmv(composite, covs.data)[:l],
+            "LCMV_R": lcmv(h, regularized_inverse(covs.data_cov)),
+            "LCMV_N": lcmv(h, regularized_inverse(covs.noise_cov)),
+            "NL": lcmv(composite, regularized_inverse(covs.data_cov))[:l],
         }
         return covs, composite, weights
 
@@ -572,36 +578,6 @@ class TestEstimateCovariances:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             CovarianceSet(**matrices)
 
-    def test_factoring_does_not_wait_for_another_sets_factoring(self, monkeypatch):
-        # Realizations on worker threads each factor their own set; one
-        # set's factoring must not hold up another's.
-        held, entered, release = np.eye(3), threading.Event(), threading.Event()
-        original = filters.regularized_inverse
-
-        def holding(matrix):
-            if matrix is held:
-                entered.set()
-                release.wait(5.0)
-            return original(matrix)
-
-        monkeypatch.setattr(filters, "regularized_inverse", holding)
-        first = identity_covs(3, held, np.eye(3), np.eye(1))
-        second = identity_covs(3, 2.0 * np.eye(3), np.eye(3), np.eye(1))
-        done = threading.Event()
-        slow = threading.Thread(target=lambda: first.data)
-        fast = threading.Thread(target=lambda: (second.data, done.set()))
-        slow.start()
-        try:
-            assert entered.wait(5.0)
-            fast.start()
-            assert done.wait(1.0), "the second set waited for the first"
-        finally:
-            release.set()
-            slow.join(5.0)
-            fast.join(5.0)
-        assert not slow.is_alive() and not fast.is_alive()
-        assert np.array_equal(first.data.inverse, np.eye(3))
-
     def test_cross_covariance_needs_one_row_per_source(self):
         with pytest.raises(ShapeMismatch, match="one row per source"):
             CovarianceSet(
@@ -647,15 +623,14 @@ class TestBuildFilterBank:
 
     def test_each_covariance_is_factored_once(self, mini_bench, monkeypatch):
         covs, view, _, _ = mini_bench
-        fresh = replace(covs)  # no factorization cached yet
         seen = self.factor_calls(monkeypatch)
         bank = build_filter_bank(
-            list(FilterKind), fresh, view, np.random.default_rng(23)
+            list(FilterKind), covs, view, np.random.default_rng(23)
         )
         assert len(seen) == 2
         assert seen[0] is covs.data_cov and seen[1] is covs.noise_cov
         built = {f.kind: f for f in bank}
-        top = fresh.data.eigvec[:, -3:]
+        top = regularized_inverse(covs.data_cov).eigvec[:, -3:]
         expected = (built[FilterKind.LCMV_R].weights @ top) @ top.T
         assert np.array_equal(built[FilterKind.EIG_LCMV_R].weights, expected)
 
@@ -664,9 +639,42 @@ class TestBuildFilterBank:
         seen = self.factor_calls(monkeypatch)
         unread = {FilterKind.LCMV_N, FilterKind.EIG_LCMV_N, FilterKind.MVP_F_3}
         kinds = [kind for kind in FilterKind if kind not in unread]
-        build_filter_bank(kinds, replace(covs), view, np.random.default_rng(24))
+        build_filter_bank(kinds, covs, view, np.random.default_rng(24))
         assert len(seen) == 1
         assert seen[0] is covs.data_cov
+
+    def test_factoring_does_not_wait_for_another_bank(self, monkeypatch):
+        # Realizations on worker threads each build their own bank; one
+        # bank's factoring must not hold up another's.
+        held, entered, release = np.eye(3), threading.Event(), threading.Event()
+        original = filters.regularized_inverse
+
+        def holding(matrix):
+            if matrix is held:
+                entered.set()
+                release.wait(5.0)
+            return original(matrix)
+
+        def bank(data_cov):
+            covs = identity_covs(3, data_cov, np.eye(3), np.eye(1))
+            kinds = [FilterKind.LCMV_R]
+            return build_filter_bank(kinds, covs, np.eye(3, 1), np.random.default_rng(0))
+
+        monkeypatch.setattr(filters, "regularized_inverse", holding)
+        built, done = [], threading.Event()
+        slow = threading.Thread(target=lambda: built.append(bank(held)))
+        fast = threading.Thread(target=lambda: (bank(2.0 * np.eye(3)), done.set()))
+        slow.start()
+        try:
+            assert entered.wait(5.0)
+            fast.start()
+            assert done.wait(1.0), "the second bank waited for the first"
+        finally:
+            release.set()
+            slow.join(5.0)
+            fast.join(5.0)
+        assert not slow.is_alive() and not fast.is_alive()
+        assert np.array_equal(built[0][0].weights, np.eye(1, 3))
 
     def test_distortionless_constraints(self):
         hyp = pytest.importorskip("hypothesis")
@@ -735,9 +743,10 @@ class TestBuildFilterBank:
         )
         for default, full in zip(defaults, explicit):
             assert np.array_equal(default.weights, full.weights)
-        lcmv_r = lcmv(view[:, :3], covs.data)
+        data = regularized_inverse(covs.data_cov)
+        lcmv_r = lcmv(view[:, :3], data)
         assert np.array_equal(defaults[0].weights, lcmv_r)
-        assert np.array_equal(defaults[1].weights, eig_lcmv(lcmv_r, covs.data, 3))
+        assert np.array_equal(defaults[1].weights, eig_lcmv(lcmv_r, data, 3))
 
     def test_reduced_rank_is_reflected_in_weights(self, mini_bench):
         covs, view, _, _ = mini_bench
