@@ -258,10 +258,7 @@ def load_config(path: str | Path) -> SetupConfig:
                 overrides[target.name] = target.metadata["parser"](value)
             except ValueError as exc:
                 raise InvalidValue(f"{path}:{lineno}: key {key!r}: {exc}") from exc
-    try:
-        return replace(SetupConfig(), **overrides)
-    except (TypeError, ValueError) as exc:
-        raise InvalidValue(f"{path}: {exc}") from exc
+    return replace(SetupConfig(), **overrides)
 
 
 def to_manifest(config: SetupConfig) -> dict:

@@ -45,8 +45,6 @@ class ConnectivitySpectrum:
 
 def default_freqs(resolution: int) -> np.ndarray:
     """Uniform grid of normalized frequencies over [0, 0.5]."""
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
     return np.linspace(0.0, 0.5, resolution)
 
 

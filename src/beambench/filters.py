@@ -130,8 +130,6 @@ def estimate_covariances(recording: Recording, signals: SourceSignals) -> Covari
     sensors carry.
     """
     n = recording.sensors_pst.shape[1]
-    if n < 2:
-        raise ValueError("at least two samples per segment are required")
     interest = recording.gains_pst.interest * signals.interest[:, n:]
     interference = recording.gains_pst.interference * signals.interference[:, n:]
     composite = np.vstack([interest, interference])
@@ -227,8 +225,6 @@ def eig_lcmv(base: np.ndarray, data: CovarianceFactor, sig_dim: int) -> np.ndarr
     input matrix.
     """
     m = data.eigvec.shape[0]
-    if not 1 <= sig_dim <= m:
-        raise ValueError(f"sig_dim must lie in [1, {m}], got {sig_dim}")
     top = data.eigvec[:, m - sig_dim :]
     return (base @ top) @ top.T
 
@@ -259,9 +255,6 @@ def mv_pure(
         raise ValueError(f"not an MV-PURE kind: {kind}")
     selector, subtract_q, base = MVP_RECIPE[kind]
     w = weights_of(selector)
-    l = w.shape[0]
-    if not 1 <= rank <= l:
-        raise ValueError(f"rank must lie in [1, {l}], got {rank}")
     cov = cov_set.noise_cov if selector is FilterKind.LCMV_N else cov_set.data_cov
     selection = w @ cov @ w.T
     if subtract_q:
@@ -274,8 +267,6 @@ def mv_pure(
 
 def randn_baseline(n_interest: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian weights scaled by 1/sqrt(m); the comparison floor."""
-    if n_interest < 1 or m < 1:
-        raise ValueError("n_interest and m must be positive")
     return rng.standard_normal((n_interest, m)) / np.sqrt(m)
 
 

@@ -65,8 +65,6 @@ def fibonacci_montage(m: int) -> np.ndarray:
     A Fibonacci spiral over z in (-1/2, 1) gives near-uniform coverage
     while leaving the bottom cap (neck/face) free of electrodes.
     """
-    if m < 4:
-        raise ValueError(f"montage needs at least 4 electrodes, got {m}")
     idx = np.arange(m)
     z = 1.0 - (idx + 0.5) * 1.5 / m
     azimuth = np.pi * (3.0 - np.sqrt(5.0)) * idx
@@ -194,9 +192,6 @@ def leadfield_sphere(
 def reduce_rank(matrix: np.ndarray, rank: int) -> np.ndarray:
     """Best rank-r approximation in the Frobenius sense (truncated SVD)."""
     matrix = np.asarray(matrix, dtype=float)
-    full = min(matrix.shape)
-    if not 1 <= rank <= full:
-        raise ValueError(f"rank must lie in [1, {full}], got {rank}")
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     return (u[:, :rank] * s[:rank]) @ vt[:rank]
 

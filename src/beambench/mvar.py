@@ -81,10 +81,6 @@ def make_mask(dim: int, frac_ones: float, rng: np.random.Generator) -> np.ndarra
     The number of off-diagonal ones is round(frac_ones * dim * (dim-1)),
     placed uniformly without replacement.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if not 0.0 <= frac_ones <= 1.0:
-        raise ValueError(f"frac_ones must lie in [0, 1], got {frac_ones}")
     n_off = dim * (dim - 1)
     n_ones = int(round(frac_ones * n_off))
     entries = np.eye(dim)
@@ -101,8 +97,6 @@ def is_stable(model: MvarModel, stab_limit: float = 1.0) -> tuple[bool, float]:
     The model counts as stable when the largest eigenvalue magnitude of
     the companion form is strictly below stab_limit.
     """
-    if stab_limit <= 0.0:
-        raise ValueError(f"stab_limit must be positive, got {stab_limit}")
     radius = model.spectral_radius
     return radius < stab_limit, radius
 
@@ -125,13 +119,7 @@ def sample_stable_mvar(
     """
     if mask.shape != (dim, dim):
         raise ValueError(f"mask shape {mask.shape} does not match dim {dim}")
-    if not 0.0 < stab_limit <= 1.0:
-        raise ValueError(f"stab_limit must lie in (0, 1], got {stab_limit}")
     lo, hi = float(coeff_range[0]), float(coeff_range[1])
-    if not lo <= hi:
-        raise ValueError(f"coeff_range must satisfy lo <= hi, got {coeff_range}")
-    if iter_limit < 1:
-        raise ValueError(f"iter_limit must be >= 1, got {iter_limit}")
 
     for _ in range(iter_limit):
         draw = rng.uniform(lo, hi, size=(order, dim, dim)) * mask
@@ -208,8 +196,6 @@ def simulate(
     companion spectral radius is >= 1, since the burn-in would then not
     converge to stationarity.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     radius = model.spectral_radius
@@ -288,13 +274,7 @@ def fit_coefficients(series: np.ndarray, order: int) -> tuple[np.ndarray, np.nda
     x = np.asarray(series, dtype=float)
     if x.ndim != 3:
         raise ValueError(f"series stack must be 3-d, got shape {x.shape}")
-    k, d, n = x.shape
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if n <= order * d + d:
-        raise ValueError(
-            f"series length {n} is too short for dim {d} at order {order}"
-        )
+    k, d, _ = x.shape
 
     moments = _lagged_moments(x, order)
     gram, cross = moments[:, d:, d:], moments[:, d:, :d]

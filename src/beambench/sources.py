@@ -113,12 +113,6 @@ def sample_geometry(
     """
     counts = tuple(int(c) for c in counts)
     deep = tuple(int(c) for c in deep)
-    if len(counts) != 3 or len(deep) != 3:
-        raise ValueError("counts and deep must have one entry per role")
-    if any(c < 0 for c in counts) or any(c < 0 for c in deep):
-        raise ValueError("source counts must be non-negative")
-    if counts[0] + deep[0] < 1:
-        raise ValueError("at least one source of interest is required")
 
     positions: list[np.ndarray] = []
     orientations: list[np.ndarray] = []
@@ -166,12 +160,6 @@ def perturb_geometry(
     bounds reproduce the input exactly.  Jittered positions that leave
     the head are pulled back just inside the scalp radius.
     """
-    if cube_edge < 0.0:
-        raise ValueError(f"cube_edge must be >= 0, got {cube_edge}")
-    if not 0.0 <= cone_half_angle < np.pi / 2.0:
-        raise ValueError(
-            f"cone_half_angle must lie in [0, pi/2), got {cone_half_angle}"
-        )
     n = geom.n_sources
     shifts = rng.uniform(-cube_edge / 2.0, cube_edge / 2.0, size=(n, 3))
     angle_offsets = rng.uniform(-cone_half_angle, cone_half_angle, size=(n, 2))
@@ -212,10 +200,6 @@ def erp_waveform(
     so the extrema sit one width away from the center with magnitude
     amplitude * exp(-1/2).
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if width <= 0.0:
-        raise ValueError(f"width must be positive, got {width}")
     z = (np.arange(n_samples) - center) / width
     return -amplitude * z * np.exp(-0.5 * z * z)
 
@@ -260,8 +244,6 @@ def generate_source_signals(
     centered on the segment's middle sample with width n/16.
     """
     l, k, n_background = geom.counts
-    if l < 1:
-        raise ValueError("geometry must contain at least one source of interest")
     n = config.n_samples
     total = 2 * n
 

@@ -131,6 +131,11 @@ class TestParseErrors:
         with pytest.raises(InvalidValue, match="three integers"):
             load_config(path)
 
+    def test_bad_pair_arity(self, tmp_path):
+        path = write_config(tmp_path, "RNG = 0.3\n")
+        with pytest.raises(InvalidValue, match=":1: key 'RNG': expected two floats"):
+            load_config(path)
+
     def test_bad_boolean(self, tmp_path):
         path = write_config(tmp_path, "ERPs = maybe\n")
         with pytest.raises(InvalidValue, match="not a boolean"):
@@ -296,6 +301,43 @@ class TestValidation:
     def test_realization_floor(self):
         with pytest.raises(InvalidValue, match="K00"):
             SetupConfig(n_realizations=0)
+
+    # The stage functions take these values unchecked, so validate is
+    # the only place that rejects them.
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"order_interest": 0}, "P00 and R00 must be >= 1"),
+            ({"order_background": 0}, "P00 and R00 must be >= 1"),
+            ({"iter_limit": 0}, "ITER must be >= 1"),
+            ({"pdc_resolution": 1}, "PDC_RES must be >= 2"),
+            ({"sources": (3, 2)}, "SRCS and DEEP must each hold three counts"),
+            ({"deep_sources": (0, 0, 0, 0)}, "SRCS and DEEP must each hold three counts"),
+            ({"deep_sources": (0, -1, 0)}, "non-negative"),
+            ({"sources": (0, 2, 10), "deep_sources": (0, 2, 0)}, "source of interest"),
+            ({"n_samples": 1}, "8 times P00"),
+            ({"cube_edge": -0.01}, "CUBE must be finite and >= 0"),
+            ({"interference_rank": 0}, r"IntLfgRANK must lie in \[1, 2\]"),
+            ({"mvp_rank": 0}, r"MVP_RANK must lie in \[1, "),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, overrides, message):
+        with pytest.raises(InvalidValue, match=message):
+            SetupConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"order_interest": 1, "order_background": 1},
+            {"iter_limit": 1},
+            {"pdc_resolution": 2},
+            {"cube_edge": 0.0},
+            {"mvp_rank": 1},
+            {"sources": (0, 2, 10), "deep_sources": (1, 0, 0)},
+        ],
+    )
+    def test_boundary_value_accepted(self, overrides):
+        SetupConfig(**overrides)
 
 
 class TestManifest:

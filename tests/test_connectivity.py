@@ -56,10 +56,6 @@ class TestDefaultFreqs:
         assert freqs[-1] == 0.5
         assert np.all(np.diff(freqs) > 0.0)
 
-    def test_resolution_must_be_enough_for_endpoints(self):
-        with pytest.raises(ValueError):
-            default_freqs(1)
-
 
 class TestSpectralTransform:
     def test_zero_coefficients_give_identity(self):

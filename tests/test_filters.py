@@ -93,6 +93,17 @@ class TestRegularizedInverse:
         with pytest.raises(SingularCovariance, match="positive"):
             regularized_inverse(-np.eye(3))
 
+    def test_rank_one_matrix_stays_singular_after_loading(self):
+        # Loading adds 1e-10 * trace / m to a rank-one matrix's zero
+        # eigenvalues, which leaves a condition number of about m * 1e10:
+        # past the 1e12 limit at m = 128, within it at m = 64.
+        v = np.random.default_rng(5).standard_normal(128)
+        with pytest.raises(
+            SingularCovariance, match="stays ill-conditioned after diagonal loading"
+        ):
+            regularized_inverse(np.outer(v, v))
+        assert np.all(np.isfinite(regularized_inverse(np.outer(v[:64], v[:64])).inverse))
+
     def test_asymmetric_input_is_symmetrized(self):
         matrix = np.array([[2.0, 0.1], [0.0, 2.0]])
         inv = regularized_inverse(matrix).inverse
@@ -318,11 +329,6 @@ class TestEigLcmv:
             assert projected.kind is kind
             assert np.allclose(projected.weights, expected, atol=1e-12)
 
-    def test_bad_inputs_rejected(self):
-        white = regularized_inverse(np.eye(3))
-        with pytest.raises(ValueError, match="sig_dim"):
-            eig_lcmv(lcmv(np.eye(3), white), white, 0)
-
 
 def well_conditioned(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Full-column-rank matrix with singular values in [0.5, 2]."""
@@ -472,10 +478,6 @@ class TestMvPure:
         )
         with pytest.raises(ValueError, match="MV-PURE"):
             mv_pure(FilterKind.ZF, 1, covs, weights_of)
-        with pytest.raises(ValueError, match="rank"):
-            mv_pure(FilterKind.MVP_F_1, 0, covs, weights_of)
-        with pytest.raises(ValueError, match="rank"):
-            mv_pure(FilterKind.MVP_F_1, 4, covs, weights_of)
 
 
 class TestRandnBaseline:
@@ -490,10 +492,6 @@ class TestRandnBaseline:
         a = randn_baseline(3, 10, np.random.default_rng(13))
         b = randn_baseline(3, 10, np.random.default_rng(13))
         assert np.array_equal(a, b)
-
-    def test_bad_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            randn_baseline(0, 10, np.random.default_rng(14))
 
 
 class TestReconstruct:

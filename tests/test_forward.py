@@ -132,10 +132,6 @@ class TestMontage:
         assert z.max() <= HEAD + 1e-12
         assert z.max() > 0.9 * HEAD  # reaches the vertex region
 
-    def test_too_few_electrodes_rejected(self):
-        with pytest.raises(ValueError, match="at least 4"):
-            fibonacci_montage(3)
-
 
 class TestDipolePotentials:
     def test_central_dipole_closed_form(self):
@@ -381,13 +377,6 @@ class TestReduceRank:
         rng = np.random.default_rng(61)
         matrix = rng.standard_normal((6, 4))
         assert np.allclose(reduce_rank(matrix, 4), matrix, atol=1e-12)
-
-    def test_rank_bounds_enforced(self):
-        matrix = np.eye(3)
-        with pytest.raises(ValueError, match="rank"):
-            reduce_rank(matrix, 0)
-        with pytest.raises(ValueError, match="rank"):
-            reduce_rank(matrix, 4)
 
 
 class TestSelectFilterLeadfields:

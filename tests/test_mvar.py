@@ -461,10 +461,6 @@ class TestFit:
         assert errors[0] <= 0.05
         assert errors[1] < errors[0]
 
-    def test_short_series_rejected(self):
-        with pytest.raises(ValueError, match="too short"):
-            fit(np.random.default_rng(0).standard_normal((3, 12)), 3)
-
 
 def copied_rows_moments(series: np.ndarray, order: int) -> np.ndarray:
     """Reference: copy the regression rows (target, then lags 1 .. p)
