@@ -43,6 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "export-leadfield", help="write the configured lead-field as CSV"
     )
     export_cmd.add_argument("--config", type=Path, help="KEY = value config file")
+    export_cmd.add_argument("--seed", type=int, help="override the root seed")
     export_cmd.add_argument("--out", type=Path, required=True)
     return parser
 
@@ -50,28 +51,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            config = load_config(args.config) if args.config else SetupConfig()
-            if args.seed is not None:
-                config = replace(config, seed=args.seed)
-            if args.filters is not None:
-                try:
-                    config = replace(config, filters=parse_filter_list(args.filters))
-                except ValueError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 1
-            if args.jobs < 1:
-                print("error: --jobs must be >= 1", file=sys.stderr)
-                return 1
-            out = run(config, out_dir=args.out, jobs=args.jobs)
-            print(f"run written to {out}")
-            print(report(out))
-        elif args.command == "report":
+        if args.command == "report":
             print(report(args.run_dir))
-        else:
-            config = load_config(args.config) if args.config else SetupConfig()
+            return 0
+        config = load_config(args.config) if args.config else SetupConfig()
+        if args.seed is not None:
+            config = replace(config, seed=args.seed)
+        if args.command == "export-leadfield":
             out = export_leadfield(config, args.out)
             print(f"lead-field written to {out}")
+            return 0
+        if args.filters is not None:
+            config = replace(config, filters=parse_filter_list(args.filters))
+        out = run(config, out_dir=args.out, jobs=args.jobs)
+        print(f"run written to {out}")
+        print(report(out))
         return 0
     except (BenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,12 +9,13 @@ meaning.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
-from .errors import InvalidValue, ParseError, UnknownKey
+from .errors import InvalidValue, ParseError, UnknownKey, read_utf8
 from .filters import FULL_RANK_H, FULL_RANK_HC, FilterKind, parse_filter_list
 
 # Recognized-but-rejected legacy keys (sweep ranges, plotting, I/O
@@ -231,33 +232,33 @@ _KEY_FIELDS = {spec.metadata["key"]: spec for spec in fields(SetupConfig)}
 
 def load_config(path: str | Path) -> SetupConfig:
     """Parse a `KEY = value` file on top of the defaults.  A key given
-    twice is a ParseError."""
+    twice, or a file that is not valid UTF-8, is a ParseError."""
     path = Path(path)
     overrides: dict[str, object] = {}
     seen: dict[str, int] = {}
-    with path.open() as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected KEY = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in UNSUPPORTED_KEYS:
-                raise UnknownKey(
-                    f"{path}:{lineno}: key {key!r} is recognized but not "
-                    "supported by this tool; remove it from the config"
-                )
-            if key not in _KEY_FIELDS:
-                raise UnknownKey(f"{path}:{lineno}: unknown key {key!r}")
-            first = seen.setdefault(key, lineno)
-            if first != lineno:
-                raise ParseError(f"{path}:{lineno}: key {key!r} repeats line {first}")
-            target = _KEY_FIELDS[key]
-            try:
-                overrides[target.name] = target.metadata["parser"](value)
-            except ValueError as exc:
-                raise InvalidValue(f"{path}:{lineno}: key {key!r}: {exc}") from exc
+    lines = io.StringIO(read_utf8(path), newline=None)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected KEY = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in UNSUPPORTED_KEYS:
+            raise UnknownKey(
+                f"{path}:{lineno}: key {key!r} is recognized but not "
+                "supported by this tool; remove it from the config"
+            )
+        if key not in _KEY_FIELDS:
+            raise UnknownKey(f"{path}:{lineno}: unknown key {key!r}")
+        first = seen.setdefault(key, lineno)
+        if first != lineno:
+            raise ParseError(f"{path}:{lineno}: key {key!r} repeats line {first}")
+        target = _KEY_FIELDS[key]
+        try:
+            overrides[target.name] = target.metadata["parser"](value)
+        except ValueError as exc:
+            raise InvalidValue(f"{path}:{lineno}: key {key!r}: {exc}") from exc
     return replace(SetupConfig(), **overrides)
 
 

@@ -1,6 +1,9 @@
-"""Exception types shared across the benchmark modules."""
+"""Exception types shared across the benchmark modules, and the UTF-8
+reader that reports an undecodable input file as one of them."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class BenchError(Exception):
@@ -51,8 +54,8 @@ class UnknownKey(BenchError):
     """A config key is not recognized or not supported."""
 
 
-class InvalidValue(BenchError):
-    """A config value is outside its admissible domain."""
+class InvalidValue(BenchError, ValueError):
+    """A config value or run parameter is outside its admissible domain."""
 
 
 class MissingRun(BenchError):
@@ -61,3 +64,14 @@ class MissingRun(BenchError):
 
 class PipelineError(BenchError):
     """A realization failed; the message names the realization and stage."""
+
+
+def read_utf8(path: Path) -> str:
+    """The text of `path`; bytes that are not valid UTF-8 raise a
+    ParseError naming the file and the line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start] + b".").splitlines())
+        raise ParseError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from exc

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import RankDeficientLeadfield, ShapeMismatch, SingularCovariance
+from .errors import InvalidValue, RankDeficientLeadfield, ShapeMismatch, SingularCovariance
 from .forward import Recording
 from .sources import SourceSignals
 
@@ -79,14 +79,6 @@ class BankEntry(NamedTuple):
     weights: np.ndarray
 
 
-class CovarianceFactor(NamedTuple):
-    """Eigenvectors of a symmetrized sensor covariance (ascending
-    eigenvalues) and its regularized inverse."""
-
-    eigvec: np.ndarray
-    inverse: np.ndarray
-
-
 @dataclass(frozen=True)
 class CovarianceSet:
     """Second-order statistics needed by the bank.
@@ -141,41 +133,53 @@ def estimate_covariances(recording: Recording, signals: SourceSignals) -> Covari
     )
 
 
-def regularized_inverse(matrix: np.ndarray) -> CovarianceFactor:
-    """Eigenvectors and inverse of a symmetric covariance, loaded if needed.
+def regularized_inverse(matrix: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric covariance, diagonally loaded if needed.
 
     When the condition number exceeds 1e12 the matrix gets
     1e-10 * trace/m added to its diagonal; if it stays that badly
-    conditioned the input is considered singular.  Loading shifts the
-    eigenvalues only, so the eigenvectors are those of the input.
+    conditioned the input is considered singular.  A Cholesky factor of
+    sym - (trace/1e12) I certifies lambda_min > trace/1e12 >= lambda_max/1e12
+    without any eigenvalue; only when it fails does eigvalsh decide.
     """
     matrix = np.asarray(matrix, dtype=float)
     sym = 0.5 * (matrix + matrix.T)
     m = sym.shape[0]
+    trace = np.trace(sym)
+    if trace > 0.0:
+        try:
+            np.linalg.cholesky(sym - (trace / _COND_LIMIT) * np.eye(m))
+        except np.linalg.LinAlgError:
+            pass  # not certified: the eigenvalues decide
+        else:
+            return np.linalg.inv(sym)
     try:
-        eigval, eigvec = np.linalg.eigh(sym)
+        eigval = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"eigendecomposition failed: {exc}") from exc
     largest = eigval[-1]
     if largest <= 0.0:
         raise SingularCovariance("covariance has no positive eigenvalue")
     if eigval[0] <= 0.0 or largest / eigval[0] > _COND_LIMIT:
-        eigval = eigval + _LOAD_EPS * np.sum(eigval) / m
+        loading = _LOAD_EPS * np.sum(eigval) / m
+        eigval = eigval + loading
         if eigval[0] <= 0.0 or eigval[-1] / eigval[0] > _COND_LIMIT:
             raise SingularCovariance(
                 "covariance stays ill-conditioned after diagonal loading"
             )
-    return CovarianceFactor(eigvec, (eigvec / eigval) @ eigvec.T)
+        sym[np.diag_indices(m)] += loading
+    return np.linalg.inv(sym)
 
 
-def lcmv(leadfield: np.ndarray, cov: CovarianceFactor) -> np.ndarray:
-    """Distortionless minimum-variance beamformer against the factored
-    cov M: W = (H' M^-1 H)^-1 H' M^-1 for a full-column-rank H.
+def lcmv(leadfield: np.ndarray, cov_inv: np.ndarray) -> np.ndarray:
+    """Distortionless minimum-variance beamformer against a covariance M
+    given by its inverse cov_inv: W = (H' M^-1 H)^-1 H' M^-1 for a
+    full-column-rank H.
 
     Over a composite [H H_i], the leading rows of W pass H
     distortionless while placing exact nulls on H_i (the NL filter).
     """
-    lf_cov_inv = leadfield.T @ cov.inverse
+    lf_cov_inv = leadfield.T @ cov_inv
     gram = lf_cov_inv @ leadfield
     gram = 0.5 * (gram + gram.T)
     eigval = np.linalg.eigvalsh(gram)
@@ -188,12 +192,12 @@ def lcmv(leadfield: np.ndarray, cov: CovarianceFactor) -> np.ndarray:
 
 def wiener(
     cov_set: CovarianceSet,
-    data: CovarianceFactor,
+    data_inv: np.ndarray,
     composite: np.ndarray,
     kind: FilterKind,
 ) -> np.ndarray:
-    """Minimum mean-square error reconstruction against `data`, the
-    factored data covariance R.
+    """Minimum mean-square error reconstruction against the data
+    covariance R, given by its inverse data_inv.
 
     MMSE_F ignores interference structure: W = Q H' R^-1, with H the
     leading l columns of the composite H_c = [H H_i].  MMSE_I uses the
@@ -202,9 +206,9 @@ def wiener(
     """
     if kind is FilterKind.MMSE_F:
         l = cov_set.source_cov.shape[0]
-        return cov_set.source_cov @ composite[:, :l].T @ data.inverse
+        return cov_set.source_cov @ composite[:, :l].T @ data_inv
     if kind is FilterKind.MMSE_I:
-        return cov_set.cross_cov @ composite.T @ data.inverse
+        return cov_set.cross_cov @ composite.T @ data_inv
     raise ValueError(f"not a Wiener filter kind: {kind}")
 
 
@@ -216,16 +220,16 @@ def zero_forcing(leadfield: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(leadfield, rcond=_GRAM_RTOL)
 
 
-def eig_lcmv(base: np.ndarray, data: CovarianceFactor, sig_dim: int) -> np.ndarray:
-    """Project LCMV weights onto the top-sig_dim eigenspace of the
-    factored data covariance (the presumed signal subspace).
+def eig_lcmv(base: np.ndarray, eigvec: np.ndarray, sig_dim: int) -> np.ndarray:
+    """Project LCMV weights onto the top-sig_dim eigenspace of the data
+    covariance (the presumed signal subspace), given by `eigvec`, its
+    eigenvectors in ascending eigenvalue order.
 
     Eigenvalue ties are resolved by the ascending output order of the
     symmetric eigendecomposition, which is deterministic for a given
     input matrix.
     """
-    m = data.eigvec.shape[0]
-    top = data.eigvec[:, m - sig_dim :]
+    top = eigvec[:, eigvec.shape[0] - sig_dim :]
     return (base @ top) @ top.T
 
 
@@ -297,17 +301,18 @@ def reconstruct(
 
 
 def parse_filter_list(text: str) -> tuple[str, ...]:
-    """Parse a comma-separated filter list; 'all' selects the full bank."""
+    """Parse a comma-separated filter list; 'all' selects the full bank.
+    An empty list or an unknown name is an InvalidValue."""
     cleaned = text.strip()
     if cleaned.lower() == "all":
         return tuple(kind.value for kind in FilterKind)
     names = [token.strip() for token in cleaned.split(",") if token.strip()]
     if not names:
-        raise ValueError("filter list is empty")
+        raise InvalidValue("filter list is empty")
     valid = {kind.value for kind in FilterKind}
     for name in names:
         if name not in valid:
-            raise ValueError(
+            raise InvalidValue(
                 f"unknown filter {name!r}; valid names: "
                 + ", ".join(kind.value for kind in FilterKind)
             )
@@ -328,9 +333,11 @@ def build_filter_bank(
     columns H, then the interference columns H_i.  rank, the MV-PURE
     projection rank, and sig_dim, the eigenspace signal dimension,
     default to l.  Entries come in the order of kinds; the random
-    baseline draws from rng only when requested.  The bank factors each
-    sensor covariance at most once, and only if a requested filter
-    reads it; the factors end with the call.
+    baseline draws from rng only when requested.  The bank inverts each
+    sensor covariance at most once (regularized_inverse), and only if a
+    requested filter reads it; only the EIG kinds read eigenvectors, so
+    the symmetrized data covariance gets one np.linalg.eigh, on their
+    first read.  Inverses and eigenvectors end with the call.
     At full rank (rank == l) an MV-PURE variant equals its MVP_BASE
     filter by construction (acceptance criterion 4), so its entry
     shares that filter's weights array instead of recomputing it up to
@@ -345,9 +352,14 @@ def build_filter_bank(
     # No closure here refers to itself: a reference cycle would keep
     # cov_set alive after the call, until the cyclic collector ran.
     @cache
-    def factor(name: str) -> CovarianceFactor:
+    def factor(name: str) -> np.ndarray:
         """regularized_inverse of `cov_set.<name>_cov`, on first read."""
         return regularized_inverse(getattr(cov_set, f"{name}_cov"))
+
+    @cache
+    def data_eigvec() -> np.ndarray:
+        """Eigenvectors of the symmetrized data covariance, on first read."""
+        return np.linalg.eigh(0.5 * (cov_set.data_cov + cov_set.data_cov.T))[1]
 
     @cache
     def base(kind: FilterKind) -> np.ndarray:
@@ -362,7 +374,7 @@ def build_filter_bank(
         if kind in (FilterKind.LCMV_R, FilterKind.LCMV_N, FilterKind.NL):
             return base(kind)
         if kind in EIG_BASE:
-            return eig_lcmv(base(EIG_BASE[kind]), factor("data"), sig_dim)
+            return eig_lcmv(base(EIG_BASE[kind]), data_eigvec(), sig_dim)
         if kind in MVP_RECIPE:
             return mv_pure(kind, rank, cov_set, base)
         if kind is FilterKind.ZF:

@@ -12,6 +12,7 @@ passes; the writers read the whole table.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 # fit and connectivity_spectrum are bound here because bench/tracing.py
 # wraps metrics.fit and metrics.connectivity_spectrum by name.
 from .connectivity import connectivity_spectra, connectivity_spectrum  # noqa: F401
-from .errors import ParseError, ShapeMismatch
+from .errors import ParseError, ShapeMismatch, read_utf8
 from .mvar import MvarModel, fit, fit_coefficients  # noqa: F401
 
 SCALAR_MEASURES = ("signal_euclid", "signal_corr", "mvar_coeff_err", "pdc_err", "dtf_err")
@@ -214,24 +215,29 @@ def write_summary_csv(summary: list[SummaryRow], path: str | Path) -> None:
 
 
 def load_summary_csv(path: str | Path) -> list[SummaryRow]:
+    """Read a summary.csv; a malformed or undecodable file is a
+    ParseError naming the file and the line."""
     path = Path(path)
     rows: list[SummaryRow] = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["filter", "measure", "mean", "std"]:
-            raise ParseError(f"{path}:1: unexpected summary header {header}")
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                rows.append(
-                    SummaryRow(record[0], record[1], float(record[2]), float(record[3]))
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: malformed float") from exc
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:  # each record with the line it ends on
+        records = [(reader.line_num, record) for record in reader]
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+    header = records[0][1] if records else None
+    if header != ["filter", "measure", "mean", "std"]:
+        raise ParseError(f"{path}:1: unexpected summary header {header}")
+    for lineno, record in records[1:]:
+        if not record:
+            continue
+        if len(record) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 fields")
+        try:
+            rows.append(
+                SummaryRow(record[0], record[1], float(record[2]), float(record[3]))
+            )
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: malformed float") from exc
     return rows
 
 

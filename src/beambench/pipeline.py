@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import SetupConfig, to_manifest
 from .connectivity import default_freqs
-from .errors import BenchError, MissingRun, PipelineError
+from .errors import BenchError, InvalidValue, MissingRun, PipelineError
 from .filters import (
     MVP_KINDS,
     BankEntry,
@@ -150,7 +150,7 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     order.  Returns the run directory path.
     """
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        raise InvalidValue(f"jobs (--jobs) must be >= 1, got {jobs}")
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     _check_out_dir(out)
 

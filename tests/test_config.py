@@ -121,6 +121,20 @@ class TestParseErrors:
             with pytest.raises(UnknownKey):
                 load_config(path)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_undecodable_line_is_named(self, tmp_path, newline):
+        path = tmp_path / "setup.cfg"
+        text = newline.join(["K00 = 2", "# note", "OUT_DIR = caf\xe9", ""])
+        path.write_bytes(text.encode("latin-1"))
+        message = r":3: not valid UTF-8 \(invalid continuation byte\)$"
+        with pytest.raises(ParseError, match=message):
+            load_config(path)
+
+    def test_utf8_text_is_read(self, tmp_path):
+        path = tmp_path / "setup.cfg"
+        path.write_bytes("# café\r\nOUT_DIR = runs/café\r\n".encode("utf-8"))
+        assert load_config(path).out_dir == "runs/café"
+
     def test_malformed_value_wraps_key_and_line(self, tmp_path):
         path = write_config(tmp_path, "n00 = many\n")
         with pytest.raises(InvalidValue, match=":1: key 'n00'"):

@@ -6,6 +6,7 @@ import gc
 import threading
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,6 +50,11 @@ def random_spd(dim: int, rng: np.random.Generator) -> np.ndarray:
     return a @ a.T / dim + np.eye(dim)
 
 
+def data_eigvec(covs: CovarianceSet) -> np.ndarray:
+    """Eigenvectors of the symmetrized data covariance, as the bank takes them."""
+    return np.linalg.eigh(0.5 * (covs.data_cov + covs.data_cov.T))[1]
+
+
 def identity_covs(dim: int, data: np.ndarray, noise: np.ndarray, source: np.ndarray) -> CovarianceSet:
     return CovarianceSet(
         data_cov=data,
@@ -75,11 +81,11 @@ def mini_bench():
 class TestRegularizedInverse:
     def test_well_conditioned_matrix_is_inverted_exactly(self):
         matrix = random_spd(6, np.random.default_rng(0))
-        inv = regularized_inverse(matrix).inverse
+        inv = regularized_inverse(matrix)
         assert np.max(np.abs(inv @ matrix - np.eye(6))) <= 1e-12
 
     def test_near_singular_matrix_gets_loaded(self):
-        inv = regularized_inverse(np.diag([1.0, 1e-20])).inverse
+        inv = regularized_inverse(np.diag([1.0, 1e-20]))
         assert np.all(np.isfinite(inv))
         # loading is trace-scaled, so the small direction ends up near
         # the reciprocal of 1e-10 * trace / 2
@@ -102,13 +108,113 @@ class TestRegularizedInverse:
             SingularCovariance, match="stays ill-conditioned after diagonal loading"
         ):
             regularized_inverse(np.outer(v, v))
-        assert np.all(np.isfinite(regularized_inverse(np.outer(v[:64], v[:64])).inverse))
+        assert np.all(np.isfinite(regularized_inverse(np.outer(v[:64], v[:64]))))
 
     def test_asymmetric_input_is_symmetrized(self):
         matrix = np.array([[2.0, 0.1], [0.0, 2.0]])
-        inv = regularized_inverse(matrix).inverse
+        inv = regularized_inverse(matrix)
         sym = 0.5 * (matrix + matrix.T)
         assert np.max(np.abs(inv @ sym - np.eye(2))) <= 1e-12
+
+
+def eigh_inverse(matrix: np.ndarray) -> tuple[bool, np.ndarray, float]:
+    """Reference for regularized_inverse from one eigh: whether it loads,
+    the inverse (V / lambda) V', and the condition number it inverts at."""
+    sym = 0.5 * (matrix + matrix.T)
+    eigval, eigvec = np.linalg.eigh(sym)
+    if eigval[-1] <= 0.0:
+        raise SingularCovariance("covariance has no positive eigenvalue")
+    loaded = bool(eigval[0] <= 0.0 or eigval[-1] / eigval[0] > 1e12)
+    if loaded:
+        eigval = eigval + 1e-10 * np.sum(eigval) / sym.shape[0]
+        if eigval[0] <= 0.0 or eigval[-1] / eigval[0] > 1e12:
+            raise SingularCovariance(
+                "covariance stays ill-conditioned after diagonal loading"
+            )
+    return loaded, (eigvec / eigval) @ eigvec.T, eigval[-1] / eigval[0]
+
+
+def singular_message(invert, matrix: np.ndarray) -> str:
+    with pytest.raises(SingularCovariance) as raised:
+        invert(matrix)
+    return str(raised.value)
+
+
+class TestRegularizedInverseProperties:
+    def test_matches_the_eigh_reference(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        far_from_limit = st.floats(0.0, 16.0).filter(
+            lambda exponent: abs(exponent - 12.0) >= np.log10(1.01)
+        )
+
+        @hyp.settings(max_examples=80, deadline=None)
+        @hyp.given(
+            m=st.integers(2, 8),
+            exponent=st.one_of(far_from_limit, st.floats(11.9, 12.1)),
+            floor=st.sampled_from(["positive", "zero", "negative"]),
+            scale=st.floats(-6.0, 6.0),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(m, exponent, floor, scale, seed):
+            # a spectrum whose condition number is 10**exponent, at least 1%
+            # away from the 1e12 limit, or one with a zero or negative floor
+            hyp.assume(abs(exponent - 12.0) >= np.log10(1.01))
+            rng = np.random.default_rng(seed)
+            top = 10.0**scale
+            eigval = top * 10.0 ** -np.sort(rng.uniform(0.0, exponent, m))
+            eigval[0], eigval[-1] = top * 10.0**-exponent, top
+            if floor != "positive":
+                eigval[0] = 0.0 if floor == "zero" else -top * 1e-13
+            q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            matrix = (q * eigval) @ q.T
+            sym = 0.5 * (matrix + matrix.T)
+            try:
+                loaded, expected, cond = eigh_inverse(matrix)
+            except SingularCovariance as exc:
+                assert singular_message(regularized_inverse, matrix) == str(exc)
+                return
+            with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv:
+                got = regularized_inverse(matrix)
+            (inverted,) = inv.call_args.args
+            assert inv.call_count == 1
+            assert (not np.array_equal(inverted, sym)) == loaded
+            error = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+            assert error <= 100 * m * np.finfo(float).eps * cond
+
+        check()
+
+    def test_singular_inputs_raise_the_eigh_reference_messages(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=30, deadline=None)
+        @hyp.given(
+            case=st.sampled_from(["zero", "negative", "rank_one"]),
+            m=st.integers(112, 144),
+            scale=st.floats(-6.0, 6.0),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(case, m, scale, seed):
+            rng = np.random.default_rng(seed)
+            if case == "zero":
+                matrix = np.zeros((m, m))
+            elif case == "negative":
+                matrix = -(10.0**scale) * random_spd(m, rng)
+            else:
+                # loading leaves a rank-one matrix at a condition number of
+                # about m * 1e10, past the 1e12 limit for m > 100
+                v = rng.standard_normal(m) * 10.0 ** (scale / 2.0)
+                matrix = np.outer(v, v)
+            expected = singular_message(eigh_inverse, matrix)
+            assert singular_message(regularized_inverse, matrix) == expected
+            messages = (
+                "covariance has no positive eigenvalue",
+                "covariance stays ill-conditioned after diagonal loading",
+            )
+            assert expected == messages[case == "rank_one"]
+
+        check()
 
 
 class TestLcmv:
@@ -295,35 +401,36 @@ class TestEigLcmv:
     def test_full_signal_dimension_reproduces_base(self):
         rng = np.random.default_rng(10)
         h = rng.standard_normal((9, 3))
-        cov = regularized_inverse(random_spd(9, rng))
-        base = lcmv(h, cov)
-        assert np.allclose(eig_lcmv(base, cov, 9), base, atol=1e-12)
+        matrix = random_spd(9, rng)
+        base = lcmv(h, regularized_inverse(matrix))
+        projected = eig_lcmv(base, np.linalg.eigh(matrix)[1], 9)
+        assert np.allclose(projected, base, atol=1e-12)
 
     def test_diagonal_case_keeps_strongest_directions(self):
-        cov = regularized_inverse(np.diag([3.0, 2.0, 1.0]))
-        projected = eig_lcmv(lcmv(np.eye(3), cov), cov, 2)
+        matrix = np.diag([3.0, 2.0, 1.0])
+        base = lcmv(np.eye(3), regularized_inverse(matrix))
+        projected = eig_lcmv(base, np.linalg.eigh(matrix)[1], 2)
         assert np.allclose(projected, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
     def test_rows_live_in_the_top_eigenspace(self):
         rng = np.random.default_rng(11)
         h = rng.standard_normal((10, 3))
         matrix = random_spd(10, rng)
-        cov = regularized_inverse(matrix)
-        projected = eig_lcmv(lcmv(h, cov), cov, 4)
         _, eigvec = np.linalg.eigh(matrix)
+        projected = eig_lcmv(lcmv(h, regularized_inverse(matrix)), eigvec, 4)
         bottom = eigvec[:, :6]
         leakage = np.max(np.abs(projected @ bottom))
         assert leakage <= 1e-10 * np.max(np.abs(projected))
 
     def test_degenerate_spectrum_is_deterministic(self):
-        white = regularized_inverse(np.eye(3))
-        base = lcmv(np.eye(3), white)
+        base = lcmv(np.eye(3), regularized_inverse(np.eye(3)))
+        white = np.linalg.eigh(np.eye(3))[1]
         assert np.array_equal(eig_lcmv(base, white, 2), eig_lcmv(base, white, 2))
 
     def test_kind_mapping_and_sig_dim_recorded(self):
         matrix = np.diag([3.0, 2.0, 1.0])
-        cov = regularized_inverse(matrix)
-        expected = eig_lcmv(lcmv(np.eye(3), cov), cov, 2)
+        base = lcmv(np.eye(3), regularized_inverse(matrix))
+        expected = eig_lcmv(base, np.linalg.eigh(matrix)[1], 2)
         for kind in (FilterKind.EIG_LCMV_R, FilterKind.EIG_LCMV_N):
             projected = single_entry(kind, np.eye(3), matrix, 3, sig_dim=2)
             assert projected.kind is kind
@@ -628,9 +735,29 @@ class TestBuildFilterBank:
         assert len(seen) == 2
         assert seen[0] is covs.data_cov and seen[1] is covs.noise_cov
         built = {f.kind: f for f in bank}
-        top = regularized_inverse(covs.data_cov).eigvec[:, -3:]
+        top = data_eigvec(covs)[:, -3:]
         expected = (built[FilterKind.LCMV_R].weights @ top) @ top.T
         assert np.array_equal(built[FilterKind.EIG_LCMV_R].weights, expected)
+
+    def test_only_eig_kinds_take_an_eigendecomposition(self, mini_bench, monkeypatch):
+        covs, view, _, _ = mini_bench
+        m = view.shape[0]
+        shapes: list[tuple[int, ...]] = []
+        original = np.linalg.eigh
+
+        def spy(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        # rank 2 < l, so the MV-PURE entries take their own l x l eigh
+        no_eig = [kind for kind in FilterKind if kind not in EIG_BASE]
+        rng = np.random.default_rng(25)
+        build_filter_bank(no_eig, covs, view, rng, rank=2)
+        assert shapes and (m, m) not in shapes
+        shapes.clear()
+        build_filter_bank(list(FilterKind), covs, view, rng, rank=2)
+        assert shapes.count((m, m)) == 1
 
     def test_unread_noise_covariance_is_not_factored(self, mini_bench, monkeypatch):
         covs, view, _, _ = mini_bench
@@ -741,10 +868,10 @@ class TestBuildFilterBank:
         )
         for default, full in zip(defaults, explicit):
             assert np.array_equal(default.weights, full.weights)
-        data = regularized_inverse(covs.data_cov)
-        lcmv_r = lcmv(view[:, :3], data)
+        lcmv_r = lcmv(view[:, :3], regularized_inverse(covs.data_cov))
         assert np.array_equal(defaults[0].weights, lcmv_r)
-        assert np.array_equal(defaults[1].weights, eig_lcmv(lcmv_r, data, 3))
+        projected = eig_lcmv(lcmv_r, data_eigvec(covs), 3)
+        assert np.array_equal(defaults[1].weights, projected)
 
     def test_reduced_rank_is_reflected_in_weights(self, mini_bench):
         covs, view, _, _ = mini_bench

@@ -493,6 +493,27 @@ class TestSummaryCsv:
             load_summary_csv(path)
 
 
+    def test_undecodable_line_is_named(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        rows = [b"filter,measure,mean,std", b"ZF,signal_corr,0.5,0.1", b"Z\xff,x,1,0"]
+        path.write_bytes(b"\r\n".join([*rows, b""]))
+        message = r":3: not valid UTF-8 \(invalid start byte\)$"
+        with pytest.raises(ParseError, match=message):
+            load_summary_csv(path)
+
+    def test_error_names_the_physical_line(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_text('filter,measure,mean,std\n"Z\nF",x,0.5,0.1\n\nZF,pdc_err,oops,0.1\n')
+        with pytest.raises(ParseError, match=":5: malformed float"):
+            load_summary_csv(path)
+
+    def test_oversized_field_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_text('filter,measure,mean,std\n"' + "x" * 200_000 + '"\n')
+        with pytest.raises(ParseError, match=":2: field larger than field limit"):
+            load_summary_csv(path)
+
+
 class TestRenderReport:
     def test_table_structure(self):
         summary = aggregate(["LCMV_R", "ZF"], make_table([[0.5, 0.7], [1.0, 1.0]]))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -654,6 +656,74 @@ class TestCli:
     def test_unknown_filter_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--out", str(tmp_path / "x"), "--filters", "BOGUS"]) == 1
         assert "unknown filter" in capsys.readouterr().err
+
+    def test_filter_list_error_is_reported_like_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["run", "--out", str(out), "--filters", " , "]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: filter list is empty"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "export-leadfield"])
+    def test_undecodable_config_names_the_line(self, tmp_path, capsys, command):
+        path = tmp_path / "setup.cfg"
+        path.write_bytes(b"K00 = 2\nOUT_DIR = caf\xe9\n")
+        out = tmp_path / "x"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: {path}:2: not valid UTF-8 (invalid continuation byte)"
+        assert not out.exists()
+
+    def test_undecodable_summary_names_the_line(self, tmp_path, capsys):
+        (tmp_path / "summary.csv").write_bytes(b"filter,measure,mean,std\n\xff\n")
+        assert main(["report", str(tmp_path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {tmp_path / 'summary.csv'}:2: not valid UTF-8")
+
+    def test_arbitrary_bytes_end_in_one_error_line(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        # Bytes that never occur in UTF-8, so no draw is a valid file.
+        never_utf8 = st.sampled_from([b"\xc0", b"\xc1", b"\xf8", b"\xfe", b"\xff"])
+        undecodable = st.builds(
+            lambda head, bad, tail: head + bad + tail,
+            st.binary(),
+            never_utf8,
+            st.binary(),
+        )
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(data=undecodable, as_summary=st.booleans())
+        def check(data, as_summary):
+            with tempfile.TemporaryDirectory() as tmp:
+                base = Path(tmp)
+                out = base / "run"
+                if as_summary:
+                    (base / "summary.csv").write_bytes(data)
+                    argv = ["report", str(base)]
+                else:
+                    config = base / "setup.cfg"
+                    config.write_bytes(data)
+                    argv = ["run", "--config", str(config), "--out", str(out)]
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    assert main(argv) == 1
+                (line,) = stderr.getvalue().splitlines()
+                assert line.startswith("error: ") and "not valid UTF-8" in line
+                assert not out.exists()
+
+        check()
+
+    def test_export_seed_matches_a_config_seed(self, cli_config, tmp_path):
+        seeded = tmp_path / "seeded.cfg"
+        seeded.write_text(CLI_CONFIG.replace("SEED = 11", "SEED = 7"))
+        by_config, by_flag, unseeded = (tmp_path / f"lf{i}.csv" for i in range(3))
+        export = ["export-leadfield", "--config"]
+        assert main([*export, str(seeded), "--out", str(by_config)]) == 0
+        assert main([*export, str(cli_config), "--out", str(by_flag), "--seed", "7"]) == 0
+        assert main([*export, str(cli_config), "--out", str(unseeded)]) == 0
+        assert by_flag.read_bytes() == by_config.read_bytes()
+        assert by_flag.read_bytes() != unseeded.read_bytes()
 
     def test_bad_jobs_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--out", str(tmp_path / "x"), "--jobs", "0"]) == 1
