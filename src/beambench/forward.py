@@ -36,16 +36,17 @@ that their power relative to the interest term meets the configured
 SINR, SBNR and SMNR; each power comes from Gram matrices,
 ||H X||_F^2 = sum((H'H) * (X X')).  A gain is 0.0 in a segment whose
 switch is off, and for a component with zero power.  The two segments
-are column views of one (m, 2n) standard-normal noise draw: each is
-scaled by its noise gain and gets its mixing product added in place,
-so a recording holds no sensor-sized array besides that draw.
+are column views of one (m, 2n) standard-normal noise draw, which the
+caller supplies: each is scaled by its noise gain and gets its mixing
+product added in place, so a recording holds no sensor-sized array
+besides that draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -247,7 +248,7 @@ def compose_measurement(
     signals: SourceSignals,
     lf: LeadfieldSet,
     cfg: SetupConfig,
-    rng: np.random.Generator,
+    noise: Callable[[], np.ndarray],
 ) -> tuple[Recording, np.ndarray]:
     """Project sources to the sensors at the configured levels.
 
@@ -255,8 +256,11 @@ def compose_measurement(
     concatenated pre+post segments, so that each term's power relative
     to the interest term meets the configured SINR, SBNR and SMNR.  A
     term switched off in a segment, or with zero power, gets gain 0.0
-    there.  The noise is one (m, 2n) standard-normal draw from rng; its
-    power is taken before the segments overwrite it in place.
+    there.  The noise is the (m, 2n) standard-normal draw that `noise()`
+    returns, called once, after the shapes are checked; a run passes
+    the result of a draw started on a side thread, so any wait for it
+    falls in this call.  Its power is taken before the segments
+    overwrite the draw in place.
     Also returns the composite [H H_i] the filters see, selected by the
     perturbation flags and the optional interference rank.
     """
@@ -267,10 +271,12 @@ def compose_measurement(
             raise ShapeMismatch(f"{role} lead-field and signal dimensions disagree")
     m, n = lf.interest.shape[0], signals.interest.shape[1] // 2
 
-    noise = rng.standard_normal((m, 2 * n))
+    draw = noise()
+    if draw.shape != (m, 2 * n):
+        raise ShapeMismatch(f"the noise draw must have shape {(m, 2 * n)}, got {draw.shape}")
     # ||H X||_F^2 = sum((H'H) * (X X')), without forming H X.
     powers = [np.sum(gram * (x @ x.T)) for gram, x in zip(lf.grams, blocks)]
-    powers.append(np.vdot(noise, noise))
+    powers.append(np.vdot(draw, draw))
     reference = np.sqrt(powers[0])
     levels = (cfg.sinr_db, cfg.sbnr_db, cfg.smnr_db)
     scales = [1.0] + [
@@ -287,7 +293,7 @@ def compose_measurement(
             )
         )
         mixing = np.hstack([gain * h for gain, h in zip(gains, leadfields)])
-        sensors = noise[:, columns]
+        sensors = draw[:, columns]
         sensors *= gains.noise
         sensors += mixing @ sources[:, columns]
         return sensors, gains

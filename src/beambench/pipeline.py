@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -87,6 +87,8 @@ def realize(
     rank: int,
     freqs: np.ndarray,
     index: int,
+    *,
+    side: Executor,
 ) -> tuple[np.ndarray, list[BankEntry]]:
     """Realization `index` (1-based) of a run, from its own spawn-key
     streams: its (len(kinds), n_measures) scores and its bank, both in
@@ -94,6 +96,9 @@ def realize(
     on the electrode positions `montage`; the geometry is jittered, and
     its interest and interference columns evaluated, only when a
     H_*_pert flag lets the filters read them.
+    The sensor-noise draw is submitted to the executor `side` right
+    after seeding, and compose_measurement waits for it, so the draw
+    overlaps the signal stage and any wait counts as measurement.
     Each distinct weights array is scored once, by one reconstruct and
     one evaluate call; entries that share it (full-rank MV-PURE and its
     base) copy its row.  A BenchError or ValueError (LinAlgError
@@ -104,6 +109,7 @@ def realize(
         rng_signals, rng_perturb, rng_noise, rng_filters = (
             np.random.default_rng(child) for child in parent.spawn(4)
         )
+        noise = side.submit(rng_noise.standard_normal, (len(montage), 2 * config.n_samples))
         stage = "signals"
         signals = generate_source_signals(geometry, config, rng_signals)
         lf = plain
@@ -115,7 +121,7 @@ def realize(
             stage = "leadfields"
             lf = leadfield_sphere(perturbed, montage, plain)
         stage = "measurement"
-        recording, composite = compose_measurement(signals, lf, config, rng_noise)
+        recording, composite = compose_measurement(signals, lf, config, noise.result)
         stage = "covariances"
         cov_set = estimate_covariances(recording, signals)
         stage = "filters"
@@ -147,7 +153,9 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     Each realization is one `realize` call, in the calling thread for
     jobs = 1 and on `jobs` threads otherwise; its scores fill its slice
     of one (filter, realization, measure) table, filters in report
-    order.  Returns the run directory path.
+    order.  At any `jobs`, one side thread of the run draws every
+    realization's (m, 2n) standard-normal sensor noise from that
+    realization's noise stream.  Returns the run directory path.
     """
     if jobs < 1:
         raise InvalidValue(f"jobs (--jobs) must be >= 1, got {jobs}")
@@ -162,10 +170,14 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     table = np.empty(
         (len(kinds), config.n_realizations, len(measure_names(config.n_interest)))
     )
-    realization = partial(realize, config, geometry, montage, plain, kinds, rank, freqs)
     indices = range(1, config.n_realizations + 1)
     dumped = []  # the bank of realization 1, when its filters are dumped
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    # The side executor shuts down last, so that no realization still
+    # running on the pool submits to it after its shutdown.
+    with ThreadPoolExecutor(max_workers=1) as side, ThreadPoolExecutor(max_workers=jobs) as pool:
+        realization = partial(
+            realize, config, geometry, montage, plain, kinds, rank, freqs, side=side
+        )
         # jobs = 1 runs in the calling thread: the built-in map submits nothing
         results = map(realization, indices) if jobs == 1 else pool.map(realization, indices)
         for index, (scores, bank) in zip(indices, results):

@@ -11,6 +11,7 @@ import itertools
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from beambench.metrics import load_summary_csv
 from beambench.mvar import fit, make_mask, sample_stable_mvar, simulate
 from beambench.pipeline import run
 from beambench.sources import generate_source_signals, sample_geometry
+from test_forward import replayed_noise
 
 HEAD = 0.09
 
@@ -259,13 +261,13 @@ def test_criterion_6_snr_exactness():
         unscaled = {
             "interference": lf.interference @ signals.interference,
             "background": lf.background @ signals.background,
-            "noise": np.random.default_rng(noise_seed).standard_normal((m, 2 * n)),
+            "noise": replayed_noise(noise_seed, m, n),
         }
         for requested in itertools.product(levels, repeat=3):
             sinr, sbnr, smnr = requested
             config = replace(setup, sinr_db=sinr, sbnr_db=sbnr, smnr_db=smnr)
             recording, _ = compose_measurement(
-                signals, lf, config, np.random.default_rng(noise_seed)
+                signals, lf, config, partial(replayed_noise, noise_seed, m, n)
             )
             for (role, term), level in zip(unscaled.items(), requested):
                 mixed = np.hstack(

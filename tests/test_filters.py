@@ -6,6 +6,7 @@ import gc
 import threading
 import weakref
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -43,6 +44,7 @@ from beambench.forward import (
     leadfield_sphere,
 )
 from beambench.sources import generate_source_signals, sample_geometry
+from test_forward import replayed_noise
 
 
 def random_spd(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -73,7 +75,8 @@ def mini_bench():
     params = SetupConfig(n_samples=400, order_interest=3, order_background=3)
     signals = generate_source_signals(geom, params, rng)
     lf = leadfield_sphere(geom, montage)
-    recording, view = compose_measurement(signals, lf, SetupConfig(), rng)
+    noise = partial(replayed_noise, 2026, 16, params.n_samples)
+    recording, view = compose_measurement(signals, lf, SetupConfig(), noise)
     covs = estimate_covariances(recording, signals)
     return covs, view, recording, signals
 
@@ -347,7 +350,8 @@ class TestWiener:
         params = SetupConfig(n_samples=400, order_interest=3, order_background=3)
         signals = generate_source_signals(geom, params, rng)
         lf = leadfield_sphere(geom, fibonacci_montage(16))
-        recording, view = compose_measurement(signals, lf, cfg, rng)
+        noise = partial(replayed_noise, 2027, 16, params.n_samples)
+        recording, view = compose_measurement(signals, lf, cfg, noise)
         return recording, estimate_covariances(recording, signals), view
 
     def test_mmse_i_equals_mmse_f_without_post_interference(self):

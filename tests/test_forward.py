@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -93,7 +94,8 @@ def small_setup(seed: int = 0, counts=(2, 1, 2), m: int = 16):
 
 
 def replayed_noise(seed: int, m: int, n: int) -> np.ndarray:
-    """The (m, 2n) sensor-noise draw compose_measurement makes from seed."""
+    """The (m, 2n) standard-normal sensor-noise draw of seed; bound with
+    partial, it is the noise callable compose_measurement reads."""
     return np.random.default_rng(seed).standard_normal((m, 2 * n))
 
 
@@ -409,9 +411,9 @@ class TestComposeMeasurement:
     def test_sensors_sum_enabled_components(self):
         _, _, signals, lf = small_setup(seed=11)
         cfg = SetupConfig()
-        recording, _ = compose_measurement(signals, lf, cfg, np.random.default_rng(12))
-        n = recording.sensors_pst.shape[1]
-        noise = replayed_noise(12, lf.interest.shape[0], n)
+        m, n = lf.interest.shape[0], signals.interest.shape[1] // 2
+        recording, _ = compose_measurement(signals, lf, cfg, partial(replayed_noise, 12, m, n))
+        noise = replayed_noise(12, m, n)
         g_pre, g_pst = recording.gains_pre, recording.gains_pst
         assert g_pre.interest == 0.0
         assert all(g > 0.0 for g in g_pst)
@@ -433,9 +435,10 @@ class TestComposeMeasurement:
     def test_achieved_snr_levels_over_both_segments(self):
         _, _, signals, lf = small_setup(seed=13)
         cfg = SetupConfig(sinr_db=5.0, sbnr_db=-3.0, smnr_db=20.0)
-        recording, _ = compose_measurement(signals, lf, cfg, np.random.default_rng(14))
+        m, n = lf.interest.shape[0], signals.interest.shape[1] // 2
+        recording, _ = compose_measurement(signals, lf, cfg, partial(replayed_noise, 14, m, n))
         gains = recording.gains_pst
-        noise = replayed_noise(14, lf.interest.shape[0], signals.interest.shape[1] // 2)
+        noise = replayed_noise(14, m, n)
         ref_norm = np.linalg.norm(lf.interest @ signals.interest)
         for scaled, level in (
             (gains.interference * lf.interference @ signals.interference, 5.0),
@@ -455,22 +458,22 @@ class TestComposeMeasurement:
             background_pst=False,
             noise_pst=False,
         )
-        recording, _ = compose_measurement(signals, lf, cfg, np.random.default_rng(16))
+        m, n = lf.interest.shape[0], signals.interest.shape[1] // 2
+        recording, _ = compose_measurement(signals, lf, cfg, partial(replayed_noise, 16, m, n))
         assert np.all(recording.sensors_pre == 0.0)
-        n = recording.sensors_pst.shape[1]
         assert np.allclose(
             recording.sensors_pst, lf.interest @ signals.interest[:, n:], atol=1e-14
         )
 
     def test_missing_background_stays_zero(self):
         _, _, signals, lf = small_setup(seed=17, counts=(2, 1, 0))
+        m, n = lf.interest.shape[0], signals.interest.shape[1] // 2
         recording, _ = compose_measurement(
-            signals, lf, SetupConfig(), np.random.default_rng(18)
+            signals, lf, SetupConfig(), partial(replayed_noise, 18, m, n)
         )
         assert recording.gains_pre.background == 0.0
         assert recording.gains_pst.background == 0.0
-        n = recording.sensors_pst.shape[1]
-        noise = replayed_noise(18, lf.interest.shape[0], n)
+        noise = replayed_noise(18, m, n)
         g = recording.gains_pst
         expected = (
             lf.interest @ signals.interest[:, n:]
@@ -486,7 +489,8 @@ class TestComposeMeasurement:
         params = SetupConfig(n_samples=300, order_interest=3, order_background=3)
         signals = generate_source_signals(geom, params, np.random.default_rng(21))
         cfg = SetupConfig(use_interest_pert=True)
-        _, view = compose_measurement(signals, lf, cfg, np.random.default_rng(22))
+        m, n = lf.interest.shape[0], signals.interest.shape[1] // 2
+        _, view = compose_measurement(signals, lf, cfg, partial(replayed_noise, 22, m, n))
         assert np.array_equal(view, np.hstack([lf.interest_pert, lf.interference]))
 
     def test_dimension_mismatch_rejected(self):
@@ -496,13 +500,37 @@ class TestComposeMeasurement:
             SetupConfig(n_samples=300, order_interest=3, order_background=3),
             np.random.default_rng(25),
         )
+        n = other_signals.interest.shape[1] // 2
+        noise = partial(replayed_noise, 26, lf.interest.shape[0], n)
         with pytest.raises(ShapeMismatch):
-            compose_measurement(other_signals, lf, SetupConfig(), np.random.default_rng(26))
+            compose_measurement(other_signals, lf, SetupConfig(), noise)
+
+    def test_noise_is_read_once(self):
+        _, _, signals, lf = small_setup(seed=29)
+        m, n = lf.interest.shape[0], signals.interest.shape[1] // 2
+        calls = []
+
+        def noise():
+            calls.append(1)
+            return replayed_noise(30, m, n)
+
+        compose_measurement(signals, lf, SetupConfig(), noise)
+        assert len(calls) == 1
+
+    def test_misshapen_noise_rejected(self):
+        _, _, signals, lf = small_setup(seed=31)
+        m, n = lf.interest.shape[0], signals.interest.shape[1] // 2
+        for shape in ((m, n + 1), (m + 1, n)):
+            with pytest.raises(ShapeMismatch, match="noise draw"):
+                compose_measurement(
+                    signals, lf, SetupConfig(), partial(replayed_noise, 32, *shape)
+                )
 
     def test_deterministic_given_seed(self):
         _, _, signals, lf = small_setup(seed=27)
-        a, _ = compose_measurement(signals, lf, SetupConfig(), np.random.default_rng(28))
-        b, _ = compose_measurement(signals, lf, SetupConfig(), np.random.default_rng(28))
+        noise = partial(replayed_noise, 28, lf.interest.shape[0], signals.interest.shape[1] // 2)
+        a, _ = compose_measurement(signals, lf, SetupConfig(), noise)
+        b, _ = compose_measurement(signals, lf, SetupConfig(), noise)
         assert np.array_equal(a.sensors_pre, b.sensors_pre)
         assert np.array_equal(a.sensors_pst, b.sensors_pst)
 
@@ -539,7 +567,7 @@ def check_gain_scaled_product(
     sinr, sbnr, smnr = levels
     for mask in masks:
         cfg = switched_config(mask, sinr_db=sinr, sbnr_db=sbnr, smnr_db=smnr)
-        recording, _ = compose_measurement(signals, lf, cfg, np.random.default_rng(seed))
+        recording, _ = compose_measurement(signals, lf, cfg, partial(replayed_noise, seed, m, n))
         for segment, columns in (("pre", slice(None, n)), ("pst", slice(n, None))):
             gains = getattr(recording, f"gains_{segment}")
             switches = [getattr(cfg, f"{role}_{segment}") for role in gains._fields]
@@ -555,10 +583,10 @@ class TestMeasurementMemory:
         signals, lf = default_setup
         cfg = SetupConfig()
         m, n, n_sources = cfg.n_electrodes, cfg.n_samples, sum(cfg.sources)
-        rng = np.random.default_rng(44)
+        noise = partial(replayed_noise, 44, m, n)
         tracemalloc.start()
         try:
-            compose_measurement(signals, lf, cfg, rng)
+            compose_measurement(signals, lf, cfg, noise)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -612,8 +640,9 @@ class TestMixingProduct:
                     1 << bit for bit, name in enumerate(SWITCHES) if name.startswith(role)
                 )
                 cfg = switched_config(mask, sinr_db=sinr, sbnr_db=sbnr, smnr_db=smnr)
+                n = signals.interest.shape[1] // 2
                 recording, _ = compose_measurement(
-                    signals, lf, cfg, np.random.default_rng(seed + 2)
+                    signals, lf, cfg, partial(replayed_noise, seed + 2, m, n)
                 )
                 return np.hstack([recording.sensors_pre, recording.sensors_pst])
 

@@ -11,6 +11,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -118,29 +120,123 @@ class TestRunOutputs:
         assert mean_corr("LCMV_R") > mean_corr("RANDN") + 0.2
 
 
-class TestRealize:
-    def test_a_realization_is_its_rows_of_the_run(self, run_dir):
-        config = small_config()
-        geometry, montage = pipeline._geometry(config)
-        plain = forward.leadfield_sphere(geometry, montage)
-        kinds = list(FilterKind)
-        freqs = default_freqs(config.pdc_resolution)
-        args = (config, geometry, montage, plain, kinds, config.n_interest, freqs, 2)
-        scores, bank = pipeline.realize(*args)
-        with (run_dir / "results.csv").open() as handle:
-            rows = [row for row in csv.reader(handle) if row[1] == "2"]
-        measures = metrics.measure_names(config.n_interest)
-        assert [(f, m) for f, _, m, _ in rows] == [
-            (kind.value, m) for kind in kinds for m in measures
-        ]
-        assert [repr(v) for v in scores.ravel().tolist()] == [v for *_, v in rows]
-        assert [entry.kind for entry in bank] == kinds
+def realize_args(config: SetupConfig) -> tuple:
+    """The leading arguments of pipeline.realize that run passes for config."""
+    geometry, montage = pipeline._geometry(config)
+    plain = forward.leadfield_sphere(geometry, montage)
+    kinds = [kind for kind in FilterKind if kind.value in config.filters]
+    freqs = default_freqs(config.pdc_resolution)
+    return config, geometry, montage, plain, kinds, config.n_interest, freqs
 
-        again, bank_again = pipeline.realize(*args)
-        np.testing.assert_array_equal(again, scores)
-        for entry, repeat in zip(bank, bank_again, strict=True):
-            assert repeat.kind is entry.kind
-            np.testing.assert_array_equal(repeat.weights, entry.weights)
+
+class TestRealize:
+    def test_a_realization_is_its_rows_of_the_run(self, tmp_path):
+        config = small_config(n_realizations=4)
+        run_dir = run(config, out_dir=tmp_path / "run")
+        args = realize_args(config)
+        kinds = args[4]
+        measures = metrics.measure_names(config.n_interest)
+        with (run_dir / "results.csv").open() as handle:
+            results = list(csv.reader(handle))
+        # realizations out of order, on one side executor
+        with ThreadPoolExecutor(max_workers=1) as side:
+            for index in (4, 2):
+                scores, bank = pipeline.realize(*args, index, side=side)
+                rows = [row for row in results if row[1] == str(index)]
+                assert [(f, m) for f, _, m, _ in rows] == [
+                    (kind.value, m) for kind in kinds for m in measures
+                ]
+                assert [repr(v) for v in scores.ravel().tolist()] == [v for *_, v in rows]
+                assert [entry.kind for entry in bank] == kinds
+
+                again, bank_again = pipeline.realize(*args, index, side=side)
+                np.testing.assert_array_equal(again, scores)
+                for entry, repeat in zip(bank, bank_again, strict=True):
+                    assert repeat.kind is entry.kind
+                    np.testing.assert_array_equal(repeat.weights, entry.weights)
+
+
+class FailingExecutor(Executor):
+    """Every submitted call fails with `error` instead of running."""
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        future.set_exception(self.error)
+        return future
+
+
+class TestSideThread:
+    @staticmethod
+    def spy_draws(monkeypatch) -> tuple[list, list]:
+        """Record (thread, array) of every noise draw, and (thread,
+        array) of every noise callable compose_measurement reads."""
+        draws: list = []
+        reads: list = []
+
+        class Spied(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                if getattr(fn, "__name__", None) != "standard_normal":
+                    return super().submit(fn, *args, **kwargs)
+
+                def draw(*args, **kwargs):
+                    array = fn(*args, **kwargs)
+                    draws.append((threading.get_ident(), array))
+                    return array
+
+                return super().submit(draw, *args, **kwargs)
+
+        original = pipeline.compose_measurement
+
+        def reading(signals, lf, cfg, noise):
+            def read():
+                array = noise()
+                reads.append((threading.get_ident(), array))
+                return array
+
+            return original(signals, lf, cfg, read)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Spied)
+        monkeypatch.setattr(pipeline, "compose_measurement", reading)
+        return draws, reads
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_draw_runs_once_on_one_side_thread(self, tmp_path, monkeypatch, jobs):
+        config = small_config(n_realizations=3)
+        draws, reads = self.spy_draws(monkeypatch)
+        run(config, out_dir=tmp_path / "run", jobs=jobs)
+        shape = (config.n_electrodes, 2 * config.n_samples)
+        assert len(draws) == len(reads) == config.n_realizations
+        assert all(array.shape == shape for _, array in draws)
+        # every realization reads the very array drawn for it
+        assert {id(array) for _, array in draws} == {id(array) for _, array in reads}
+        drawing = {thread for thread, _ in draws}
+        reading = {thread for thread, _ in reads}
+        assert len(drawing) == 1
+        assert drawing.isdisjoint(reading | {threading.get_ident()})
+        if jobs == 1:
+            assert reading == {threading.get_ident()}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_run_leaves_no_thread_behind(self, tmp_path, jobs):
+        before = threading.active_count()
+        run(small_config(), out_dir=tmp_path / "run", jobs=jobs)
+        assert threading.active_count() == before
+        hopeless = small_config(coeff_range=(0.89, 0.9), stab_limit=0.05, iter_limit=1)
+        with pytest.raises(PipelineError, match="stage signals"):
+            run(hopeless, out_dir=tmp_path / "never", jobs=jobs)
+        assert threading.active_count() == before
+
+    def test_a_failed_draw_names_the_measurement_stage(self):
+        config = small_config()
+        error = ValueError("no noise")
+        with pytest.raises(
+            PipelineError, match="realization 2, stage measurement: no noise"
+        ) as info:
+            pipeline.realize(*realize_args(config), 2, side=FailingExecutor(error))
+        assert info.value.__cause__ is error
 
 
 class TestDeterminism:
