@@ -269,11 +269,9 @@ def compose_measurement(
     for role, leadfield, block in zip(ROLES, leadfields, blocks):
         if leadfield.shape[1] != block.shape[0]:
             raise ShapeMismatch(f"{role} lead-field and signal dimensions disagree")
-    m, n = lf.interest.shape[0], signals.interest.shape[1] // 2
+    n = signals.interest.shape[1] // 2
 
     draw = noise()
-    if draw.shape != (m, 2 * n):
-        raise ShapeMismatch(f"the noise draw must have shape {(m, 2 * n)}, got {draw.shape}")
     # ||H X||_F^2 = sum((H'H) * (X X')), without forming H X.
     powers = [np.sum(gram * (x @ x.T)) for gram, x in zip(lf.grams, blocks)]
     powers.append(np.vdot(draw, draw))

@@ -9,11 +9,13 @@ worker count, since no stream depends on execution order.
 
 from __future__ import annotations
 
+import _thread
 import json
 import os
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -78,6 +80,54 @@ def _check_out_dir(out: Path) -> None:
         raise PermissionError(f"{cannot} writable")
 
 
+class _SideThread(Executor):
+    """One thread that runs the submitted calls in submission order.
+
+    realize submits between two stages and run starts the thread
+    between two stages, so both are kept cheap.  A submit is one Future
+    and one SimpleQueue put, about half the cost of a one-worker
+    ThreadPoolExecutor's.  The thread is started with
+    _thread.start_new_thread, which returns at once; threading's
+    Thread.start waits until the new thread runs, 0.1-4 ms on a busy
+    machine.  shutdown lets the thread end once every submitted call
+    has run, and waits for that unless `wait` is false.
+    """
+
+    def __init__(self) -> None:
+        self._calls: SimpleQueue = SimpleQueue()
+        self._stopped = False
+        self._serving = _thread.allocate_lock()  # held until the thread ends
+        self._serving.acquire()
+        _thread.start_new_thread(self._serve, ())
+
+    def _serve(self) -> None:
+        try:
+            for future, fn, args, kwargs in iter(self._calls.get, None):
+                if future.set_running_or_notify_cancel():
+                    try:
+                        future.set_result(fn(*args, **kwargs))
+                    except BaseException as exc:
+                        # as in ThreadPoolExecutor: whoever reads the result re-raises it
+                        future.set_exception(exc)
+        finally:
+            self._serving.release()
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        if self._stopped:
+            raise RuntimeError("cannot submit to a side thread after its shutdown")
+        future: Future = Future()
+        self._calls.put((future, fn, args, kwargs))
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        if not self._stopped:
+            self._stopped = True
+            self._calls.put(None)
+        if wait:
+            with self._serving:
+                pass
+
+
 def realize(
     config: SetupConfig,
     geometry: SourceGeometry,
@@ -140,6 +190,47 @@ def realize(
         raise PipelineError(f"realization {index}, stage {stage}: {exc}") from exc
 
 
+def _write_run(
+    out: Path,
+    config: SetupConfig,
+    geometry: SourceGeometry,
+    kinds: list[FilterKind],
+    rank: int,
+    table: np.ndarray,
+    dumped: list[BankEntry],
+) -> None:
+    """Write the run directory `out` of a finished run: its scores
+    `table`, and the bank `dumped` of realization 1 when it is dumped."""
+    out.mkdir(parents=True, exist_ok=True)
+    if dumped:
+        filter_dir = out / "filters"
+        filter_dir.mkdir(exist_ok=True)
+        for kind, weights in dumped:
+            stem = f"{kind.value}_r{rank}" if kind in MVP_KINDS else kind.value
+            save_leadfield(weights, filter_dir / f"{stem}.csv")
+    names = [kind.value for kind in kinds]
+    write_geometry_csv(geometry, out / "geometry.csv")
+    write_results_csv(names, table, out / "results.csv")
+    write_summary_csv(aggregate(names, table), out / "summary.csv")
+    manifest = {
+        "tool": "beambench",
+        "version": __version__,
+        "root_seed": config.seed,
+        "streams": {
+            "geometry": {"spawn_key": [0]},
+            "realizations": {
+                "spawn_key": "[i] for realization i (1-based)",
+                "children": ["signals", "perturbation", "noise", "filters"],
+            },
+        },
+        "outputs": ["geometry.csv", "results.csv", "summary.csv", "manifest.json"],
+    }
+    manifest.update(to_manifest(config))
+    with (out / "manifest.json").open("w") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -> Path:
     """Execute all realizations and write the run directory.
 
@@ -172,47 +263,23 @@ def run(config: SetupConfig, out_dir: str | Path | None = None, jobs: int = 1) -
     )
     indices = range(1, config.n_realizations + 1)
     dumped = []  # the bank of realization 1, when its filters are dumped
-    # The side executor shuts down last, so that no realization still
+    # The side thread shuts down last, so that no realization still
     # running on the pool submits to it after its shutdown.
-    with ThreadPoolExecutor(max_workers=1) as side, ThreadPoolExecutor(max_workers=jobs) as pool:
-        realization = partial(
-            realize, config, geometry, montage, plain, kinds, rank, freqs, side=side
-        )
-        # jobs = 1 runs in the calling thread: the built-in map submits nothing
-        results = map(realization, indices) if jobs == 1 else pool.map(realization, indices)
-        for index, (scores, bank) in zip(indices, results):
-            table[:, index - 1] = scores
-            if config.dump_filters and index == 1:
-                dumped = bank
-
-    out.mkdir(parents=True, exist_ok=True)
-    if dumped:
-        filter_dir = out / "filters"
-        filter_dir.mkdir(exist_ok=True)
-        for kind, weights in dumped:
-            stem = f"{kind.value}_r{rank}" if kind in MVP_KINDS else kind.value
-            save_leadfield(weights, filter_dir / f"{stem}.csv")
-    names = [kind.value for kind in kinds]
-    write_geometry_csv(geometry, out / "geometry.csv")
-    write_results_csv(names, table, out / "results.csv")
-    write_summary_csv(aggregate(names, table), out / "summary.csv")
-    manifest = {
-        "tool": "beambench",
-        "version": __version__,
-        "root_seed": config.seed,
-        "streams": {
-            "geometry": {"spawn_key": [0]},
-            "realizations": {
-                "spawn_key": "[i] for realization i (1-based)",
-                "children": ["signals", "perturbation", "noise", "filters"],
-            },
-        },
-        "outputs": ["geometry.csv", "results.csv", "summary.csv", "manifest.json"],
-    }
-    manifest.update(to_manifest(config))
-    with (out / "manifest.json").open("w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    with _SideThread() as side:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            realization = partial(
+                realize, config, geometry, montage, plain, kinds, rank, freqs, side=side
+            )
+            # jobs = 1 runs in the calling thread: the built-in map submits nothing
+            results = map(realization, indices) if jobs == 1 else pool.map(realization, indices)
+            for index, (scores, bank) in zip(indices, results):
+                table[:, index - 1] = scores
+                if config.dump_filters and index == 1:
+                    dumped = bank
+        # every draw is done: the side thread ends while the outputs are
+        # written, and the exit of this block joins it
+        side.shutdown(wait=False)
+        _write_run(out, config, geometry, kinds, rank, table, dumped)
     return out
 
 

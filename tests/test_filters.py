@@ -44,7 +44,6 @@ from beambench.forward import (
     leadfield_sphere,
 )
 from beambench.sources import generate_source_signals, sample_geometry
-from test_forward import replayed_noise
 
 
 def random_spd(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -75,7 +74,7 @@ def mini_bench():
     params = SetupConfig(n_samples=400, order_interest=3, order_background=3)
     signals = generate_source_signals(geom, params, rng)
     lf = leadfield_sphere(geom, montage)
-    noise = partial(replayed_noise, 2026, 16, params.n_samples)
+    noise = partial(rng.standard_normal, (16, 2 * params.n_samples))
     recording, view = compose_measurement(signals, lf, SetupConfig(), noise)
     covs = estimate_covariances(recording, signals)
     return covs, view, recording, signals
@@ -350,7 +349,7 @@ class TestWiener:
         params = SetupConfig(n_samples=400, order_interest=3, order_background=3)
         signals = generate_source_signals(geom, params, rng)
         lf = leadfield_sphere(geom, fibonacci_montage(16))
-        noise = partial(replayed_noise, 2027, 16, params.n_samples)
+        noise = partial(rng.standard_normal, (16, 2 * params.n_samples))
         recording, view = compose_measurement(signals, lf, cfg, noise)
         return recording, estimate_covariances(recording, signals), view
 

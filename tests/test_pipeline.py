@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import _thread
 import contextlib
 import csv
 import io
 import json
+import operator
 import os
 import re
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -168,6 +171,18 @@ class FailingExecutor(Executor):
         return future
 
 
+def settled_thread_count() -> int:
+    """_thread._count(), the number of threads besides the main one,
+    those started by _thread.start_new_thread included, once every
+    thread that threading does not list has ended, or 10 s have passed:
+    a thread leaves the count just after its function returns, which
+    may be after a join."""
+    deadline = time.monotonic() + 10
+    while _thread._count() > threading.active_count() - 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return _thread._count()
+
+
 class TestSideThread:
     @staticmethod
     def spy_draws(monkeypatch) -> tuple[list, list]:
@@ -176,7 +191,7 @@ class TestSideThread:
         draws: list = []
         reads: list = []
 
-        class Spied(ThreadPoolExecutor):
+        class Spied(pipeline._SideThread):
             def submit(self, fn, /, *args, **kwargs):
                 if getattr(fn, "__name__", None) != "standard_normal":
                     return super().submit(fn, *args, **kwargs)
@@ -198,7 +213,7 @@ class TestSideThread:
 
             return original(signals, lf, cfg, read)
 
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Spied)
+        monkeypatch.setattr(pipeline, "_SideThread", Spied)
         monkeypatch.setattr(pipeline, "compose_measurement", reading)
         return draws, reads
 
@@ -221,13 +236,13 @@ class TestSideThread:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_run_leaves_no_thread_behind(self, tmp_path, jobs):
-        before = threading.active_count()
+        before = threading.active_count(), settled_thread_count()
         run(small_config(), out_dir=tmp_path / "run", jobs=jobs)
-        assert threading.active_count() == before
+        assert (threading.active_count(), settled_thread_count()) == before
         hopeless = small_config(coeff_range=(0.89, 0.9), stab_limit=0.05, iter_limit=1)
         with pytest.raises(PipelineError, match="stage signals"):
             run(hopeless, out_dir=tmp_path / "never", jobs=jobs)
-        assert threading.active_count() == before
+        assert (threading.active_count(), settled_thread_count()) == before
 
     def test_a_failed_draw_names_the_measurement_stage(self):
         config = small_config()
@@ -237,6 +252,40 @@ class TestSideThread:
         ) as info:
             pipeline.realize(*realize_args(config), 2, side=FailingExecutor(error))
         assert info.value.__cause__ is error
+
+
+class TestSideThreadExecutor:
+    def test_calls_run_in_order_on_one_other_thread(self):
+        seen = []
+
+        def record(tag):
+            seen.append((tag, threading.get_ident()))
+            return tag
+
+        with pipeline._SideThread() as side:
+            futures = [side.submit(record, tag) for tag in range(5)]
+            assert [future.result(timeout=60) for future in futures] == list(range(5))
+        assert [tag for tag, _ in seen] == list(range(5))
+        assert len({thread for _, thread in seen} | {threading.get_ident()}) == 2
+
+    def test_a_failed_call_fails_its_future_only(self):
+        with pipeline._SideThread() as side:
+            failed = side.submit(operator.truediv, 1.0, 0.0)
+            later = side.submit(operator.neg, 2.0)
+            with pytest.raises(ZeroDivisionError):
+                failed.result(timeout=60)
+            assert later.result(timeout=60) == -2.0
+
+    def test_shutdown_ends_the_thread_and_refuses_submits(self):
+        before = settled_thread_count()
+        side = pipeline._SideThread()
+        assert side.submit(operator.neg, 1).result(timeout=60) == -1
+        assert _thread._count() == before + 1
+        side.shutdown(wait=False)
+        with pytest.raises(RuntimeError, match="after its shutdown"):
+            side.submit(print)
+        side.shutdown()
+        assert settled_thread_count() == before
 
 
 class TestDeterminism:
